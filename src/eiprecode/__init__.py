@@ -15,7 +15,6 @@ from .channel import (
     SystemDims,
     build_bsca,
     corrupt,
-    extract_channel,
     gen_channel,
     load_matrix,
     normalize_observation,
@@ -59,7 +58,6 @@ from .precoding import (
     wfq_precode,
 )
 from .rie import (
-    SpectralDecomp,
     clean_channel,
     eig_bsca,
     linear_mmse_baseline,

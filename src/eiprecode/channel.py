@@ -25,7 +25,6 @@ __all__ = [
     "corrupt",
     "normalize_observation",
     "build_bsca",
-    "extract_channel",
     "save_matrix",
     "load_matrix",
 ]
@@ -116,14 +115,6 @@ def build_bsca(X: np.ndarray) -> np.ndarray:
     B[:u, u:] = X
     B[u:, :u] = X.conj().T
     return B
-
-
-def extract_channel(B: np.ndarray, dims: SystemDims) -> np.ndarray:
-    """Off-diagonal block (rows 1..U, columns U+1..U+A) of an augmented matrix."""
-    n = dims.users + dims.antennas
-    if B.shape != (n, n):
-        raise ValueError(f"expected shape ({n}, {n}), got {B.shape}")
-    return B[: dims.users, dims.users :].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .config import ConfigError, parse_config
 from .eta import RefinementError
 from .experiments import ExperimentError, run_experiment
 from .linksim import MonteCarloError
-from .rie import PairingError
 from .rmt import RootSelectionError
 
 __all__ = ["main", "build_parser"]
@@ -47,7 +46,6 @@ _KINDS = {
 _NUMERICAL_ERRORS = (
     MonteCarloError,
     RootSelectionError,
-    PairingError,
     RefinementError,
     np.linalg.LinAlgError,
     FloatingPointError,

@@ -134,6 +134,8 @@ def estimate_eta(H_obs: np.ndarray, q: float, cfg: EstimatorConfig | None = None
         cfg = EstimatorConfig()
     H_obs = np.asarray(H_obs)
     u, a = H_obs.shape
+    if not np.isfinite(H_obs).all():
+        raise ValueError("observation has non-finite entries")
     if not np.any(H_obs):
         raise ValueError("observation is identically zero")
     order = cfg.order if cfg.order is not None else default_order(u, a)

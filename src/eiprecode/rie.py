@@ -1,31 +1,30 @@
 """Rotation-invariant cleaning of a noisy channel observation.
 
-Pipeline: embed the (normalized) observation X in its Hermitian block
-augmentation, whose nonzero eigenvalues are the singular values +/-y_k of
-X, eigendecompose, replace each singular value by the observable
-rectangular rotation-invariant estimate (Troiani et al., arXiv:2203.07752;
+The paper studies the observation X through its Hermitian block
+augmentation (BSCA) [[0, X], [X^H, 0]], whose nonzero eigenpairs are
+(+/-s_k, [u_k; +/-v_k] / sqrt(2)) for the thin SVD X = U diag(s) V^H.  The
+cleaner only changes the s_k, so it works on the thin SVD directly: it
+replaces each singular value by the observable rectangular
+rotation-invariant estimate (Troiani et al., arXiv:2203.07752;
 Benaych-Georges, Bouchaud and Potters, arXiv:1901.05543)
 
-    xi_k = y_k - a2 ((1 - q) / y_k + 2 q h(y_k)),   a2 = eta c / (1 - eta),
+    xi_k = s_k - a2 ((1 - q) / s_k + 2 q h(s_k)),   a2 = eta c / (1 - eta),
 
 with h the leave-one-out Hilbert transform of the symmetrized singular
-values, restore the +/- pairing, and read the cleaned channel back out of
-the off-diagonal block.  Singular vectors are kept untouched, which is the
-defining property of the estimator family.
+values {+/-s_j} (the nonzero BSCA spectrum), and returns U diag(xi) V^H.
+Singular vectors are kept untouched, which is the defining property of the
+estimator family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import SystemDims, build_bsca, extract_channel, normalize_observation
+# build_bsca is unused here; perfbench's traced run looks it up on this module
+from .channel import SystemDims, build_bsca, normalize_observation  # noqa: F401
 from .rmt import default_epsilon
 
 __all__ = [
-    "SpectralDecomp",
-    "PairingError",
     "eig_bsca",
     "local_stieltjes",
     "shrink_eigenvalue",
@@ -35,71 +34,23 @@ __all__ = [
     "mse",
 ]
 
+# singular values at or below this fraction of the largest are null directions
+_NULL_TOL = 1e-10
 
-class PairingError(RuntimeError):
-    """The +/- eigenvalue pairing of an augmented matrix could not be formed."""
 
+def eig_bsca(X: np.ndarray):
+    """Positive half of the BSCA eigenpairs of X: its thin SVD (u, s, vh).
 
-@dataclass
-class SpectralDecomp:
-    """Eigendecomposition of an augmented matrix with its +/- pairing.
-
-    omega: eigenvalues in descending order.
-    vectors: matching orthonormal eigenvectors (columns).
-    pair: partner index for each nonzero eigenvalue, -1 on the null space.
-    zero_mask: True where |omega| is below the null threshold.
+    s is in descending order; the BSCA eigenpair of +/-s_k is
+    [u[:, k]; +/-vh[k].conj()] / sqrt(2).  Raises ValueError on a matrix that
+    is not 2-D or has non-finite entries.
     """
-
-    omega: np.ndarray
-    vectors: np.ndarray
-    pair: np.ndarray
-    zero_mask: np.ndarray
-
-    @property
-    def positive_indices(self) -> np.ndarray:
-        return np.flatnonzero((~self.zero_mask) & (self.omega > 0))
-
-
-def eig_bsca(B: np.ndarray, zero_tol: float = 1e-10, pair_tol: float = 1e-8) -> SpectralDecomp:
-    """Eigendecompose a Hermitian augmented matrix and pair +/- eigenvalues.
-
-    Null space detection uses |omega| <= zero_tol * max|omega|; pairing
-    requires |omega_i + omega_j| < pair_tol * max|omega| and raises
-    :class:`PairingError` otherwise.
-    """
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(B, B.conj().T, atol=1e-12 * max(1.0, np.abs(B).max())):
-        raise ValueError("expected a Hermitian matrix")
-    w, v = np.linalg.eigh(B)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    n = len(w)
-    scale = np.abs(w).max() if n else 0.0
-    pair = np.full(n, -1, dtype=int)
-    if scale == 0.0:
-        zero_mask = np.ones(n, dtype=bool)
-        return SpectralDecomp(w, v, pair, zero_mask)
-    zero_mask = np.abs(w) <= zero_tol * scale
-    pos = [i for i in range(n) if not zero_mask[i] and w[i] > 0]
-    neg = [i for i in range(n) if not zero_mask[i] and w[i] < 0]
-    if len(pos) != len(neg):
-        raise PairingError(
-            f"unbalanced spectrum: {len(pos)} positive vs {len(neg)} negative"
-        )
-    # descending order lists positives largest-first; the matching negative
-    # partners are the most negative ones in reverse order
-    neg_sorted = sorted(neg, key=lambda i: w[i])
-    for i, j in zip(pos, neg_sorted):
-        if abs(w[i] + w[j]) >= pair_tol * scale:
-            raise PairingError(
-                f"no partner within tolerance for eigenvalue {w[i]:.6g} "
-                f"(candidate {w[j]:.6g})"
-            )
-        pair[i] = j
-        pair[j] = i
-    return SpectralDecomp(w, v, pair, zero_mask)
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("observation has non-finite entries")
+    return np.linalg.svd(X, full_matrices=False)
 
 
 def local_stieltjes(spectrum, x: float, epsilon: float) -> tuple[float, float]:
@@ -144,38 +95,13 @@ def shrink_eigenvalue(y: float, h: float, q: float, alpha: float) -> float:
     return min(max(float(xi), 0.0), float(y))
 
 
-def reconstruct(
-    decomp: SpectralDecomp,
-    lambda_hat,
-    dims: SystemDims,
-    rescale: float = 1.0,
-) -> np.ndarray:
-    """Reassemble the channel block from cleaned augmented eigenvalues.
+def reconstruct(u: np.ndarray, xi, vh: np.ndarray, rescale: float = 1.0) -> np.ndarray:
+    """Cleaned channel rescale * u diag(xi) vh from cleaned singular values.
 
-    lambda_hat must respect the +/- pairing (matched-sign pairs) and vanish
-    on the null space; violations raise :class:`PairingError`.  The output
-    block is multiplied by ``rescale`` (identity by default; pass
-    sqrt(1 - eta_hat) to undo an observation normalization when the damped
-    frame is the desired estimand).
+    ``rescale`` is the identity by default; pass sqrt(1 - eta_hat) to undo an
+    observation normalization when the damped frame is the desired estimand.
     """
-    lam = np.asarray(lambda_hat, dtype=float).ravel()
-    if lam.size != decomp.omega.size:
-        raise ValueError("lambda_hat length mismatch")
-    scale = np.abs(lam).max() if lam.size else 0.0
-    tol = 1e-8 * max(scale, 1e-300)
-    for i in range(lam.size):
-        j = decomp.pair[i]
-        if j == -1:
-            if abs(lam[i]) > tol:
-                raise PairingError(
-                    f"null-space eigenvalue {i} assigned nonzero value {lam[i]:.3g}"
-                )
-        elif abs(lam[i] + lam[j]) > tol:
-            raise PairingError(
-                f"pair ({i}, {j}) breaks sign symmetry: {lam[i]:.6g}, {lam[j]:.6g}"
-            )
-    B_hat = (decomp.vectors * lam) @ decomp.vectors.conj().T
-    return float(rescale) * extract_channel(B_hat, dims)
+    return float(rescale) * ((u * xi) @ vh)
 
 
 def clean_channel(
@@ -186,45 +112,41 @@ def clean_channel(
     c: float = 1.0,
     denormalize: bool = False,
 ) -> np.ndarray:
-    """Full cleaning pipeline: normalize, augment, clean singular values,
+    """Full cleaning pipeline: normalize, thin SVD, clean singular values,
     reconstruct.
 
-    Each positive augmented eigenvalue y (a singular value of the
-    normalized observation) becomes :func:`shrink_eigenvalue` of y, with
-    alpha^2 = eta_hat c / (1 - eta_hat) and h = -Re :func:`local_stieltjes`
-    of the nonzero augmented spectrum {+/-y_j} at y, at the bandwidth
-    :func:`~eiprecode.rmt.default_epsilon` (U + A); its partner gets the
-    negated value.  Singular vectors are kept.
+    Each singular value y of the normalized observation becomes
+    :func:`shrink_eigenvalue` of y, with alpha^2 = eta_hat c / (1 - eta_hat)
+    and h = -Re :func:`local_stieltjes` of the nonzero BSCA spectrum
+    {+/-y_j} at y, at the bandwidth :func:`~eiprecode.rmt.default_epsilon`
+    (U + A).  Singular values at or below 1e-10 times the largest are left
+    out of that spectrum and map to 0.  Singular vectors are kept.
 
     ``mode`` declares the corruption form of the observation: damped
     observations are divided by sqrt(1 - eta_hat) first (additive ones are
     already in the required form), so the estimand is the true channel.
     Set ``denormalize=True`` to rescale the output back into the damped
-    observation frame instead.
+    observation frame instead.  Non-finite input raises ValueError.
     """
     H_obs = np.asarray(H_obs, dtype=complex)
     u, a = H_obs.shape
-    dims = SystemDims(u, a)
+    SystemDims(u, a)  # validates 0 < U < A
     if not 0.0 <= eta_hat < 1.0:
         raise ValueError("eta_hat must lie in [0, 1)")
     if mode not in ("additive", "damped"):
         raise ValueError(f"unknown mode {mode!r}")
     X = normalize_observation(H_obs, eta_hat) if mode == "damped" else H_obs
     alpha = float(np.sqrt(eta_hat * c / (1.0 - eta_hat)))
-    decomp = eig_bsca(build_bsca(X))
-    pos = decomp.positive_indices
-    sv = decomp.omega[pos]
-    spectrum = np.concatenate([sv, -sv])
+    left, sv, vh = eig_bsca(X)
+    kept = sv[sv > _NULL_TOL * sv[0]]
+    spectrum = np.concatenate([kept, -kept])
     epsilon = default_epsilon(u + a)
-    lam_signed = np.zeros_like(decomp.omega)
-    for k in pos:
-        y = decomp.omega[k]
+    xi = np.zeros_like(sv)
+    for k, y in enumerate(kept):
         h = -local_stieltjes(spectrum, y, epsilon)[0]
-        xi = shrink_eigenvalue(y, h, q, alpha)
-        lam_signed[k] = xi
-        lam_signed[decomp.pair[k]] = -xi
+        xi[k] = shrink_eigenvalue(y, h, q, alpha)
     rescale = np.sqrt(1.0 - eta_hat) if (denormalize and mode == "damped") else 1.0
-    return reconstruct(decomp, lam_signed, dims, rescale=rescale)
+    return reconstruct(left, xi, vh, rescale=rescale)
 
 
 def linear_mmse_baseline(H_obs: np.ndarray, eta: float) -> np.ndarray:

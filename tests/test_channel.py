@@ -158,15 +158,6 @@ def test_build_bsca_validation():
         channel.build_bsca(np.zeros((9, 8), dtype=complex))
 
 
-def test_extract_channel_round_trip():
-    h = _chan(12, 48, 47)
-    b = channel.build_bsca(h)
-    back = channel.extract_channel(b, SystemDims(12, 48))
-    assert np.array_equal(back, h)
-    with pytest.raises(ValueError):
-        channel.extract_channel(b, SystemDims(12, 40))
-
-
 # ---------------------------------------------------------------------------
 # matrix file format
 

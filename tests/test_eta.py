@@ -95,6 +95,14 @@ def test_estimate_eta_rejects_zero_observation():
         eta.estimate_eta(np.zeros((4, 8), dtype=complex), 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_estimate_eta_rejects_non_finite_observation(bad):
+    y = _draw(4, 8, 0.3, 90, 91)
+    y[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eta.estimate_eta(y, 0.5)
+
+
 def test_estimate_eta_stays_in_range():
     for d in range(5):
         y = _draw(16, 64, 0.7, 300 + d, 400 + d)

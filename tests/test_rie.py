@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eiprecode import channel, rie, rmt
 from eiprecode.channel import CorruptionModel, SystemDims
@@ -15,52 +17,103 @@ def _draw(u, a, level, seed_h, seed_e):
     return h, y
 
 
+def _reference_clean(x, eta_hat, q):
+    """The cleaner in its BSCA form: eigh of [[0, X], [X^H, 0]], clean each
+    positive eigenvalue, give its negative partner the negated value, and read
+    the cleaned channel off the upper-right block."""
+    u, a = x.shape
+    w, v = np.linalg.eigh(channel.build_bsca(x))
+    nonzero = np.abs(w) > 1e-10 * np.abs(w).max()
+    pos = np.flatnonzero(nonzero & (w > 0))
+    neg = np.flatnonzero(nonzero & (w < 0))
+    alpha = np.sqrt(eta_hat / (1.0 - eta_hat))
+    eps = rmt.default_epsilon(u + a)
+    lam = np.zeros_like(w)
+    for k in pos:
+        h = -rie.local_stieltjes(w[nonzero], w[k], eps)[0]
+        lam[k] = rie.shrink_eigenvalue(w[k], h, q, alpha)
+    for j in neg:
+        lam[j] = -lam[pos[np.argmin(np.abs(w[pos] + w[j]))]]
+    return ((v * lam) @ v.conj().T)[:u, u:]
+
+
+@st.composite
+def _observations(draw):
+    u = draw(st.integers(1, 12))
+    a = draw(st.integers(u + 1, 48))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return channel.gen_channel(SystemDims(u, a), np.random.default_rng(seed))
+
+
+_ETA_HAT = st.floats(0.0, 0.95, exclude_max=True)
+
+_RANK_ONE = np.array([[3.0, 0.0, 0.0]], dtype=complex)
+
+
 # ---------------------------------------------------------------------------
-# eigendecomposition with pairing
+# thin SVD: the positive half of the BSCA eigenpairs
+
+
+def _bsca_pairs(u, vh, sign):
+    # BSCA eigenvectors [u_k; sign v_k] / sqrt(2) of the eigenvalues sign * s_k
+    return np.vstack([u, sign * vh.conj().T]) / np.sqrt(2.0)
 
 
 def test_eig_bsca_rank_one():
-    h = np.array([[3.0, 0.0, 0.0]], dtype=complex)
-    d = rie.eig_bsca(channel.build_bsca(h))
-    assert np.allclose(np.sort(d.omega), [-3.0, 0.0, 0.0, 3.0], atol=1e-12)
-    assert np.sum(d.zero_mask) == 2
-    i = int(np.argmax(d.omega))
-    assert d.omega[d.pair[i]] == pytest.approx(-3.0, abs=1e-12)
+    u, s, vh = rie.eig_bsca(_RANK_ONE)
+    assert np.allclose(s, [3.0], atol=1e-12)
+    assert np.allclose(np.abs(u), [[1.0]], atol=1e-12)
+    assert np.allclose(np.abs(vh), [[1.0, 0.0, 0.0]], atol=1e-12)
+    b = channel.build_bsca(_RANK_ONE)
+    for sign in (1.0, -1.0):
+        vecs = _bsca_pairs(u, vh, sign)
+        assert np.max(np.abs(b @ vecs - sign * 3.0 * vecs)) < 1e-12
 
 
 def test_eig_bsca_pairs_match_singular_values():
     h, _ = _draw(30, 256, 0.0, 101, 0)
-    d = rie.eig_bsca(channel.build_bsca(h))
-    sv = np.sort(np.linalg.svd(h, compute_uv=False))
-    pos = np.sort(d.omega[d.positive_indices])
-    assert len(pos) == 30
-    assert np.max(np.abs(pos - sv)) < 1e-10
-    for i in np.flatnonzero(d.pair >= 0):
-        assert abs(d.omega[i] + d.omega[d.pair[i]]) < 1e-10
+    b = channel.build_bsca(h)
+    u, s, vh = rie.eig_bsca(h)
+    assert u.shape == (30, 30) and s.shape == (30,) and vh.shape == (30, 256)
+    assert np.all(np.diff(s) <= 0.0)
+    w = np.linalg.eigvalsh(b)
+    assert np.max(np.abs(np.sort(w[w > 1e-10]) - np.sort(s))) < 1e-10
+    assert np.max(np.abs(np.sort(w[w < -1e-10]) + np.sort(s)[::-1])) < 1e-10
+    for sign in (1.0, -1.0):
+        vecs = _bsca_pairs(u, vh, sign)
+        assert np.max(np.abs(b @ vecs - sign * vecs * s)) < 1e-10
 
 
 def test_eig_bsca_reconstruction_residual():
+    # the +/- pairs carry all of the BSCA: its null space adds nothing
     h, _ = _draw(12, 64, 0.0, 103, 0)
     b = channel.build_bsca(h)
-    d = rie.eig_bsca(b)
-    back = (d.vectors * d.omega) @ d.vectors.conj().T
+    u, s, vh = rie.eig_bsca(h)
+    back = sum(
+        sign * (_bsca_pairs(u, vh, sign) * s) @ _bsca_pairs(u, vh, sign).conj().T
+        for sign in (1.0, -1.0)
+    )
     assert np.max(np.abs(back - b)) < 1e-10
 
 
 def test_eig_bsca_validation():
-    with pytest.raises(ValueError):
-        rie.eig_bsca(np.zeros((3, 4), dtype=complex))
-    m = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        rie.eig_bsca(m)
-    with pytest.raises(rie.PairingError):
-        rie.eig_bsca(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    with pytest.raises(ValueError, match="2-D"):
+        rie.eig_bsca(np.zeros(5, dtype=complex))
+    with pytest.raises(ValueError, match="2-D"):
+        rie.eig_bsca(np.zeros((2, 3, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+def test_eig_bsca_rejects_non_finite(bad):
+    x = _draw(4, 8, 0.0, 103, 0)[0]
+    x[2, 5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        rie.eig_bsca(x)
 
 
 def test_eig_bsca_all_zero_matrix():
-    d = rie.eig_bsca(np.zeros((4, 4), dtype=complex))
-    assert np.all(d.zero_mask)
-    assert np.all(d.pair == -1)
+    _, s, _ = rie.eig_bsca(np.zeros((4, 6), dtype=complex))
+    assert np.array_equal(s, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -170,32 +223,24 @@ def test_shrunk_gram_eigenvalues_beat_raw_ones():
 
 def test_reconstruct_identity_round_trip():
     h, _ = _draw(10, 40, 0.0, 107, 0)
-    d = rie.eig_bsca(channel.build_bsca(h))
-    back = rie.reconstruct(d, d.omega, SystemDims(10, 40))
-    assert np.max(np.abs(back - h)) < 1e-10
+    u, s, vh = rie.eig_bsca(h)
+    assert np.max(np.abs(rie.reconstruct(u, s, vh) - h)) < 1e-10
 
 
 def test_reconstruct_zero_spectrum_gives_zero_matrix():
     h, _ = _draw(6, 24, 0.0, 109, 0)
-    d = rie.eig_bsca(channel.build_bsca(h))
-    out = rie.reconstruct(d, np.zeros_like(d.omega), SystemDims(6, 24))
+    u, s, vh = rie.eig_bsca(h)
+    out = rie.reconstruct(u, np.zeros_like(s), vh)
+    assert out.shape == h.shape
     assert np.max(np.abs(out)) == 0.0
 
 
-def test_reconstruct_rejects_pairing_violations():
+def test_reconstruct_scales_each_singular_direction():
     h, _ = _draw(4, 8, 0.0, 111, 0)
-    d = rie.eig_bsca(channel.build_bsca(h))
-    lam = d.omega.copy()
-    lam[0] *= 2.0  # breaks the matched-sign pairing
-    with pytest.raises(rie.PairingError):
-        rie.reconstruct(d, lam, SystemDims(4, 8))
-    lam = d.omega.copy()
-    null = int(np.flatnonzero(d.zero_mask)[0])
-    lam[null] = 0.5 * np.abs(lam).max()
-    with pytest.raises(rie.PairingError):
-        rie.reconstruct(d, lam, SystemDims(4, 8))
-    with pytest.raises(ValueError):
-        rie.reconstruct(d, lam[:-1], SystemDims(4, 8))
+    u, s, vh = rie.eig_bsca(h)
+    xi = np.array([2.0, 0.0, 0.5, 1.0])
+    out = rie.reconstruct(u, xi, vh, rescale=0.5)
+    assert np.max(np.abs(u.conj().T @ out @ vh.conj().T - 0.5 * np.diag(xi))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +273,60 @@ def test_clean_channel_damped_denormalization_is_a_rescale():
     assert np.max(np.abs(denorm - np.sqrt(0.6) * base)) < 1e-12
 
 
-def test_clean_channel_preserves_kept_eigenvectors():
-    _, y = _draw(30, 256, 0.5, 7, 8)
-    d_noisy = rie.eig_bsca(channel.build_bsca(y))
-    hc = rie.clean_channel(y, 0.5, 30 / 256)
-    d_clean = rie.eig_bsca(channel.build_bsca(hc))
-    kept = [
-        i
-        for i in range(len(d_clean.omega))
-        if not d_clean.zero_mask[i] and d_clean.omega[i] > 0
-    ]
-    # shrinkage reorders values mid-bulk, so match vectors by best overlap
-    # and require the assignment to be injective
-    used = set()
-    for i in kept:
-        overlaps = np.abs(d_noisy.vectors.conj().T @ d_clean.vectors[:, i])
-        j = int(np.argmax(overlaps))
-        assert overlaps[j] > 1.0 - 1e-8
-        assert j not in used
-        used.add(j)
+@pytest.mark.parametrize("mode", ["additive", "damped"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clean_channel_rejects_non_finite(mode, bad):
+    _, y = _draw(4, 8, 0.3, 123, 124)
+    y[0, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        rie.clean_channel(y, 0.3, 0.5, mode=mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_observations(), _ETA_HAT)
+def test_clean_channel_never_grows_the_spectral_norm(y, eta_hat):
+    u, a = y.shape
+    hc = rie.clean_channel(y, eta_hat, u / a)
+    assert np.linalg.norm(hc, 2) <= np.linalg.norm(y, 2) * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_observations(), _ETA_HAT)
+def test_clean_channel_preserves_kept_eigenvectors(y, eta_hat):
+    u, a = y.shape
+    left, s, vh = np.linalg.svd(y, full_matrices=False)
+    hc = rie.clean_channel(y, eta_hat, u / a)
+    # in the observed singular bases the cleaned channel is diagonal, real
+    # and nonnegative, so it is sum_k xi_k u_k v_k^H with the same u_k, v_k:
+    # the BSCA eigenvectors [u_k; +/-v_k] / sqrt(2) are kept
+    core = left.conj().T @ hc @ vh.conj().T
+    xi = np.real(np.diag(core))
+    assert np.max(np.abs(core - np.diag(xi))) < 1e-10
+    assert np.max(np.abs(hc - (left * xi) @ vh)) < 1e-10
+    assert np.all(xi >= -1e-12) and np.all(xi <= s * (1.0 + 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_observations(), _ETA_HAT, st.sampled_from(["additive", "damped"]))
+def test_clean_channel_matches_the_bsca_reference(y, eta_hat, mode):
+    u, a = y.shape
+    x = channel.normalize_observation(y, eta_hat) if mode == "damped" else y
+    hc = rie.clean_channel(y, eta_hat, u / a, mode=mode)
+    assert np.max(np.abs(hc - _reference_clean(x, eta_hat, u / a))) < 1e-10
+
+
+def test_clean_channel_matches_the_bsca_reference_on_rank_deficient_inputs():
+    rng = np.random.default_rng(125)
+    rank_two = _draw(4, 10, 0.0, 126, 0)[0]
+    rank_two[2:] = rng.standard_normal((2, 2)) @ rank_two[:2]
+    for x in (_RANK_ONE, rank_two, np.zeros((2, 5), dtype=complex)):
+        u, a = x.shape
+        for eta_hat in (0.0, 0.3, 0.9):
+            hc = rie.clean_channel(x, eta_hat, u / a)
+            assert np.max(np.abs(hc - _reference_clean(x, eta_hat, u / a))) < 1e-10
+    # the null directions of the rank-two input map to 0
+    s = np.linalg.svd(rie.clean_channel(rank_two, 0.3, 0.4), compute_uv=False)
+    assert np.max(s[2:]) < 1e-12
 
 
 def test_clean_channel_wins_at_mid_error_level():
