@@ -79,7 +79,6 @@ from .rmt import (
     noisy_gram_stieltjes,
     r_transform_aux,
     r_transform_noisy_aux,
-    s_transform_bsca,
 )
 
 __version__ = "0.1.0"

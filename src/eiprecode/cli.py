@@ -28,7 +28,6 @@ import numpy as np
 import yaml
 
 from .config import ConfigError, parse_config
-from .eta import RefinementError
 from .experiments import ExperimentError, run_experiment
 from .linksim import MonteCarloError
 from .rmt import RootSelectionError
@@ -46,7 +45,6 @@ _KINDS = {
 _NUMERICAL_ERRORS = (
     MonteCarloError,
     RootSelectionError,
-    RefinementError,
     np.linalg.LinAlgError,
     FloatingPointError,
     ZeroDivisionError,

@@ -1,10 +1,12 @@
 """Blind estimation of the CSI error level from the noisy observation.
 
 The estimator computes the first Gram-spectrum moments of the observation,
-converts them to free cumulants, and fits the error level eta by matching
-against the theoretical cumulant curves (see
-:func:`eiprecode.rmt.noisy_gram_cumulants_theory`).  The fit is a 1-D
-bracketed search: a coarse grid locates the basin, golden-section refines it.
+converts them to free cumulants, and fits the error level eta by least
+squares against the theoretical cumulant curves (see
+:func:`eiprecode.rmt.noisy_gram_cumulant_polys`).  Those curves are
+polynomials in one scalar x of eta, so the fit is closed form: the global
+minimum over the admissible eta range is at an end point or at a real root
+of the derivative of the objective polynomial.
 """
 
 from __future__ import annotations
@@ -13,18 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rmt import free_cumulants, noisy_gram_cumulants_theory
+from .rmt import (
+    free_cumulants,
+    noisy_gram_cumulant_polys,
+    noisy_gram_cumulants_theory,
+)
 
 __all__ = [
     "EstimatorConfig",
     "EtaEstimate",
-    "RefinementError",
     "empirical_moments",
     "estimate_eta",
     "delta_eta",
     "default_order",
 ]
 
+_ETA_FLOOR = 1e-6
 _ETA_CEILING = 1.0 - 1e-3
 
 
@@ -35,7 +41,7 @@ class EstimatorConfig:
     order: highest cumulant matched (1, 2 or 3); None applies the size
     policy of :func:`default_order`.
     mode: theory curve family ('gaussian_equivalent' or 'printed').
-    c: corruption-variance scale assumed by the theory curves.
+    c: corruption-variance scale assumed by the theory curves (positive).
     data_mode: declared corruption mode of the observation; only used to
     flag the damped-c=1 identifiability boundary on the estimate.
     """
@@ -44,8 +50,6 @@ class EstimatorConfig:
     mode: str = "gaussian_equivalent"
     c: float = 1.0
     data_mode: str = "additive"
-    grid_points: int = 200
-    refine_tol: float = 1e-6
 
     def __post_init__(self):
         if self.order is not None and self.order not in (1, 2, 3):
@@ -54,8 +58,8 @@ class EstimatorConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.data_mode not in ("additive", "damped"):
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be at least 3")
+        if not self.c > 0:
+            raise ValueError("c must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,6 @@ class EtaEstimate:
     order: int
     mode: str
     kappa_hat: tuple = field(default=())
-
-
-class RefinementError(RuntimeError):
-    """Golden-section refinement failed; carries the coarse-grid argmin."""
-
-    def __init__(self, message: str, coarse_argmin: float):
-        super().__init__(message)
-        self.coarse_argmin = coarse_argmin
 
 
 def default_order(users: int, antennas: int) -> int:
@@ -96,38 +92,6 @@ def empirical_moments(H_obs: np.ndarray) -> np.ndarray:
     return np.array([np.mean(lam), np.mean(lam ** 2), np.mean(lam ** 3)])
 
 
-def _objective(eta, kappa_hat, q, order, mode, c):
-    theory = noisy_gram_cumulants_theory(eta, q, mode=mode, c=c)
-    diff = kappa_hat[:order] - theory[:order]
-    return float(np.dot(diff, diff))
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(f, a, b, tol, coarse_argmin, max_iter=200):
-    """Golden-section minimization on [a, b] to interval width tol."""
-    if b <= a:
-        return coarse_argmin
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a < tol:
-            return 0.5 * (a + b)
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    raise RefinementError(
-        f"golden-section did not reach width {tol} in {max_iter} iterations",
-        coarse_argmin,
-    )
-
-
 def estimate_eta(H_obs: np.ndarray, q: float, cfg: EstimatorConfig | None = None) -> EtaEstimate:
     """Fit the CSI error level by cumulant matching on the Gram spectrum."""
     if cfg is None:
@@ -141,19 +105,26 @@ def estimate_eta(H_obs: np.ndarray, q: float, cfg: EstimatorConfig | None = None
     order = cfg.order if cfg.order is not None else default_order(u, a)
     kappa_hat = free_cumulants(empirical_moments(H_obs))
 
-    def f(eta):
-        return _objective(eta, kappa_hat, q, order, cfg.mode, cfg.c)
-
-    lo, hi = 1e-6, _ETA_CEILING
-    grid = np.linspace(lo, hi, cfg.grid_points)
-    vals = np.array([f(e) for e in grid])
-    k = int(np.argmin(vals))
-    coarse = float(grid[k])
-    left = float(grid[max(k - 1, 0)])
-    right = float(grid[min(k + 1, len(grid) - 1)])
-    eta_hat = _golden_section(f, left, right, cfg.refine_tol, coarse)
-    if f(coarse) < f(eta_hat):
-        eta_hat = coarse
+    # least-squares objective sum_k (kappa_hat_k - kappa_k(x))^2 as one
+    # polynomial in x; eta = (x - 1)/(x - 1 + b) is increasing in x
+    b, polys = noisy_gram_cumulant_polys(q, cfg.mode, cfg.c)
+    objective = np.zeros(1)
+    for k_hat, poly in zip(kappa_hat[:order], polys):
+        resid = np.polysub([k_hat], poly)
+        objective = np.polyadd(objective, np.polymul(resid, resid))
+    x_lo, x_hi = (1.0 + b * e / (1.0 - e) for e in (_ETA_FLOOR, _ETA_CEILING))
+    # the real part of every root is a candidate: a spurious one costs an
+    # evaluation, while a real root is never lost to a rounding-level
+    # imaginary part
+    crit = np.roots(np.polyder(objective)).real
+    crit = crit[(crit > x_lo) & (crit < x_hi)]
+    xs = np.concatenate(([x_lo, x_hi], crit))
+    etas = np.concatenate(
+        ([_ETA_FLOOR, _ETA_CEILING], (crit - 1.0) / (crit - 1.0 + b))
+    )
+    eta_hat = float(etas[np.argmin(np.polyval(objective, xs))])
+    theory = noisy_gram_cumulants_theory(eta_hat, q, mode=cfg.mode, c=cfg.c)
+    diff = kappa_hat[:order] - theory[:order]
     alpha_hat = float(np.sqrt(eta_hat * cfg.c / (1.0 - eta_hat)))
     s_hat = 1.0 + alpha_hat ** 2
     # damped corruption with c = 1 leaves the observed scale at 1 in law, so
@@ -166,7 +137,7 @@ def estimate_eta(H_obs: np.ndarray, q: float, cfg: EstimatorConfig | None = None
     return EtaEstimate(
         eta_hat=eta_hat,
         alpha_hat=alpha_hat,
-        objective_value=float(f(eta_hat)),
+        objective_value=float(np.dot(diff, diff)),
         identifiable=identifiable,
         order=order,
         mode=cfg.mode,

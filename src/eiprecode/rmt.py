@@ -29,22 +29,14 @@ __all__ = [
     "bsca_density",
     "bsca_stieltjes",
     "stieltjes_D_from_gram",
-    "stieltjes_gram_from_D",
     "stieltjes_B_from_D",
     "empirical_stieltjes",
-    "m_inverse_gram",
-    "m_inverse_D",
-    "s_transform_gram",
-    "s_transform_D",
-    "s_transform_bsca",
     "r_transform_aux",
     "r_transform_noisy_aux",
     "noisy_gram_stieltjes",
-    "noisy_gram_stieltjes_poly",
-    "noisy_gram_stieltjes_fixed_point",
     "free_cumulants",
-    "free_cumulant3_printed",
     "moments_from_cumulants",
+    "noisy_gram_cumulant_polys",
     "noisy_gram_cumulants_theory",
 ]
 
@@ -196,20 +188,6 @@ def stieltjes_D_from_gram(g_gram, z, q: float):
     return out
 
 
-def stieltjes_gram_from_D(g_D, z, q: float):
-    """Inverse of :func:`stieltjes_D_from_gram`."""
-    q = _check_q(q)
-    z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
-        raise ValueError("z = 0 is a pole of the dilution identity")
-    out = ((q + 1.0) / (2.0 * q)) * np.asarray(g_D, dtype=complex) - (
-        (q - 1.0) / (2.0 * q)
-    ) / z
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 def stieltjes_B_from_D(g_D_at_z2, z):
     """BSCA Stieltjes from the squared-spectrum value: g_B(z) = z * g_D(z^2).
 
@@ -240,67 +218,6 @@ def empirical_stieltjes(eigs, z, eps: float | None = None):
     return np.array([complex(np.mean(1.0 / (eigs - zz))) for zz in z.ravel()]).reshape(
         z.shape
     )
-
-
-# ---------------------------------------------------------------------------
-# S-transform chain
-
-
-def m_inverse_gram(y, q: float):
-    """Functional inverse of the MP moment transform: M^-1(y) = y/((1+y)(1+q y))."""
-    q = _check_q(q)
-    y = np.asarray(y, dtype=float) if np.isrealobj(y) else np.asarray(y, dtype=complex)
-    return y / ((1.0 + y) * (1.0 + q * y))
-
-
-def m_inverse_D(y, q: float):
-    """Inverse moment transform of the diluted two-block square spectrum.
-
-    M_D(w) = (2q/(1+q)) M_gram(w), hence M_D^-1(y) = M_gram^-1((1+q)/(2q) * y).
-    """
-    q = _check_q(q)
-    return m_inverse_gram((1.0 + q) / (2.0 * q) * np.asarray(y), q)
-
-
-def s_transform_gram(y, q: float):
-    """S-transform of the unit-mean MP law: S(y) = 1/(1 + q y) (free Poisson)."""
-    q = _check_q(q)
-    return 1.0 / (1.0 + q * np.asarray(y))
-
-
-def s_transform_D(y, q: float):
-    """S-transform of the two-block square spectrum, S(y) = ((1+y)/y) M_D^-1(y).
-
-    Admissible real arguments are (-q, 0) union (0, inf); S_D(0+) equals
-    (1+q)/(2q), the reciprocal of the first moment.
-    """
-    q = _check_q(q)
-    y = np.asarray(y, dtype=float)
-    if np.any(y == 0) or np.any(y <= -q):
-        raise ValueError("admissible arguments are (-q, 0) union (0, inf)")
-    out = (1.0 + y) / y * m_inverse_D(y, q)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def s_transform_bsca(y, q: float):
-    """Square-root S-transform of the symmetric BSCA law.
-
-    Defined through S_B(y)^2 = ((1+y)/y) * S_D(y), i.e.
-    S_B(y) = ((1+y)/y) * sqrt(M_D^-1(y)).  Real-valued only where the
-    radicand M_D^-1(y) is nonnegative (y > 0); elsewhere the squared
-    identity still holds but S_B is imaginary, which is rejected here.
-    """
-    q = _check_q(q)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("inadmissible argument: radicand is negative for y <= 0")
-    rad = m_inverse_D(y, q)
-    out = (1.0 + y) / y * np.sqrt(rad)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +273,7 @@ def noisy_gram_stieltjes(z, q: float, alpha: float, eps: float | None = None):
     For i.i.d. Gaussian H and E (entry variance 1/A each), H + alpha*E is
     itself Gaussian with entry variance (1 + alpha^2)/A, so the limiting
     Gram law is the (1 + alpha^2)-scaled MP law and
-    g(z) = g_MP(z / s) / s with s = 1 + alpha^2.  This closed form is exact;
-    the radical-relation evaluators below are retained for auditing.
+    g(z) = g_MP(z / s) / s with s = 1 + alpha^2.  This closed form is exact.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -371,150 +287,6 @@ def noisy_gram_stieltjes(z, q: float, alpha: float, eps: float | None = None):
             np.atleast_1d(out).tolist(),
         )
     return out
-
-
-def _polymul(a, b):
-    return np.convolve(a, b)
-
-
-def _polyadd(a, b):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
-
-
-def noisy_gram_stieltjes_poly(
-    z,
-    q: float,
-    alpha: float,
-    eps: float | None = None,
-    return_candidates: bool = False,
-):
-    """Audit evaluator: root of the radical addition-law relation.
-
-    Clears the two square roots of the relation
-    -2 G zeta + q (1 + alpha^2) G^2 zeta + rad_1(G) + rad_2(G) = 0 (with
-    zeta the Gram-domain point and G the resolvent-convention transform)
-    into a degree-8 polynomial, takes companion-matrix roots, keeps the
-    ones that satisfy the original un-squared relation, and selects the
-    physical branch.  Returned in the Herglotz sign convention of
-    :func:`mp_stieltjes`.
-
-    At alpha = 0 this agrees with :func:`mp_stieltjes`; at alpha > 0 it
-    deviates from the exact scaled-MP law of :func:`noisy_gram_stieltjes`
-    because the underlying addition of undiluted symmetric laws is only an
-    approximation for rectangular augmentations.  The selection test in the
-    test suite documents both behaviours.
-    """
-    q = _check_q(q)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    a2 = alpha * alpha
-    zc = complex(np.asarray(_offaxis(z, eps)))
-    # ascending-power coefficient arrays in G
-    lin = np.array([0.0, -2.0 * zc, q * (1.0 + a2) * zc], dtype=complex)
-    rad1 = np.array(
-        [1.0, 0.0, zc * (4.0 - 2.0 * q), 0.0, (q * zc) ** 2], dtype=complex
-    )
-    rad2 = np.array(
-        [1.0, 0.0, a2 * zc * (4.0 - 2.0 * q), 0.0, (q * a2 * zc) ** 2],
-        dtype=complex,
-    )
-    # lin + sqrt(rad1) + sqrt(rad2) = 0  =>  (lin^2 - rad1 - rad2)^2 = 4 rad1 rad2
-    t = _polyadd(_polymul(lin, lin), -_polyadd(rad1, rad2))
-    poly = _polyadd(_polymul(t, t), -4.0 * _polymul(rad1, rad2))
-    roots = np.roots(poly[::-1])
-
-    def _residual(G):
-        lv = np.polyval(lin[::-1], G)
-        s1 = np.sqrt(np.polyval(rad1[::-1], G))
-        s2 = np.sqrt(np.polyval(rad2[::-1], G))
-        return min(
-            abs(lv + e1 * s1 + e2 * s2) for e1 in (1.0, -1.0) for e2 in (1.0, -1.0)
-        )
-
-    scale = max(1.0, abs(zc))
-    verified = [G for G in roots if _residual(G) < 1e-7 * scale]
-    if not verified:
-        raise RootSelectionError(
-            "no polynomial root satisfies the radical relation", roots.tolist()
-        )
-    sgn = 1.0 if zc.imag > 0 else -1.0
-    # resolvent convention is anti-Herglotz; prefer the G ~ 1/z asymptote
-    branch = [G for G in verified if sgn * G.imag < 0] or verified
-    G_sel = min(branch, key=lambda G: abs(G * zc - 1.0))
-    # companion-matrix roots carry ~1e-8 error; polish with Newton steps
-    dpoly = poly[1:] * np.arange(1, len(poly), dtype=float)
-    for _ in range(3):
-        dv = np.polyval(dpoly[::-1], G_sel)
-        if dv == 0:
-            break
-        G_sel = G_sel - np.polyval(poly[::-1], G_sel) / dv
-    g = -G_sel
-    if return_candidates:
-        return g, [-G for G in verified]
-    return g
-
-
-class FixedPointResult:
-    """Value plus convergence metadata of a damped fixed-point solve."""
-
-    __slots__ = ("value", "converged", "iterations")
-
-    def __init__(self, value, converged, iterations):
-        self.value = value
-        self.converged = bool(converged)
-        self.iterations = int(iterations)
-
-    def __repr__(self):
-        return (
-            f"FixedPointResult(value={self.value!r}, converged={self.converged}, "
-            f"iterations={self.iterations})"
-        )
-
-
-def noisy_gram_stieltjes_fixed_point(
-    z,
-    q: float,
-    alpha: float,
-    eps: float | None = None,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> FixedPointResult:
-    """Audit evaluator: additive R-law fixed point for the noisy Gram law.
-
-    Works in the symmetrized singular-value domain: with zb = sqrt(z)
-    (upper-half branch) the subordination relation
-    w = 1/(zb - R(w)), R = :func:`r_transform_noisy_aux`, is iterated with
-    damping; the Gram-domain value is recovered through
-    g(z) = -w / zb.  Same law as :func:`noisy_gram_stieltjes_poly`, solved
-    by a different route; kept for auditing.
-    """
-    q = _check_q(q)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    zc = complex(np.asarray(_offaxis(z, eps)))
-    flip = zc.imag < 0
-    if flip:
-        zc = zc.conjugate()
-    zb = np.sqrt(zc)
-    w = 1.0 / zb
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        target = 1.0 / (zb - r_transform_noisy_aux(w, q, alpha))
-        delta = abs(target - w)
-        w = damping * target + (1.0 - damping) * w
-        if delta < tol * max(1.0, abs(w)):
-            converged = True
-            break
-    g = -w / zb
-    if flip:
-        g = g.conjugate()
-    return FixedPointResult(g, converged, it)
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +305,6 @@ def free_cumulants(m) -> np.ndarray:
     return np.array([m1, m2 - m1 ** 2, m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3])
 
 
-def free_cumulant3_printed(m) -> float:
-    """Quadratic-in-m1 variant of the third-cumulant formula.
-
-    Evaluates m3 - 3 m1 m2 + 2 m1^2; agrees with free_cumulants()[2] only
-    when m1 = 1.  Kept as a diagnostic of the corrected cubic term.
-    """
-    m = np.asarray(m, dtype=float).ravel()
-    m1, m2, m3 = m[:3]
-    return float(m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 2)
-
-
 def moments_from_cumulants(k) -> np.ndarray:
     """Inverse of :func:`free_cumulants` at degree 3."""
     k = np.asarray(k, dtype=float).ravel()
@@ -556,36 +317,55 @@ def moments_from_cumulants(k) -> np.ndarray:
     return np.array([m1, m2, m3])
 
 
+def noisy_gram_cumulant_polys(
+    q: float, mode: str = "gaussian_equivalent", c: float = 1.0
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Theory cumulants of the noisy Gram spectrum as polynomials in one scalar.
+
+    Both families depend on eta only through x = 1 + b*eta/(1 - eta), so
+    eta = (x - 1)/(x - 1 + b):
+
+    * ``gaussian_equivalent``: the corrupted matrix is a variance-rescaled
+      Gaussian matrix, exact for Gaussian entries.  b = c, x is the
+      variance scale s, and the cumulants are (x, q x^2, q^2 x^3).
+    * ``printed``: the form carrying explicit signal/noise cross terms.
+      b = 1, x = 1/(1 - eta), and the cumulants are
+      (x, 2(1-q)(x-1) + q x^2, q (3(1-q)(x^2-x) + q x^3)).
+      Retained verbatim for comparison; the Monte-Carlo cumulant oracle in
+      the test suite arbitrates which form matches sampled spectra.
+
+    Returns (b, polys) where polys[k] holds the coefficients of
+    kappa_{k+1}(x), highest power first (the :func:`numpy.polyval` order).
+    """
+    q = _check_q(q)
+    if mode == "gaussian_equivalent":
+        return float(c), (
+            np.array([1.0, 0.0]),
+            np.array([q, 0.0, 0.0]),
+            np.array([q * q, 0.0, 0.0, 0.0]),
+        )
+    if mode == "printed":
+        p = 1.0 - q
+        return 1.0, (
+            np.array([1.0, 0.0]),
+            np.array([q, 2.0 * p, -2.0 * p]),
+            np.array([q * q, 3.0 * q * p, -3.0 * q * p, 0.0]),
+        )
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def noisy_gram_cumulants_theory(
     eta: float, q: float, mode: str = "gaussian_equivalent", c: float = 1.0
 ) -> np.ndarray:
     """Theoretical first three free cumulants of the noisy Gram spectrum.
 
-    Two published functional forms are supported:
-
-    * ``gaussian_equivalent``: the corrupted matrix is a variance-rescaled
-      Gaussian matrix, exact for Gaussian entries: with
-      s = 1 + c*eta/(1 - eta) the cumulants are (s, q s^2, q^2 s^3).
-    * ``printed``: the form carrying explicit signal/noise cross terms,
-      kappa_1 = 1/(1-eta),
-      kappa_2 = (2(1-eta) eta (1-q) + q)/(1-eta)^2,
-      kappa_3 = q (3(1-eta) eta (1-q) + q)/(1-eta)^3.
-      Retained verbatim for comparison; the Monte-Carlo cumulant oracle in
-      the test suite arbitrates which form matches sampled spectra.
-
-    Both reduce to the clean MP cumulants (1, q, q^2) at eta = 0.
+    Evaluates the polynomials of :func:`noisy_gram_cumulant_polys` at
+    x = 1 + b*eta/(1 - eta).  Both modes reduce to the clean MP cumulants
+    (1, q, q^2) at eta = 0.
     """
-    q = _check_q(q)
+    b, polys = noisy_gram_cumulant_polys(q, mode, c)
     eta = float(eta)
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    if mode == "gaussian_equivalent":
-        s = 1.0 + float(c) * eta / (1.0 - eta)
-        return np.array([s, q * s ** 2, q ** 2 * s ** 3])
-    if mode == "printed":
-        d = 1.0 - eta
-        k1 = 1.0 / d
-        k2 = (2.0 * d * eta * (1.0 - q) + q) / d ** 2
-        k3 = q * (3.0 * d * eta * (1.0 - q) + q) / d ** 3
-        return np.array([k1, k2, k3])
-    raise ValueError(f"unknown mode {mode!r}")
+    x = 1.0 + b * eta / (1.0 - eta)
+    return np.array([np.polyval(p, x) for p in polys])

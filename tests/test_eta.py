@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eiprecode import channel, eta
 from eiprecode.eta import EstimatorConfig
@@ -57,8 +59,9 @@ def test_estimator_config_validation():
         EstimatorConfig(mode="exactish")
     with pytest.raises(ValueError):
         EstimatorConfig(data_mode="mixed")
-    with pytest.raises(ValueError):
-        EstimatorConfig(grid_points=2)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="c must be positive"):
+            EstimatorConfig(c=c)
 
 
 def test_default_order_size_policy():
@@ -66,11 +69,6 @@ def test_default_order_size_policy():
     assert eta.default_order(100, 100) == 3
     assert eta.default_order(30, 256) == 1
     assert eta.default_order(30, 512) == 3
-
-
-def test_refinement_error_carries_coarse_argmin():
-    err = eta.RefinementError("no luck", 0.42)
-    assert err.coarse_argmin == 0.42
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +86,64 @@ def test_estimate_eta_closed_form_first_cumulant():
     assert est.order == 1
     assert est.identifiable
     assert len(est.kappa_hat) == 3
+
+
+def _published_cumulants(eta_grid, q, mode, c):
+    # both theory families as published, vectorized over eta; test_rmt.py
+    # checks that rmt.noisy_gram_cumulants_theory reproduces them
+    e = np.asarray(eta_grid, dtype=float)[:, None]
+    if mode == "gaussian_equivalent":
+        s = 1.0 + c * e / (1.0 - e)
+        return np.hstack([s, q * s ** 2, q ** 2 * s ** 3])
+    d = 1.0 - e
+    return np.hstack([
+        1.0 / d,
+        (2.0 * d * e * (1.0 - q) + q) / d ** 2,
+        q * (3.0 * d * e * (1.0 - q) + q) / d ** 3,
+    ])
+
+
+_DENSE_ETA = np.linspace(1e-6, 0.999, 20_001)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(0.0, 0.9),
+    c=st.floats(0.25, 4.0),
+    dims=st.sampled_from(((4, 16), (16, 64), (20, 128))),
+    mode=st.sampled_from(("gaussian_equivalent", "printed")),
+)
+def test_estimate_eta_closed_form_reaches_the_dense_grid_minimum(
+    seed, level, c, dims, mode
+):
+    u, a = dims
+    q = u / a
+    rng = np.random.default_rng(seed)
+    h = channel.gen_channel(channel.SystemDims(u, a), rng)
+    y = channel.corrupt(h, channel.CorruptionModel(level, mode="additive", c=c), rng)
+    dense = _published_cumulants(_DENSE_ETA, q, mode, c)
+    for order in (1, 2, 3):
+        est = eta.estimate_eta(y, q, EstimatorConfig(order=order, mode=mode, c=c))
+        resid = np.array(est.kappa_hat)[:order] - dense[:, :order]
+        grid_min = np.min(np.sum(resid ** 2, axis=1))
+        assert 1e-6 <= est.eta_hat <= 0.999
+        # relative slack: a misfit objective of 1e4 is only known to ~4e-12
+        assert est.objective_value <= grid_min + 1e-12 * (1.0 + grid_min), (
+            order,
+            est.eta_hat,
+        )
+
+
+@pytest.mark.parametrize("mode", ["gaussian_equivalent", "printed"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_estimate_eta_clamps_to_the_range_ends(mode, order):
+    cfg = EstimatorConfig(order=order, mode=mode)
+    h = channel.gen_channel(channel.SystemDims(20, 128), np.random.default_rng(5))
+    # kappa_1 near 1/4 < 1: every admissible eta over-predicts each cumulant
+    assert eta.estimate_eta(0.5 * h, 20 / 128, cfg).eta_hat == 1e-6
+    # kappa_1 near 1e4, far above s(0.999) = 1000: every eta under-predicts
+    assert eta.estimate_eta(100.0 * h, 20 / 128, cfg).eta_hat == 0.999
 
 
 def test_estimate_eta_rejects_zero_observation():

@@ -157,16 +157,6 @@ def test_bsca_resolvent_herglotz_on_grid():
 # Resolvent chain between gram, squared-block, and block laws
 
 
-def test_chain_round_trip_is_identity():
-    q = 0.3
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        g = complex(rng.normal(), abs(rng.normal()) + 0.1)
-        z2 = complex(rng.normal(scale=2), abs(rng.normal()) + 0.1)
-        back = rmt.stieltjes_gram_from_D(rmt.stieltjes_D_from_gram(g, z2, q), z2, q)
-        assert abs(back - g) < 1e-12
-
-
 def test_chain_matches_analytic_block_resolvent():
     q = 0.5
     # even point count keeps x = 0 (where z^2 lands on the real axis) off the grid
@@ -209,59 +199,6 @@ def test_block_resolvent_matches_pooled_empirical_sample():
 
 
 # ---------------------------------------------------------------------------
-# S-transforms
-
-
-def test_s_transform_gram_is_free_poisson():
-    for q in (0.117, 0.25, 0.5):
-        for y in (0.05, 0.3, 1.0, 2.0):
-            assert abs(rmt.s_transform_gram(y, q) - 1.0 / (1.0 + q * y)) < 1e-12
-
-
-def test_s_transform_square_identity():
-    for q in (0.117, 0.25, 0.5):
-        for y in (0.05, 0.1, 0.3, 0.5, 1.0, 2.0):
-            lhs = rmt.s_transform_bsca(y, q) ** 2
-            rhs = (1.0 + y) / y * rmt.s_transform_D(y, q)
-            assert abs(lhs - rhs) < 1e-10
-
-
-def _s_bsca_by_quadrature(y, q, nodes=4000):
-    # moment-generating route: invert psi numerically from the density
-    from scipy.optimize import brentq
-
-    a, b, _ = rmt.bsca_support(q)
-    lo, hi = a * a, b * b
-    j = np.arange(1, nodes + 1)
-    theta = (2 * j - 1) * np.pi / (2 * nodes)
-    u = (hi + lo) / 2 + (hi - lo) / 2 * np.cos(theta)
-    w = np.pi / nodes * ((hi - lo) / 2) ** 2 * np.sin(theta) ** 2
-
-    def psi(x):
-        integrand = (2 * u * x * x / (1 - u * x * x)) / ((q + 1) * np.pi * u) / 2
-        return float(np.sum(w * integrand))
-
-    x_star = brentq(lambda x: psi(x) - y, 1e-9, 1.0 / b - 1e-12, xtol=1e-15)
-    return (1.0 + y) * x_star / y
-
-
-def test_s_transform_bsca_agrees_with_quadrature_inversion():
-    for y, q in ((0.05, 0.5), (0.1, 0.5), (0.1, 0.25)):
-        direct = rmt.s_transform_bsca(y, q)
-        routed = _s_bsca_by_quadrature(y, q)
-        assert abs(direct - routed) < 1e-8
-
-
-def test_s_transform_small_argument_normalization():
-    # y*S_B(y)^2/(1+y) tends to S_D(0) = (1+q)/(2q)
-    for q in (0.25, 0.5):
-        y = 1e-6
-        val = y * rmt.s_transform_bsca(y, q) ** 2 / (1.0 + y)
-        target = (1.0 + q) / (2.0 * q)
-        assert abs(val - target) / target < 1e-4
-
-
-# ---------------------------------------------------------------------------
 # Noisy gram resolvent
 
 
@@ -283,39 +220,6 @@ def test_noisy_gram_is_a_scaled_mp_law():
 def test_noisy_gram_frozen_point_outside_support():
     g = rmt.noisy_gram_stieltjes(-1.0, 0.5, 1.0, eps=1e-9)
     assert abs(g.real - 0.4142135623730951) < 1e-9
-
-
-def test_noisy_gram_poly_variant_frozen_point():
-    g = rmt.noisy_gram_stieltjes_poly(-1.0, 0.5, 1.0, eps=1e-9)
-    assert abs(g.real - 0.4728339089952554) < 1e-9
-
-
-def test_noisy_gram_poly_matches_fixed_point_iteration():
-    for z, q, alpha in (
-        (-1.0 + 0.0j, 0.5, 1.0),
-        (3.0 + 0.3j, 0.117, 1.0),
-        (1.0 + 0.5j, 0.25, 0.7),
-    ):
-        eps = 1e-9 if z.imag == 0 else None
-        gp = rmt.noisy_gram_stieltjes_poly(z, q, alpha, eps=eps)
-        fp = rmt.noisy_gram_stieltjes_fixed_point(z, q, alpha, eps=eps, tol=1e-13)
-        assert fp.converged
-        assert abs(gp - fp.value) < 1e-9
-
-
-def test_noisy_gram_poly_reduces_to_mp_when_noise_free():
-    for z in (0.5 + 0.1j, 1.5 + 0.05j):
-        g = rmt.noisy_gram_stieltjes_poly(z, 0.25, 0.0)
-        assert abs(g - rmt.mp_stieltjes(z, 0.25)) < 1e-8
-
-
-def test_noisy_gram_poly_disagrees_with_exact_law_under_noise():
-    # the cubic-equation variant is kept as a diagnostic; at alpha=1 it sits
-    # visibly off the scaled-MP law, which is why it does not back the
-    # public evaluator
-    exact = rmt.noisy_gram_stieltjes(-1.0, 0.5, 1.0, eps=1e-9)
-    poly = rmt.noisy_gram_stieltjes_poly(-1.0, 0.5, 1.0, eps=1e-9)
-    assert abs(exact - poly) > 0.05
 
 
 def test_noisy_gram_asymptote():
@@ -449,13 +353,6 @@ def test_cumulant_moment_round_trip(k1, k2, k3):
     assert np.allclose(back, (k1, k2, k3), atol=1e-9, rtol=1e-9)
 
 
-def test_third_cumulant_printed_variant_matches_only_at_unit_mean():
-    mom = (1.0, 1.25, 1.8125)
-    assert abs(rmt.free_cumulant3_printed(mom) - rmt.free_cumulants(mom)[2]) < 1e-12
-    skewed = (2.0, 5.0, 15.0)
-    assert abs(rmt.free_cumulant3_printed(skewed) - rmt.free_cumulants(skewed)[2]) > 1e-6
-
-
 # ---------------------------------------------------------------------------
 # Theory cumulants of the corrupted gram
 
@@ -478,6 +375,38 @@ def test_theory_cumulants_printed_frozen():
     assert abs(k[0] - 2.0) < 1e-9
     assert abs(k[1] - 2.234) < 1e-3
     assert abs(k[2] - 0.729378) < 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eta=st.floats(0.0, 0.999),
+    q=st.floats(0.01, 0.99),
+    c=st.floats(0.05, 5.0),
+)
+def test_theory_cumulants_match_the_published_forms(eta, q, c):
+    # the polynomials in x reproduce both families as they are published
+    s = 1.0 + c * eta / (1.0 - eta)
+    d = 1.0 - eta
+    published = {
+        "gaussian_equivalent": (s, q * s ** 2, q ** 2 * s ** 3),
+        "printed": (
+            1.0 / d,
+            (2.0 * d * eta * (1.0 - q) + q) / d ** 2,
+            q * (3.0 * d * eta * (1.0 - q) + q) / d ** 3,
+        ),
+    }
+    for mode, want in published.items():
+        got = rmt.noisy_gram_cumulants_theory(eta, q, mode=mode, c=c)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14), mode
+
+
+def test_theory_cumulants_validation():
+    with pytest.raises(ValueError):
+        rmt.noisy_gram_cumulants_theory(1.0, 0.5)
+    with pytest.raises(ValueError):
+        rmt.noisy_gram_cumulants_theory(0.5, 1.5)
+    with pytest.raises(ValueError):
+        rmt.noisy_gram_cumulants_theory(0.5, 0.5, mode="exactish")
 
 
 def test_theory_cumulants_gaussian_equivalent_passes_mc_oracle():
