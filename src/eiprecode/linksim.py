@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import erfc
 
 from . import precoding
 from .channel import CorruptionModel, SystemDims, corrupt, gen_channel
@@ -175,9 +176,10 @@ def _bits_per_symbol(scheme: str) -> int:
 
 
 _PAM4_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
-# Gray map per axis: bit pair (b_hi, b_lo) -> level index
-_PAM4_INDEX = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
-_PAM4_BITS = {v: k for k, v in _PAM4_INDEX.items()}
+# Gray map per axis: bit pair (b_hi, b_lo) -> level index, at 2 b_hi + b_lo
+_PAM4_LEVEL_OF_PAIR = np.array([0, 1, 3, 2])
+# and back: level index -> bit pair
+_PAM4_PAIR_OF_LEVEL = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 
 
 def modulate(bits, scheme: str = "QPSK") -> np.ndarray:
@@ -189,10 +191,9 @@ def modulate(bits, scheme: str = "QPSK") -> np.ndarray:
     if scheme == "QPSK":
         pairs = bits.reshape(-1, 2)
         return ((1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1])) / np.sqrt(2.0)
-    quads = bits.reshape(-1, 4)
-    i_idx = np.array([_PAM4_INDEX[(b0, b1)] for b0, b1 in zip(quads[:, 0], quads[:, 1])])
-    q_idx = np.array([_PAM4_INDEX[(b0, b1)] for b0, b1 in zip(quads[:, 2], quads[:, 3])])
-    return _PAM4_LEVELS[i_idx] + 1j * _PAM4_LEVELS[q_idx]
+    pairs = bits.reshape(-1, 2, 2)  # (symbol, I/Q axis, b_hi/b_lo)
+    levels = _PAM4_LEVELS[_PAM4_LEVEL_OF_PAIR[2 * pairs[..., 0] + pairs[..., 1]]]
+    return levels[:, 0] + 1j * levels[:, 1]
 
 
 def demodulate(symbols, scheme: str = "QPSK") -> np.ndarray:
@@ -203,19 +204,14 @@ def demodulate(symbols, scheme: str = "QPSK") -> np.ndarray:
         out[:, 0] = (symbols.real < 0).astype(int)
         out[:, 1] = (symbols.imag < 0).astype(int)
         return out.ravel()
-    out = np.empty((symbols.size, 4), dtype=int)
-    for axis, col in ((symbols.real, 0), (symbols.imag, 2)):
-        idx = np.digitize(axis, (_PAM4_LEVELS[:-1] + _PAM4_LEVELS[1:]) / 2.0)
-        for row, i in enumerate(idx):
-            out[row, col], out[row, col + 1] = _PAM4_BITS[int(i)]
-    return out.ravel()
+    axes = np.stack((symbols.real, symbols.imag), axis=1)
+    idx = np.digitize(axes, (_PAM4_LEVELS[:-1] + _PAM4_LEVELS[1:]) / 2.0)
+    return _PAM4_PAIR_OF_LEVEL[idx].ravel()
 
 
 def qfunc(x) -> np.ndarray:
     """Gaussian tail probability Q(x)."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0)) if np.isscalar(x) else 0.5 * (
-        np.vectorize(math.erfc)(np.asarray(x) / math.sqrt(2.0))
-    )
+    return 0.5 * erfc(np.asarray(x) / math.sqrt(2.0))
 
 
 def awgn_qpsk_ber(esn0_db: float) -> float:

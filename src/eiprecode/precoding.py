@@ -65,13 +65,20 @@ class QuantizerSpec:
     def is_auto(self) -> bool:
         return isinstance(self.step, str)
 
+    def step_for(self, input_variance):
+        """The step for a per-component input variance (scalar or array):
+        the fixed step, or optimal_step(bits) * sqrt(variance) per entry."""
+        if not self.is_auto:
+            return self.step
+        return optimal_step(self.bits) * np.sqrt(input_variance)
+
     def materialize(self, input_variance: float) -> "QuantizerSpec":
         """Concrete spec for a given per-component input variance."""
         if not self.is_auto:
             return self
         if input_variance < 0:
             raise ValueError("input_variance must be nonnegative")
-        return QuantizerSpec(self.bits, optimal_step(self.bits) * float(np.sqrt(input_variance)))
+        return QuantizerSpec(self.bits, float(self.step_for(input_variance)))
 
     def labels(self) -> np.ndarray:
         if self.is_auto:
@@ -154,8 +161,7 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, input_variance=None) -> np.ndar
     if spec.is_auto:
         if input_variance is None:
             raise ValueError("auto-step quantization needs input_variance")
-        iv = np.asarray(input_variance, dtype=float)
-        step = optimal_step(spec.bits) * np.sqrt(iv)
+        step = spec.step_for(np.asarray(input_variance, dtype=float))
         if step.ndim == 1 and x.ndim == 2:
             step = step[:, None]
         if np.any(step <= 0):
@@ -167,36 +173,46 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, input_variance=None) -> np.ndar
     )
 
 
-def bussgang_gain(spec: QuantizerSpec, sigma_u2: float) -> float:
+def _live_variances(sigma_u2):
+    """Validated CN input variances, a mask of the nonzero ones, and the
+    variances with zeros replaced by 1 so the formulas stay finite."""
+    s = np.asarray(sigma_u2, dtype=float)
+    if np.any(s < 0):
+        raise ValueError("sigma_u2 must be nonnegative")
+    live = s != 0
+    return live, np.where(live, s, 1.0)
+
+
+def bussgang_gain(spec: QuantizerSpec, sigma_u2):
     """Linear (Bussgang) gain of the quantizer for a CN(0, sigma_u2) input.
 
     F = (D / sqrt(pi sigma_u2)) * sum_l exp(-D^2 (l - 2^(B-1))^2 / sigma_u2)
-    over the threshold indices l = 1 .. 2^B - 1.  A zero-variance input is
-    assigned gain 1 (no signal, no distortion).
+    over the threshold indices l = 1 .. 2^B - 1.  ``sigma_u2`` may be an
+    array of per-antenna variances, evaluated in one broadcast; a scalar
+    returns a float.  A zero-variance input is assigned gain 1 (no signal,
+    no distortion).
     """
-    if sigma_u2 < 0:
-        raise ValueError("sigma_u2 must be nonnegative")
-    if sigma_u2 == 0.0:
-        return 1.0
-    concrete = spec.materialize(sigma_u2 / 2.0)
-    d = concrete.step
-    l = np.arange(1, 2 ** concrete.bits)
-    expo = np.exp(-(d ** 2) * (l - 2 ** (concrete.bits - 1)) ** 2 / sigma_u2)
-    return float(d / np.sqrt(np.pi * sigma_u2) * np.sum(expo))
+    live, v = _live_variances(sigma_u2)
+    d = np.asarray(spec.step_for(v / 2.0))
+    k = np.arange(1, 2 ** spec.bits) - 2 ** (spec.bits - 1)
+    expo = np.exp(-(d[..., None] ** 2) * k ** 2 / v[..., None])
+    gain = np.where(live, d / np.sqrt(np.pi * v) * np.sum(expo, axis=-1), 1.0)
+    return float(gain) if gain.ndim == 0 else gain
 
 
-def quantized_power(spec: QuantizerSpec, sigma_u2: float) -> float:
-    """E |Q(u)|^2 for a CN(0, sigma_u2) input (both components pooled)."""
-    if sigma_u2 <= 0.0:
-        return 0.0
-    concrete = spec.materialize(sigma_u2 / 2.0)
-    s = np.sqrt(sigma_u2 / 2.0)
-    labels = concrete.labels()
-    edges = np.concatenate(([-np.inf], concrete.thresholds(), [np.inf]))
-    z = np.where(np.isfinite(edges), edges, np.sign(edges) * 40.0 * s) / (s * np.sqrt(2.0))
-    cdf = 0.5 * (1.0 + erf(z))
-    mass = cdf[1:] - cdf[:-1]
-    return float(2.0 * np.sum(labels ** 2 * mass))
+def quantized_power(spec: QuantizerSpec, sigma_u2):
+    """E |Q(u)|^2 for a CN(0, sigma_u2) input (both components pooled);
+    array input is evaluated per entry in one broadcast, as in
+    :func:`bussgang_gain`, and a zero variance gives 0."""
+    live, v = _live_variances(sigma_u2)
+    n = 2 ** spec.bits
+    d = np.asarray(spec.step_for(v / 2.0))[..., None]
+    labels = d * (np.arange(n) - (n - 1) / 2.0)
+    z = d * (np.arange(1, n) - n // 2) / (np.sqrt(v / 2.0)[..., None] * np.sqrt(2.0))
+    # the outer cells run to -inf and +inf, where the CDF is exactly 0 and 1
+    mass = np.diff(0.5 * (1.0 + erf(z)), prepend=0.0, append=1.0, axis=-1)
+    power = np.where(live, 2.0 * np.sum(labels ** 2 * mass, axis=-1), 0.0)
+    return float(power) if power.ndim == 0 else power
 
 
 @dataclass(frozen=True)
@@ -219,7 +235,7 @@ def bussgang_model(
     R_zz = P P^H (unit-energy symbols)."""
     P = np.asarray(P)
     sigma_m2 = np.einsum("ij,ij->i", P, P.conj()).real
-    gains = np.array([bussgang_gain(spec, sm) for sm in sigma_m2])
+    gains = bussgang_gain(spec, sigma_m2)
     sigma_d2 = (1.0 - gains) * (users * sigma2 + 1.0)
     return BussgangModel(gains=gains, sigma_d2=sigma_d2, sigma_m2=sigma_m2)
 
@@ -237,7 +253,7 @@ def measure_distortion(
     s = (rng.standard_normal((u, draws)) + 1j * rng.standard_normal((u, draws))) / np.sqrt(2.0)
     z = P @ s
     sigma_m2 = np.einsum("ij,ij->i", P, P.conj()).real
-    gains = np.array([bussgang_gain(spec, sm) for sm in sigma_m2])
+    gains = bussgang_gain(spec, sigma_m2)
     q = quantize(z, spec, input_variance=sigma_m2 / 2.0)
     d = q - gains[:, None] * z
     return np.mean(np.abs(d) ** 2, axis=1)
@@ -413,7 +429,7 @@ def transmit(
     sigma_m2 = np.einsum("ij,ij->i", pout.P, pout.P.conj()).real
     x = quantize(x_lin, spec, input_variance=sigma_m2 / 2.0)
     if renormalize:
-        p_rad = float(np.sum([quantized_power(spec, sm) for sm in sigma_m2]))
+        p_rad = float(np.sum(quantized_power(spec, sigma_m2)))
         if p_rad > 0:
             x = x * np.sqrt(pout.p_total / p_rad)
     return x

@@ -35,6 +35,27 @@ def test_16qam_energy_and_round_trip():
     assert np.array_equal(linksim.demodulate(s, "16QAM"), bits)
 
 
+def test_16qam_gray_map():
+    # per axis, bit pairs 00, 01, 11, 10 sit at -3, -1, +1, +3 over sqrt(10)
+    levels = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+    for pair, level in zip(([0, 0], [0, 1], [1, 1], [1, 0]), levels):
+        s = linksim.modulate(pair + pair, "16QAM")
+        assert s[0] == level + 1j * level
+        s = linksim.modulate(pair + [0, 0], "16QAM")
+        assert s[0] == level - 3j / np.sqrt(10.0)
+    # constellation neighbours one level apart differ in exactly one bit
+    blocks = np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)])
+    s = linksim.modulate(blocks.ravel(), "16QAM")
+    step = 2.0 / np.sqrt(10.0)
+    neighbours = 0
+    for i in range(16):
+        for j in range(i + 1, 16):
+            if abs(abs(s[i] - s[j]) - step) < 1e-12:
+                neighbours += 1
+                assert np.sum(blocks[i] != blocks[j]) == 1, (blocks[i], blocks[j])
+    assert neighbours == 24
+
+
 def test_modulate_rejects_ragged_bit_count():
     with pytest.raises(ValueError):
         linksim.modulate([0, 1, 0], "QPSK")
@@ -44,9 +65,12 @@ def test_modulate_rejects_ragged_bit_count():
 
 def test_qfunc_values():
     assert linksim.qfunc(0.0) == 0.5
+    assert linksim.qfunc(1.0) == pytest.approx(0.15865525393145707, rel=1e-14)
     arr = linksim.qfunc(np.array([0.0, 10.0]))
+    assert arr.shape == (2,)
     assert arr[0] == 0.5
     assert arr[1] < 1e-20
+    assert type(linksim.awgn_qpsk_ber(9.8)) is float
 
 
 def test_awgn_qpsk_ber_reference_point():

@@ -157,8 +157,57 @@ def test_bussgang_gain_matches_monte_carlo():
 
 def test_quantized_power():
     assert precoding.quantized_power(QuantizerSpec(3), 0.0) == 0.0
+    with pytest.raises(ValueError):
+        precoding.quantized_power(QuantizerSpec(3), -1.0)
     qp = precoding.quantized_power(QuantizerSpec(8), 1.7)
     assert abs(qp - 1.7) / 1.7 < 0.01
+
+
+_SPECS = [QuantizerSpec(b) for b in range(1, 9)] + [
+    QuantizerSpec(b, step) for b in range(1, 9) for step in (0.02, 0.5)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_SPECS),
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 50.0)), min_size=1, max_size=40
+    ),
+)
+def test_bussgang_constants_array_matches_scalar(spec, variances):
+    v = np.array(variances)
+    for fn in (precoding.bussgang_gain, precoding.quantized_power):
+        batch = fn(spec, v)
+        assert isinstance(batch, np.ndarray) and batch.shape == v.shape
+        one_by_one = [fn(spec, x) for x in variances]
+        assert all(type(x) is float for x in one_by_one)
+        assert np.allclose(batch, one_by_one, rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError):
+            fn(spec, np.append(v, -1e-12))
+    assert np.all(precoding.bussgang_gain(spec, v)[v == 0.0] == 1.0)
+    assert np.all(precoding.quantized_power(spec, v)[v == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("antennas", [64, 256])
+def test_bussgang_model_and_transmit_call_each_constant_once(monkeypatch, antennas):
+    calls = {"bussgang_gain": 0, "quantized_power": 0}
+    for name in calls:
+        inner = getattr(precoding, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(precoding, name, counted)
+    users = 8
+    pout = precoding.wf_precode(_chan(users, antennas, 171), 0.05)
+    spec = QuantizerSpec(3)
+    precoding.bussgang_model(pout.P, spec, 0.05, users)
+    assert calls == {"bussgang_gain": 1, "quantized_power": 0}
+    s = np.ones((users, 10), dtype=complex)
+    precoding.transmit(pout, s, spec)
+    assert calls == {"bussgang_gain": 1, "quantized_power": 1}
 
 
 def test_bussgang_model_formula():
