@@ -16,9 +16,7 @@ from .channel import (
     build_bsca,
     corrupt,
     gen_channel,
-    load_matrix,
     normalize_observation,
-    save_matrix,
 )
 from .eta import (
     EstimatorConfig,

@@ -25,8 +25,6 @@ __all__ = [
     "corrupt",
     "normalize_observation",
     "build_bsca",
-    "save_matrix",
-    "load_matrix",
 ]
 
 
@@ -95,9 +93,14 @@ def corrupt(
 
 
 def normalize_observation(H_obs: np.ndarray, eta_hat: float) -> np.ndarray:
-    """Rescale a damped observation into additive form: H_obs / sqrt(1 - eta)."""
+    """Rescale a damped observation into additive form: H_obs / sqrt(1 - eta).
+
+    Non-finite entries raise ValueError before any arithmetic touches them.
+    """
     if not 0.0 <= eta_hat < 1.0:
         raise ValueError(f"eta_hat must lie in [0, 1), got {eta_hat}")
+    if not np.isfinite(H_obs).all():
+        raise ValueError("observation has non-finite entries")
     if eta_hat == 0.0:
         return H_obs.copy()
     return H_obs / np.sqrt(1.0 - eta_hat)
@@ -115,31 +118,3 @@ def build_bsca(X: np.ndarray) -> np.ndarray:
     B[:u, u:] = X
     B[u:, :u] = X.conj().T
     return B
-
-
-# ---------------------------------------------------------------------------
-# Binary matrix dump/load: two little-endian uint64 dims, then row-major
-# (re, im) float64 pairs.
-
-
-def save_matrix(path, M: np.ndarray) -> None:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    with open(path, "wb") as f:
-        f.write(np.array(M.shape, dtype="<u8").tobytes())
-        inter = np.empty(M.shape + (2,), dtype="<f8")
-        inter[..., 0] = M.real
-        inter[..., 1] = M.imag
-        f.write(inter.tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        dims = np.frombuffer(f.read(16), dtype="<u8")
-        rows, cols = int(dims[0]), int(dims[1])
-        data = np.frombuffer(f.read(rows * cols * 16), dtype="<f8")
-    if data.size != rows * cols * 2:
-        raise ValueError("truncated matrix file")
-    data = data.reshape(rows, cols, 2)
-    return data[..., 0] + 1j * data[..., 1]

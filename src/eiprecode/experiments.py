@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import CorruptionModel, SystemDims, build_bsca, corrupt, gen_channel
-from .eta import EstimatorConfig, estimate_eta
-from .linksim import SNR_DEFINITION, SimConfig, _trial_rng, monte_carlo
-from .rie import clean_channel, mse
+from .channel import build_bsca, corrupt, gen_channel
+from .eta import estimate_eta
+from .linksim import SNR_DEFINITION, SimConfig, _trial_rng, monte_carlo, trial_map
+from .rie import clean_channel, linear_mmse_baseline, mse
 from .rmt import bsca_density, bsca_support
 
 __all__ = [
@@ -136,13 +135,6 @@ def threshold_crossing(xs, ys, target: float):
     return None
 
 
-def _map_trials(cfg: SimConfig, fn):
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(fn, range(cfg.trials)))
-    return [fn(t) for t in range(cfg.trials)]
-
-
 def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
     dims = cfg.dims
     a_edge, b_edge, atom = bsca_support(cfg.q)
@@ -157,7 +149,8 @@ def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
         counts, _ = np.histogram(w[~zero], bins=edges)
         return counts, int(zero.sum())
 
-    results = _map_trials(cfg, one)
+    with trial_map(cfg.threads) as map_trials:
+        results = map_trials(one, range(cfg.trials))
     counts = np.sum([r[0] for r in results], axis=0)
     zero_counts = [r[1] for r in results]
     n_eigs = dims.users + dims.antennas
@@ -194,24 +187,19 @@ def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
 
 def _eta_cdf(cfg: SimConfig) -> ExperimentResult:
     dims = cfg.dims
-    est_cfg = EstimatorConfig(
-        order=cfg.estimator_order,
-        mode=cfg.theory_mode,
-        c=cfg.c,
-        data_mode=cfg.corruption_mode,
-    )
     rows = []
     headline = {}
     for eta in cfg.eta:
-        model = CorruptionModel(eta=eta, mode=cfg.corruption_mode, c=cfg.c)
+        model = cfg.corruption(eta)
 
         def one(t: int, _model=model):
             H = gen_channel(dims, _trial_rng(cfg.seed, t, 0))
             H_obs = corrupt(H, _model, _trial_rng(cfg.seed, t, 1))
-            est = estimate_eta(H_obs, dims.q, est_cfg)
+            est = estimate_eta(H_obs, dims.q, cfg.estimator)
             return abs(est.eta_hat - _model.eta), est.eta_hat, est.identifiable
 
-        results = _map_trials(cfg, one)
+        with trial_map(cfg.threads) as map_trials:
+            results = map_trials(one, range(cfg.trials))
         deltas = np.sort(np.array([r[0] for r in results]))
         cdf = np.arange(1, len(deltas) + 1) / len(deltas)
         rows.extend(
@@ -224,7 +212,8 @@ def _eta_cdf(cfg: SimConfig) -> ExperimentResult:
             "mean_eta_hat": _round(np.mean([r[1] for r in results])),
             "identifiable_fraction": _round(np.mean([r[2] for r in results])),
         }
-    headline["estimator_order"] = est_cfg.order if est_cfg.order is not None else "auto"
+    order = cfg.estimator.order
+    headline["estimator_order"] = order if order is not None else "auto"
     headline["theory_mode"] = cfg.theory_mode
     summary = {"wall_time_s": None, "headline": headline}
     return ExperimentResult(
@@ -243,27 +232,15 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
     rows = []
     headline = {}
     for eta in cfg.eta:
-        model = CorruptionModel(eta=eta, mode=cfg.corruption_mode, c=cfg.c)
+        model = cfg.corruption(eta)
         means = []
-        for antennas in cfg.antennas_grid:
-            dims = SystemDims(cfg.users, antennas)
-            est_cfg = EstimatorConfig(
-                order=cfg.estimator_order,
-                mode=cfg.theory_mode,
-                c=cfg.c,
-                data_mode=cfg.corruption_mode,
-            )
-            # scalar conditional-mean coefficient for the configured model
-            if cfg.corruption_mode == "damped":
-                scal = np.sqrt(1.0 - eta)
-            else:
-                scal = 1.0 / (1.0 + model.alpha() ** 2)
+        for dims in cfg.grid_dims:
 
-            def one(t: int, _dims=dims, _model=model, _scal=scal):
+            def one(t: int, _dims=dims, _model=model):
                 H = gen_channel(_dims, _trial_rng(cfg.seed, t, 0))
                 H_obs = corrupt(H, _model, _trial_rng(cfg.seed, t, 1))
                 eta_hat = (
-                    estimate_eta(H_obs, _dims.q, est_cfg).eta_hat
+                    estimate_eta(H_obs, _dims.q, cfg.estimator).eta_hat
                     if blind
                     else _model.eta
                 )
@@ -277,18 +254,19 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
                 return (
                     mse(H, H_hat),
                     mse(H, H_obs),
-                    mse(H, _scal * H_obs),
+                    mse(H, linear_mmse_baseline(H_obs, eta, cfg.corruption_mode, cfg.c)),
                 )
 
-            results = np.array(_map_trials(cfg, one))
+            with trial_map(cfg.threads) as map_trials:
+                results = np.array(map_trials(one, range(cfg.trials)))
             m_clean, m_noisy, m_scalar = results.mean(axis=0)
             win = float(np.mean(results[:, 0] <= results[:, 1]))
-            floor = eta / antennas
+            floor = eta / dims.antennas
             means.append(m_clean)
             rows.append(
                 (
                     _round(eta),
-                    antennas,
+                    dims.antennas,
                     _round(m_clean),
                     _round(m_noisy),
                     _round(m_scalar),

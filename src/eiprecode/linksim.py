@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "awgn_qpsk_ber",
     "wilson_interval",
     "downlink_trial",
+    "trial_map",
     "monte_carlo",
 ]
 
@@ -51,7 +53,14 @@ _CHUNK = 8  # fixed accumulation granularity; parallelism never crosses it
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete description of one Monte-Carlo experiment family."""
+    """Complete description of one Monte-Carlo experiment family.
+
+    Construction validates every field and keeps the stage objects built
+    from them: ``dims`` (:class:`SystemDims`), ``grid_dims`` (one per
+    ``antennas_grid`` entry, or None), ``estimator``
+    (:class:`EstimatorConfig`) and ``quantizer`` (:class:`QuantizerSpec`, or
+    None for bypass).  :meth:`corruption` gives the model at one eta.
+    """
 
     users: int = 20
     antennas: int = 128
@@ -85,31 +94,46 @@ class SimConfig:
         object.__setattr__(self, "corruption_mode", str(self.corruption_mode).lower())
         object.__setattr__(self, "modulation", str(self.modulation).upper())
         object.__setattr__(self, "theory_mode", str(self.theory_mode).lower())
-        if not 0 < self.users < self.antennas:
-            raise ValueError("need 0 < users < antennas")
-        for e in self.eta:
-            if not 0.0 <= e < 1.0:
-                raise ValueError(f"eta values must lie in [0, 1), got {e}")
-        if self.corruption_mode not in ("additive", "damped"):
-            raise ValueError(f"unknown corruption_mode {self.corruption_mode!r}")
         if self.precoder not in _PRECODERS:
             raise ValueError(f"precoder must be one of {_PRECODERS}, got {self.precoder!r}")
         if self.csi not in _CSI_MODES:
             raise ValueError(f"csi must be one of {_CSI_MODES}, got {self.csi!r}")
-        if self.bits is not None and not 1 <= int(self.bits) <= 12:
-            raise ValueError("bits must lie in [1, 12] or be null for bypass")
         if self.modulation not in ("QPSK", "16QAM"):
             raise ValueError(f"unknown modulation {self.modulation!r}")
         if self.trials < 1 or self.symbols_per_trial < 1:
             raise ValueError("trials and symbols_per_trial must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.theory_mode not in ("gaussian_equivalent", "printed"):
-            raise ValueError(f"unknown theory_mode {self.theory_mode!r}")
+        if self.min_errors < 1 or self.max_bits < 1:
+            raise ValueError("min_errors and max_bits must be >= 1")
+        if not (math.isfinite(self.p_total) and self.p_total > 0):
+            raise ValueError(f"p_total must be positive and finite, got {self.p_total}")
+        # The stage objects own the remaining rules: building them here
+        # rejects a bad value at parse time, and the trials reuse them.
+        with _config_keys("users", "antennas"):
+            object.__setattr__(self, "dims", SystemDims(self.users, self.antennas))
+        with _config_keys("antennas_grid"):
+            grid = self.antennas_grid
+            grid_dims = None if grid is None else tuple(SystemDims(self.users, a) for a in grid)
+            object.__setattr__(self, "grid_dims", grid_dims)
+        with _config_keys("eta", "corruption_mode", "c"):
+            for e in self.eta:
+                self.corruption(e)
+        with _config_keys("estimator_order", "theory_mode", "c", "corruption_mode"):
+            estimator = EstimatorConfig(
+                order=self.estimator_order,
+                mode=self.theory_mode,
+                c=self.c,
+                data_mode=self.corruption_mode,
+            )
+            object.__setattr__(self, "estimator", estimator)
+        with _config_keys("bits"):
+            quantizer = None if self.bits is None else precoding.make_quantizer(self.bits)
+            object.__setattr__(self, "quantizer", quantizer)
 
-    @property
-    def dims(self) -> SystemDims:
-        return SystemDims(self.users, self.antennas)
+    def corruption(self, eta: float) -> CorruptionModel:
+        """The corruption model of this config at one error level."""
+        return CorruptionModel(eta=eta, mode=self.corruption_mode, c=self.c)
 
     @property
     def q(self) -> float:
@@ -117,6 +141,15 @@ class SimConfig:
 
     def at(self, **kw) -> "SimConfig":
         return replace(self, **kw)
+
+
+@contextmanager
+def _config_keys(*keys):
+    """Prefix a ValueError raised in the block with the config keys it checks."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"config field {'/'.join(keys)}: {exc}") from exc
 
 
 def _as_tuple(v, cast):
@@ -256,7 +289,6 @@ def downlink_trial(
     eta = cfg.eta[0] if eta is None else float(eta)
     snr_db = cfg.snr_db[0] if snr_db is None else float(snr_db)
     dims = cfg.dims
-    q = cfg.q
     sigma2 = cfg.p_total * 10.0 ** (-snr_db / 10.0)
 
     rng_ch = _trial_rng(cfg.seed, trial_index, 0)
@@ -265,8 +297,7 @@ def downlink_trial(
     rng_sym = _trial_rng(cfg.seed, trial_index, 3)
 
     H = gen_channel(dims, rng_ch)
-    model = CorruptionModel(eta=eta, mode=cfg.corruption_mode, c=cfg.c)
-    H_obs = corrupt(H, model, rng_corr)
+    H_obs = corrupt(H, cfg.corruption(eta), rng_corr)
 
     mse_csi = mse_noisy = d_eta = eta_hat = None
     converged = True
@@ -276,28 +307,13 @@ def downlink_trial(
         csi = H_obs
     else:
         if cfg.csi == "ei_cleaned":
-            est = estimate_eta(
-                H_obs,
-                q,
-                EstimatorConfig(
-                    order=cfg.estimator_order,
-                    mode=cfg.theory_mode,
-                    c=cfg.c,
-                    data_mode=cfg.corruption_mode,
-                ),
-            )
+            est = estimate_eta(H_obs, dims.q, cfg.estimator)
             eta_hat = est.eta_hat
             d_eta = delta_eta(eta, est)
         else:
             eta_hat = eta
             d_eta = 0.0
-        csi = clean_channel(
-            H_obs,
-            eta_hat,
-            q,
-            mode=cfg.corruption_mode,
-            c=cfg.c,
-        )
+        csi = clean_channel(H_obs, eta_hat, dims.q, mode=cfg.corruption_mode, c=cfg.c)
         mse_csi = mse(H, csi)
         mse_noisy = mse(H, H_obs)
 
@@ -306,7 +322,7 @@ def downlink_trial(
     H_link = root_a * H
     csi_link = root_a * csi
 
-    spec = precoding.make_quantizer(cfg.bits) if cfg.bits is not None else None
+    spec = cfg.quantizer
     if cfg.precoder == "WF":
         pout = precoding.wf_precode(csi_link, sigma2, cfg.p_total)
     elif cfg.precoder == "WFQ":
@@ -367,6 +383,21 @@ def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
     )
 
 
+@contextmanager
+def trial_map(threads: int):
+    """Open a mapper ``(fn, trials) -> [fn(t) for t in trials]`` for one run.
+
+    With ``threads > 1`` every call in the block runs on one pool of that
+    width, which closes with the block; results keep the order of
+    ``trials`` either way.
+    """
+    if threads == 1:
+        yield lambda fn, trials: [fn(t) for t in trials]
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield lambda fn, trials: list(pool.map(fn, trials))
+
+
 def monte_carlo(
     cfg: SimConfig, eta: float | None = None, snr_db: float | None = None
 ) -> Aggregate:
@@ -382,24 +413,19 @@ def monte_carlo(
     errors = 0
     bits = 0
     done = 0
-    while done < cfg.trials and errors < cfg.min_errors and bits < cfg.max_bits:
-        chunk = list(range(done, min(done + _CHUNK, cfg.trials)))
-        try:
-            if cfg.threads > 1:
-                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                    results = list(
-                        pool.map(lambda t: downlink_trial(cfg, t, eta, snr_db), chunk)
-                    )
-            else:
-                results = [downlink_trial(cfg, t, eta, snr_db) for t in chunk]
-        except Exception as exc:
-            raise MonteCarloError(
-                f"trial in chunk starting at {done} failed: {exc}",
-                done,
-                _aggregate(metrics, cfg),
-            ) from exc
-        metrics.extend(results)
-        errors += sum(m.bit_errors for m in results)
-        bits += sum(m.bits_sent for m in results)
-        done += len(chunk)
+    with trial_map(cfg.threads) as map_trials:
+        while done < cfg.trials and errors < cfg.min_errors and bits < cfg.max_bits:
+            chunk = range(done, min(done + _CHUNK, cfg.trials))
+            try:
+                results = map_trials(lambda t: downlink_trial(cfg, t, eta, snr_db), chunk)
+            except Exception as exc:
+                raise MonteCarloError(
+                    f"trial in chunk starting at {done} failed: {exc}",
+                    done,
+                    _aggregate(metrics, cfg),
+                ) from exc
+            metrics.extend(results)
+            errors += sum(m.bit_errors for m in results)
+            bits += sum(m.bits_sent for m in results)
+            done += len(chunk)
     return _aggregate(metrics, cfg)

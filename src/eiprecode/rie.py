@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 # build_bsca is unused here; perfbench's traced run looks it up on this module
-from .channel import SystemDims, build_bsca, normalize_observation  # noqa: F401
+from .channel import CorruptionModel, SystemDims, build_bsca, normalize_observation  # noqa: F401
 from .rmt import default_epsilon
 
 __all__ = [
@@ -149,12 +149,21 @@ def clean_channel(
     return reconstruct(left, xi, vh, rescale=rescale)
 
 
-def linear_mmse_baseline(H_obs: np.ndarray, eta: float) -> np.ndarray:
-    """Entrywise conditional-mean baseline for damped observations (c = 1):
-    sqrt(1 - eta) * H_obs."""
-    if not 0.0 <= eta < 1.0:
-        raise ValueError("eta must lie in [0, 1)")
-    return np.sqrt(1.0 - eta) * np.asarray(H_obs)
+def linear_mmse_baseline(
+    H_obs: np.ndarray, eta: float, mode: str = "damped", c: float = 1.0
+) -> np.ndarray:
+    """Entrywise conditional mean E[H | H_obs] = k H_obs of the i.i.d. model.
+
+    additive: k = 1 / (1 + alpha^2), alpha^2 = eta c / (1 - eta);
+    damped:   k = sqrt(1 - eta) / (1 - eta + eta c).
+    """
+    model = CorruptionModel(eta, mode, c)
+    if mode == "damped":
+        # written so that c = 1 gives exactly sqrt(1 - eta)
+        k = np.sqrt(1.0 - eta) / (1.0 + eta * (c - 1.0))
+    else:
+        k = 1.0 / (1.0 + model.alpha() ** 2)
+    return k * np.asarray(H_obs)
 
 
 def mse(H: np.ndarray, H_hat: np.ndarray) -> float:

@@ -156,38 +156,3 @@ def test_build_bsca_validation():
         channel.build_bsca(np.zeros((8, 8), dtype=complex))
     with pytest.raises(ValueError):
         channel.build_bsca(np.zeros((9, 8), dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# matrix file format
-
-
-def test_matrix_io_round_trip(tmp_path):
-    h = _chan(9, 17, 53)
-    p = tmp_path / "h.mat"
-    channel.save_matrix(p, h)
-    back = channel.load_matrix(p)
-    assert np.array_equal(back, h)
-
-
-def test_matrix_io_byte_layout(tmp_path):
-    m = np.array([[1.0 + 2.0j, 3.0 - 4.0j, 0.5j]], dtype=complex)
-    p = tmp_path / "m.mat"
-    channel.save_matrix(p, m)
-    raw = p.read_bytes()
-    dims = np.frombuffer(raw[:16], dtype="<u8")
-    assert tuple(dims) == (1, 3)
-    payload = np.frombuffer(raw[16:], dtype="<f8")
-    assert np.array_equal(
-        payload, np.array([1.0, 2.0, 3.0, -4.0, 0.0, 0.5])
-    )
-
-
-def test_matrix_io_truncated_file_raises(tmp_path):
-    h = _chan(4, 8, 59)
-    p = tmp_path / "h.mat"
-    channel.save_matrix(p, h)
-    raw = p.read_bytes()
-    p.write_bytes(raw[:-8])
-    with pytest.raises(ValueError):
-        channel.load_matrix(p)

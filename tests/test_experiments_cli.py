@@ -1,6 +1,7 @@
 """Experiment drivers, config resolution, and the command-line front end."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ def test_mse_vs_antennas_table():
     assert block["ratio_to_floor_last"] > 0.0
     assert head["csi"] == "ei_cleaned_known_eta"
     assert "rie_variant" not in head  # the cleaning rule has no variants
+
+
+def test_mse_vs_antennas_scalar_column_is_the_conditional_mean():
+    # damped error with c != 1: E[H | X] = sqrt(1-eta)/(1-eta+eta c) X, whose
+    # per-entry error is (1/A) eta c / (1-eta+eta c); sqrt(1-eta) X is worse
+    eta, c, antennas = 0.4, 2.0, 128
+    cfg = SimConfig(
+        users=20, trials=40, eta=eta, c=c, corruption_mode="damped", seed=3100,
+        csi="ei_cleaned_known_eta", antennas_grid=(antennas,),
+    )
+    row = run_experiment("mse_vs_antennas", cfg).rows[0]
+    assert row[4] == pytest.approx(eta * c / (1 - eta + eta * c) / antennas, rel=0.03)
 
 
 # ----------------------------------------------------------------- ber_vs_*
@@ -529,6 +542,33 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "command,item,field",
+    [
+        ("ber", "c=0", "c"),
+        ("ber", "c=-1", "c"),
+        ("estimate-eta", "c=-2", "c"),
+        ("ber", "estimator_order=5", "estimator_order"),
+        ("clean-csi", "antennas_grid=[20]", "antennas_grid"),
+        ("ber", "p_total=0", "p_total"),
+        ("ber", "p_total=-1", "p_total"),
+        ("ber", "p_total=.nan", "p_total"),
+        ("ber", "p_total=.inf", "p_total"),
+        ("ber", "min_errors=0", "min_errors"),
+        ("ber", "max_bits=0", "max_bits"),
+    ],
+)
+def test_cli_out_of_range_value_exits_2(command, item, field, tmp_path, capsys):
+    code, out, err = _run_cli(
+        [command, "--out", str(tmp_path / "o"), "--set", item, "--set", "trials=2"],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("config error")
+    assert re.search(rf"\b{field}\b", err), err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_incomplete_experiment_exits_2(tmp_path, capsys):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiprecode import linksim
+from eiprecode.channel import CorruptionModel, SystemDims
+from eiprecode.eta import EstimatorConfig
 from eiprecode.linksim import Aggregate, MonteCarloError, SimConfig, TrialMetrics
 
 # small, fast system reused across engine tests
@@ -144,6 +146,34 @@ def test_sim_config_validation():
         SimConfig(rie_variant="anchored")  # the cleaning rule has no variants
     with pytest.raises(ValueError):
         SimConfig(theory_mode="exact")
+    for bad in (
+        dict(c=0.0),
+        dict(c=-1.0),
+        dict(estimator_order=5),
+        dict(antennas_grid=(32, 20), users=20),
+        dict(p_total=0.0),
+        dict(p_total=-1.0),
+        dict(p_total=float("nan")),
+        dict(p_total=float("inf")),
+        dict(min_errors=0),
+        dict(max_bits=0),
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SimConfig(**bad)
+
+
+def test_sim_config_keeps_the_stage_objects():
+    cfg = SimConfig(users=8, antennas=32, eta=(0.2, 0.4), corruption_mode="damped",
+                    c=2.0, bits=3, estimator_order=2, antennas_grid=(16, 64))
+    assert cfg.dims == SystemDims(8, 32)
+    assert cfg.grid_dims == (SystemDims(8, 16), SystemDims(8, 64))
+    assert cfg.estimator == EstimatorConfig(
+        order=2, mode="gaussian_equivalent", c=2.0, data_mode="damped"
+    )
+    assert cfg.quantizer.bits == 3 and cfg.quantizer.is_auto
+    assert cfg.corruption(0.4) == CorruptionModel(0.4, "damped", 2.0)
+    assert SimConfig(bits=None).quantizer is None
+    assert SimConfig().grid_dims is None
 
 
 def test_trial_metrics_rejects_impossible_counts():
@@ -224,6 +254,24 @@ def test_monte_carlo_thread_width_does_not_change_results():
     assert one == four
     again = linksim.monte_carlo(cfg)
     assert one == again
+
+
+def test_monte_carlo_opens_one_pool_per_call(monkeypatch):
+    opened = []
+
+    class CountingPool(linksim.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linksim, "ThreadPoolExecutor", CountingPool)
+    cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect", eta=0.0,
+                    snr_db=10.0, seed=22, trials=20, threads=2,
+                    min_errors=10**9, max_bits=10**9)
+    agg = linksim.monte_carlo(cfg)
+    assert agg.trials_run == 20  # three chunks
+    assert len(opened) == 1
+    assert agg == linksim.monte_carlo(cfg.at(threads=1))
 
 
 def test_monte_carlo_perfect_csi_link_is_clean():

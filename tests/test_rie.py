@@ -379,6 +379,20 @@ def test_linear_mmse_baseline_hits_oracle_error():
     assert abs(np.mean(devs) - target) / target < 0.10
 
 
+@pytest.mark.parametrize("mode", ["additive", "damped"])
+def test_linear_mmse_baseline_hits_oracle_error_for_any_c(mode):
+    # in both modes the conditional-mean error per entry is
+    # (1/A) eta c / (1 - eta + eta c)
+    eta, c = 0.4, 2.0
+    devs = []
+    for d in range(30):
+        h = channel.gen_channel(SystemDims(20, 128), np.random.default_rng(5_200 + d))
+        y = channel.corrupt(h, CorruptionModel(eta, mode, c), np.random.default_rng(6_200 + d))
+        devs.append(rie.mse(h, rie.linear_mmse_baseline(y, eta, mode, c)))
+    target = eta * c / (1.0 - eta + eta * c) / 128
+    assert np.mean(devs) == pytest.approx(target, rel=0.03)
+
+
 def test_linear_mmse_baseline_beats_raw_at_high_level():
     better = 0
     for d in range(10):
