@@ -8,7 +8,6 @@ the CLI maps to exit code 2.
 from __future__ import annotations
 
 import os
-from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -19,9 +18,6 @@ __all__ = ["ConfigError", "parse_config", "parse_set_item", "ENV_SEED", "ENV_THR
 
 ENV_SEED = "EIPRECODE_SEED"
 ENV_THREADS = "EIPRECODE_THREADS"
-
-_SIM_FIELDS = tuple(f.name for f in fields(SimConfig))
-
 
 class ConfigError(ValueError):
     """Invalid configuration input; the message names the field."""

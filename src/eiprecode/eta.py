@@ -41,7 +41,8 @@ class EstimatorConfig:
     order: highest cumulant matched (1, 2 or 3); None applies the size
     policy of :func:`default_order`.
     mode: theory curve family ('gaussian_equivalent' or 'printed').
-    c: corruption-variance scale assumed by the theory curves (positive).
+    c: corruption-variance scale assumed by the theory curves (positive;
+    the printed family is drawn for c = 1 only, so it requires c = 1).
     data_mode: declared corruption mode of the observation; only used to
     flag the damped-c=1 identifiability boundary on the estimate.
     """
@@ -60,6 +61,8 @@ class EstimatorConfig:
             raise ValueError(f"unknown data_mode {self.data_mode!r}")
         if not self.c > 0:
             raise ValueError("c must be positive")
+        if self.mode == "printed" and self.c != 1.0:
+            raise ValueError(f"mode 'printed' assumes c = 1, got c = {self.c}")
 
 
 @dataclass(frozen=True)

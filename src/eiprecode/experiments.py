@@ -15,10 +15,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import build_bsca, corrupt, gen_channel
+# corrupt, gen_channel and clean_channel are unused here; perfbench's traced
+# run looks them up on this module
+from .channel import build_bsca, corrupt, gen_channel  # noqa: F401
 from .eta import estimate_eta
-from .linksim import SNR_DEFINITION, SimConfig, _trial_rng, monte_carlo, trial_map
-from .rie import clean_channel, linear_mmse_baseline, mse
+from .linksim import (
+    SNR_DEFINITION,
+    SimConfig,
+    draw_observation,
+    estimate_csi,
+    monte_carlo,
+    trial_map,
+)
+from .rie import clean_channel, linear_mmse_baseline, mse  # noqa: F401
 from .rmt import bsca_density, bsca_support
 
 __all__ = [
@@ -143,8 +152,8 @@ def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     def one(t: int):
-        rng = _trial_rng(cfg.seed, t, 0)
-        w = np.linalg.eigvalsh(build_bsca(gen_channel(dims, rng)))
+        H, _ = draw_observation(cfg, dims, 0.0, t)
+        w = np.linalg.eigvalsh(build_bsca(H))
         zero = np.abs(w) <= 1e-10 * np.abs(w).max()
         counts, _ = np.histogram(w[~zero], bins=edges)
         return counts, int(zero.sum())
@@ -190,13 +199,11 @@ def _eta_cdf(cfg: SimConfig) -> ExperimentResult:
     rows = []
     headline = {}
     for eta in cfg.eta:
-        model = cfg.corruption(eta)
 
-        def one(t: int, _model=model):
-            H = gen_channel(dims, _trial_rng(cfg.seed, t, 0))
-            H_obs = corrupt(H, _model, _trial_rng(cfg.seed, t, 1))
+        def one(t: int, _eta=eta):
+            _, H_obs = draw_observation(cfg, dims, _eta, t)
             est = estimate_eta(H_obs, dims.q, cfg.estimator)
-            return abs(est.eta_hat - _model.eta), est.eta_hat, est.identifiable
+            return abs(est.eta_hat - _eta), est.eta_hat, est.identifiable
 
         with trial_map(cfg.threads) as map_trials:
             results = map_trials(one, range(cfg.trials))
@@ -228,33 +235,19 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
         raise ExperimentError(
             "mse_vs_antennas requires csi of 'ei_cleaned' or 'ei_cleaned_known_eta'"
         )
-    blind = cfg.csi == "ei_cleaned"
     rows = []
     headline = {}
     for eta in cfg.eta:
-        model = cfg.corruption(eta)
         means = []
         for dims in cfg.grid_dims:
 
-            def one(t: int, _dims=dims, _model=model):
-                H = gen_channel(_dims, _trial_rng(cfg.seed, t, 0))
-                H_obs = corrupt(H, _model, _trial_rng(cfg.seed, t, 1))
-                eta_hat = (
-                    estimate_eta(H_obs, _dims.q, cfg.estimator).eta_hat
-                    if blind
-                    else _model.eta
-                )
-                H_hat = clean_channel(
-                    H_obs,
-                    eta_hat,
-                    _dims.q,
-                    mode=cfg.corruption_mode,
-                    c=cfg.c,
-                )
+            def one(t: int, _dims=dims, _eta=eta):
+                H, H_obs = draw_observation(cfg, _dims, _eta, t)
+                H_hat, _ = estimate_csi(cfg, _dims, _eta, H, H_obs)
                 return (
                     mse(H, H_hat),
                     mse(H, H_obs),
-                    mse(H, linear_mmse_baseline(H_obs, eta, cfg.corruption_mode, cfg.c)),
+                    mse(H, linear_mmse_baseline(H_obs, _eta, cfg.corruption_mode, cfg.c)),
                 )
 
             with trial_map(cfg.threads) as map_trials:
@@ -314,74 +307,48 @@ _BER_HEADER = (
 )
 
 
-def _ber_vs_snr(cfg: SimConfig) -> ExperimentResult:
+# axis -> (the config field held at its first value, the name in the kind)
+_BER_AXES = {"snr_db": ("eta", "snr"), "eta": ("snr_db", "eta")}
+
+
+def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
+    """BER at each value of the ``axis`` config field, the other link
+    parameter (eta or snr_db) held at its first configured value."""
+    other, name = _BER_AXES[axis]
+    fixed = getattr(cfg, other)[0]
+    points = getattr(cfg, axis)
     rows = []
     bers = []
     unresolved = []
-    for snr in cfg.snr_db:
-        agg = monte_carlo(cfg, eta=cfg.eta[0], snr_db=snr)
+    for x in points:
+        eta, snr = (fixed, x) if axis == "snr_db" else (x, fixed)
+        agg = monte_carlo(cfg, eta=eta, snr_db=snr)
         bers.append(agg.ber)
         if not agg.resolved:
-            unresolved.append(_round(snr))
-        rows.append(
-            (
-                _round(snr),
-                cfg.precoder,
-                cfg.csi,
-                cfg.bits if cfg.bits is not None else "bypass",
-                _round(agg.ber),
-                _round(agg.ber_lo),
-                _round(agg.ber_hi),
-                agg.trials_run,
-                cfg.seed,
-            )
+            unresolved.append(_round(x))
+        row = (
+            _round(snr),
+            cfg.precoder,
+            cfg.csi,
+            cfg.bits if cfg.bits is not None else "bypass",
+            _round(agg.ber),
+            _round(agg.ber_lo),
+            _round(agg.ber_hi),
+            agg.trials_run,
+            cfg.seed,
         )
-    crossing = threshold_crossing(cfg.snr_db, bers, 1e-3)
+        rows.append(row if axis == "snr_db" else (_round(eta),) + row)
+    crossing = threshold_crossing(points, bers, 1e-3)
     summary = {
         "wall_time_s": None,
         "headline": {
-            "eta": _round(cfg.eta[0]),
-            "snr_at_ber_1e-3": None if crossing is None else _round(crossing),
-            "unresolved_snr_db": unresolved,
+            other: _round(fixed),
+            f"{name}_at_ber_1e-3": None if crossing is None else _round(crossing),
+            f"unresolved_{axis}": unresolved,
         },
     }
-    return ExperimentResult("ber_vs_snr", _BER_HEADER, tuple(rows), summary, cfg)
-
-
-def _ber_vs_eta(cfg: SimConfig) -> ExperimentResult:
-    rows = []
-    bers = []
-    unresolved = []
-    for eta in cfg.eta:
-        agg = monte_carlo(cfg, eta=eta, snr_db=cfg.snr_db[0])
-        bers.append(agg.ber)
-        if not agg.resolved:
-            unresolved.append(_round(eta))
-        rows.append(
-            (
-                _round(eta),
-                _round(cfg.snr_db[0]),
-                cfg.precoder,
-                cfg.csi,
-                cfg.bits if cfg.bits is not None else "bypass",
-                _round(agg.ber),
-                _round(agg.ber_lo),
-                _round(agg.ber_hi),
-                agg.trials_run,
-                cfg.seed,
-            )
-        )
-    crossing = threshold_crossing(cfg.eta, bers, 1e-3)
-    summary = {
-        "wall_time_s": None,
-        "headline": {
-            "snr_db": _round(cfg.snr_db[0]),
-            "eta_at_ber_1e-3": None if crossing is None else _round(crossing),
-            "unresolved_eta": unresolved,
-        },
-    }
-    header = ("eta",) + _BER_HEADER
-    return ExperimentResult("ber_vs_eta", header, tuple(rows), summary, cfg)
+    header = _BER_HEADER if axis == "snr_db" else ("eta",) + _BER_HEADER
+    return ExperimentResult(f"ber_vs_{name}", header, tuple(rows), summary, cfg)
 
 
 def run_experiment(kind: str, cfg: SimConfig, bins: int = 50) -> ExperimentResult:
@@ -396,9 +363,9 @@ def run_experiment(kind: str, cfg: SimConfig, bins: int = 50) -> ExperimentResul
     elif kind == "mse_vs_antennas":
         result = _mse_vs_antennas(cfg)
     elif kind == "ber_vs_snr":
-        result = _ber_vs_snr(cfg)
+        result = _ber_sweep(cfg, "snr_db")
     elif kind == "ber_vs_eta":
-        result = _ber_vs_eta(cfg)
+        result = _ber_sweep(cfg, "eta")
     else:
         raise ExperimentError(
             f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}"

@@ -25,7 +25,7 @@ from scipy.special import erfc
 
 from . import precoding
 from .channel import CorruptionModel, SystemDims, corrupt, gen_channel
-from .eta import EstimatorConfig, delta_eta, estimate_eta
+from .eta import EstimatorConfig, estimate_eta
 from .rie import clean_channel, mse
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
     "qfunc",
     "awgn_qpsk_ber",
     "wilson_interval",
+    "draw_observation",
+    "estimate_csi",
     "downlink_trial",
     "trial_map",
     "monte_carlo",
@@ -88,6 +90,9 @@ class SimConfig:
         object.__setattr__(self, "snr_db", _as_tuple(self.snr_db, float))
         if self.antennas_grid is not None:
             object.__setattr__(self, "antennas_grid", _as_tuple(self.antennas_grid, int))
+        for key in ("eta", "snr_db", "antennas_grid"):
+            if getattr(self, key) == ():
+                raise ValueError(f"config field {key}: needs at least one value")
         # tolerate case variation from config files and flags
         object.__setattr__(self, "precoder", str(self.precoder).upper())
         object.__setattr__(self, "csi", str(self.csi).lower())
@@ -275,6 +280,41 @@ def _trial_rng(master_seed: int, trial_index: int, purpose: int) -> np.random.Ge
     return np.random.default_rng(ss)
 
 
+def draw_observation(
+    cfg: SimConfig, dims: SystemDims, eta: float, trial_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The true channel and its corrupted observation for one trial.
+
+    They come from the channel and corruption streams of ``trial_index``,
+    so every experiment family sees the same pair for the same seed.
+    """
+    H = gen_channel(dims, _trial_rng(cfg.seed, trial_index, 0))
+    H_obs = corrupt(H, cfg.corruption(eta), _trial_rng(cfg.seed, trial_index, 1))
+    return H, H_obs
+
+
+def estimate_csi(
+    cfg: SimConfig, dims: SystemDims, eta: float, H: np.ndarray, H_obs: np.ndarray
+) -> tuple[np.ndarray, float | None]:
+    """The CSI the configured ``csi`` mode hands the precoder, and eta_hat.
+
+    ``perfect`` and ``noisy_raw`` return H and H_obs as they are, with
+    eta_hat None; the cleaned modes estimate eta blindly
+    (``ei_cleaned``) or take the true ``eta`` (``ei_cleaned_known_eta``)
+    and clean H_obs at it.
+    """
+    if cfg.csi == "perfect":
+        return H, None
+    if cfg.csi == "noisy_raw":
+        return H_obs, None
+    if cfg.csi == "ei_cleaned":
+        eta_hat = estimate_eta(H_obs, dims.q, cfg.estimator).eta_hat
+    else:
+        eta_hat = eta
+    csi = clean_channel(H_obs, eta_hat, dims.q, mode=cfg.corruption_mode, c=cfg.c)
+    return csi, eta_hat
+
+
 def downlink_trial(
     cfg: SimConfig,
     trial_index: int,
@@ -291,31 +331,17 @@ def downlink_trial(
     dims = cfg.dims
     sigma2 = cfg.p_total * 10.0 ** (-snr_db / 10.0)
 
-    rng_ch = _trial_rng(cfg.seed, trial_index, 0)
-    rng_corr = _trial_rng(cfg.seed, trial_index, 1)
     rng_noise = _trial_rng(cfg.seed, trial_index, 2)
     rng_sym = _trial_rng(cfg.seed, trial_index, 3)
 
-    H = gen_channel(dims, rng_ch)
-    H_obs = corrupt(H, cfg.corruption(eta), rng_corr)
-
-    mse_csi = mse_noisy = d_eta = eta_hat = None
-    converged = True
-    if cfg.csi == "perfect":
-        csi = H
-    elif cfg.csi == "noisy_raw":
-        csi = H_obs
-    else:
-        if cfg.csi == "ei_cleaned":
-            est = estimate_eta(H_obs, dims.q, cfg.estimator)
-            eta_hat = est.eta_hat
-            d_eta = delta_eta(eta, est)
-        else:
-            eta_hat = eta
-            d_eta = 0.0
-        csi = clean_channel(H_obs, eta_hat, dims.q, mode=cfg.corruption_mode, c=cfg.c)
+    H, H_obs = draw_observation(cfg, dims, eta, trial_index)
+    csi, eta_hat = estimate_csi(cfg, dims, eta, H, H_obs)
+    mse_csi = mse_noisy = d_eta = None
+    if eta_hat is not None:
+        d_eta = abs(eta - eta_hat)
         mse_csi = mse(H, csi)
         mse_noisy = mse(H, H_obs)
+    converged = True
 
     # link-layer scale: unit-variance channel entries
     root_a = np.sqrt(dims.antennas)

@@ -278,6 +278,13 @@ def _normalize_power(P_raw: np.ndarray, p_total: float) -> np.ndarray:
     return P_raw * np.sqrt(p_total / power)
 
 
+def _regularized(H_csi: np.ndarray, theta: float, p_total: float) -> np.ndarray:
+    """H^H (H H^H + U theta I)^{-1}, scaled to tr(P P^H) = P_total."""
+    users = H_csi.shape[0]
+    gram = H_csi @ H_csi.conj().T + users * theta * np.eye(users)
+    return _normalize_power(np.linalg.solve(gram, H_csi).conj().T, p_total)
+
+
 def _receiver_beta(
     H_csi: np.ndarray, P: np.ndarray, sigma2: float, model: BussgangModel | None
 ) -> float:
@@ -303,10 +310,7 @@ def wf_precode(
     """Regularized (Wiener) precoder P ~ H^H (H H^H + U sigma^2 I)^{-1},
     scaled to tr(P P^H) = P_total."""
     H_csi = np.asarray(H_csi)
-    users = H_csi.shape[0]
-    gram = H_csi @ H_csi.conj().T + users * sigma2 * np.eye(users)
-    P_raw = np.linalg.solve(gram, H_csi).conj().T
-    P = _normalize_power(P_raw, p_total)
+    P = _regularized(H_csi, sigma2, p_total)
     beta = _receiver_beta(H_csi, P, sigma2, None)
     return PrecodeOutput(P=P, beta=beta, kind="WF", p_total=float(p_total))
 
@@ -337,16 +341,13 @@ def wfq_precode(
         return out, model
     H_csi = np.asarray(H_csi)
     users = H_csi.shape[0]
-    eye = np.eye(users)
     sigma_d2 = np.zeros(H_csi.shape[1])
     residuals = []
     converged = False
     P = None
     model = None
     for _ in range(max_iter):
-        theta = sigma2 + float(np.mean(sigma_d2))
-        gram = H_csi @ H_csi.conj().T + users * theta * eye
-        P = _normalize_power(np.linalg.solve(gram, H_csi).conj().T, p_total)
+        P = _regularized(H_csi, sigma2 + float(np.mean(sigma_d2)), p_total)
         model = bussgang_model(P, spec, sigma2, users)
         prev = sigma_d2
         sigma_d2 = model.sigma_d2
@@ -383,17 +384,14 @@ def baseline_precode(
     so per-symbol radiated power is exactly P_total.
     """
     H_csi = np.asarray(H_csi)
-    users = H_csi.shape[0]
     if kind == "MRT":
         P = _normalize_power(H_csi.conj().T, p_total)
     elif kind == "ZF":
-        gram = H_csi @ H_csi.conj().T
-        P = _normalize_power(np.linalg.solve(gram, H_csi).conj().T, p_total)
+        P = _regularized(H_csi, 0.0, p_total)
     elif kind == "QCE":
         if spec is None:
             raise ValueError("QCE needs a quantizer spec for the phase sectors")
-        gram = H_csi @ H_csi.conj().T + users * sigma2 * np.eye(users)
-        P = _normalize_power(np.linalg.solve(gram, H_csi).conj().T, p_total)
+        P = _regularized(H_csi, sigma2, p_total)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     beta = _receiver_beta(H_csi, P, sigma2, None)

@@ -53,6 +53,9 @@ def test_empirical_moments_match_mp_pattern():
 def test_estimator_config_validation():
     EstimatorConfig()
     EstimatorConfig(order=2, mode="printed", data_mode="damped")
+    # the printed curves are drawn for c = 1 only
+    with pytest.raises(ValueError, match="printed"):
+        EstimatorConfig(mode="printed", c=2.0)
     with pytest.raises(ValueError):
         EstimatorConfig(order=4)
     with pytest.raises(ValueError):
@@ -119,6 +122,8 @@ def test_estimate_eta_closed_form_reaches_the_dense_grid_minimum(
 ):
     u, a = dims
     q = u / a
+    if mode == "printed":
+        c = 1.0  # the printed curves are drawn for c = 1 only
     rng = np.random.default_rng(seed)
     h = channel.gen_channel(channel.SystemDims(u, a), rng)
     y = channel.corrupt(h, channel.CorruptionModel(level, mode="additive", c=c), rng)

@@ -17,10 +17,11 @@ from eiprecode.config import (
 )
 from eiprecode.experiments import (
     ExperimentError,
+    _round,
     run_experiment,
     threshold_crossing,
 )
-from eiprecode.linksim import SNR_DEFINITION, SimConfig
+from eiprecode.linksim import SNR_DEFINITION, SimConfig, downlink_trial
 from eiprecode.rmt import bsca_density, bsca_support
 
 # keeps any ambient environment from leaking into precedence tests
@@ -214,6 +215,19 @@ def test_mse_vs_antennas_scalar_column_is_the_conditional_mean():
     assert row[4] == pytest.approx(eta * c / (1 - eta + eta * c) / antennas, rel=0.03)
 
 
+def test_every_family_sees_the_link_trials_observation():
+    # one (seed, trial) draws one (H, H_obs), whichever family asks for it
+    cfg = SimConfig(
+        users=8, antennas=32, eta=(0.4,), trials=1, seed=3200, csi="ei_cleaned",
+        antennas_grid=(32,), precoder="WF", bits=None, symbols_per_trial=10,
+    )
+    link = downlink_trial(cfg, 0)
+    head = run_experiment("eta_cdf", cfg).summary["headline"]
+    assert head["eta=0.4"]["mean_eta_hat"] == _round(link.eta_hat)
+    row = run_experiment("mse_vs_antennas", cfg).rows[0]
+    assert row[2] == _round(link.mse_csi)
+
+
 # ----------------------------------------------------------------- ber_vs_*
 
 def test_ber_vs_snr_table_and_bypass_bits():
@@ -236,8 +250,8 @@ def test_ber_vs_snr_table_and_bypass_bits():
         assert row[7] == 4
         assert row[8] == 4000
     head = res.summary["headline"]
+    assert set(head) == {"eta", "snr_at_ber_1e-3", "unresolved_snr_db"}
     assert head["eta"] == 0.3
-    assert "snr_at_ber_1e-3" in head
     assert isinstance(head["unresolved_snr_db"], list)
 
 
@@ -256,8 +270,9 @@ def test_ber_vs_eta_prepends_level_column():
     assert all(r[1] == 5.0 for r in res.rows)
     assert all(r[4] == 4 for r in res.rows)
     head = res.summary["headline"]
+    assert set(head) == {"snr_db", "eta_at_ber_1e-3", "unresolved_eta"}
     assert head["snr_db"] == 5.0
-    assert "eta_at_ber_1e-3" in head
+    assert isinstance(head["unresolved_eta"], list)
 
 
 def test_unknown_experiment_kind():
@@ -558,6 +573,12 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys):
         ("ber", "p_total=.inf", "p_total"),
         ("ber", "min_errors=0", "min_errors"),
         ("ber", "max_bits=0", "max_bits"),
+        ("ber", "eta=[]", "eta"),
+        ("ber", "snr_db=[]", "snr_db"),
+        ("sweep", "eta=[]", "eta"),
+        ("estimate-eta", "eta=[]", "eta"),
+        ("ber", "antennas_grid=[]", "antennas_grid"),
+        ("clean-csi", "antennas_grid=[]", "antennas_grid"),
     ],
 )
 def test_cli_out_of_range_value_exits_2(command, item, field, tmp_path, capsys):

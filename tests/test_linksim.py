@@ -157,6 +157,7 @@ def test_sim_config_validation():
         dict(p_total=float("inf")),
         dict(min_errors=0),
         dict(max_bits=0),
+        dict(theory_mode="printed", c=2.0),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SimConfig(**bad)
