@@ -11,11 +11,11 @@ import numpy as np
 from eiprecode import (
     QuantizerSpec,
     SystemDims,
-    baseline_precode,
     bussgang_gain,
     bussgang_model,
     gen_channel,
     optimal_step,
+    precode,
     quantize,
     transmit,
     wf_precode,
@@ -65,7 +65,7 @@ print(f"distortion variance per antenna (first 3): "
       f"{np.round(wmodel.sigma_d2[:3], 5)}")
 
 # constant-envelope transmission: every antenna sample has the same modulus
-qce = baseline_precode("QCE", H, p_total=1.0, spec=QuantizerSpec(3))
+qce = precode("QCE", H, sigma2, p_total=1.0, spec=QuantizerSpec(3))
 sym = (rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5)))
 sym /= np.sqrt(2.0)
 xt = transmit(qce, sym, spec=QuantizerSpec(3))

@@ -45,11 +45,10 @@ from .precoding import (
     BussgangModel,
     PrecodeOutput,
     QuantizerSpec,
-    baseline_precode,
     bussgang_gain,
     bussgang_model,
-    make_quantizer,
     optimal_step,
+    precode,
     quantize,
     transmit,
     wf_precode,

@@ -274,9 +274,8 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
                 all(means[i + 1] <= means[i] for i in range(len(means) - 1))
             ),
             "mse_cleaned_by_antennas": [_round(v) for v in means],
-            "ratio_to_floor_last": _round(
-                means[-1] / (eta / cfg.antennas_grid[-1])
-            ),
+            # floor is the last grid point's; at eta = 0 it is 0, and JSON has no Infinity
+            "ratio_to_floor_last": _round(means[-1] / floor) if floor > 0 else None,
         }
     headline["csi"] = cfg.csi
     summary = {"wall_time_s": None, "headline": headline}

@@ -48,7 +48,6 @@ __all__ = [
 
 SNR_DEFINITION = "snr_db = 10*log10(P_total/sigma2), P_total = 1, unit-variance channel entries at the link layer"
 
-_PRECODERS = ("WF", "WFQ", "MRT", "ZF", "QCE")
 _CSI_MODES = ("perfect", "noisy_raw", "ei_cleaned", "ei_cleaned_known_eta")
 _CHUNK = 8  # fixed accumulation granularity; parallelism never crosses it
 
@@ -99,8 +98,10 @@ class SimConfig:
         object.__setattr__(self, "corruption_mode", str(self.corruption_mode).lower())
         object.__setattr__(self, "modulation", str(self.modulation).upper())
         object.__setattr__(self, "theory_mode", str(self.theory_mode).lower())
-        if self.precoder not in _PRECODERS:
-            raise ValueError(f"precoder must be one of {_PRECODERS}, got {self.precoder!r}")
+        if self.precoder not in precoding.PRECODERS:
+            raise ValueError(
+                f"precoder must be one of {precoding.PRECODERS}, got {self.precoder!r}"
+            )
         if self.csi not in _CSI_MODES:
             raise ValueError(f"csi must be one of {_CSI_MODES}, got {self.csi!r}")
         if self.modulation not in ("QPSK", "16QAM"):
@@ -133,8 +134,11 @@ class SimConfig:
             )
             object.__setattr__(self, "estimator", estimator)
         with _config_keys("bits"):
-            quantizer = None if self.bits is None else precoding.make_quantizer(self.bits)
+            quantizer = None if self.bits is None else precoding.QuantizerSpec(int(self.bits))
             object.__setattr__(self, "quantizer", quantizer)
+        with _config_keys("precoder", "bits"):
+            if self.precoder == "QCE" and quantizer is None:
+                raise ValueError("QCE needs a quantizer for its phase sectors, got bits bypass")
 
     def corruption(self, eta: float) -> CorruptionModel:
         """The corruption model of this config at one error level."""
@@ -341,7 +345,6 @@ def downlink_trial(
         d_eta = abs(eta - eta_hat)
         mse_csi = mse(H, csi)
         mse_noisy = mse(H, H_obs)
-    converged = True
 
     # link-layer scale: unit-variance channel entries
     root_a = np.sqrt(dims.antennas)
@@ -349,15 +352,7 @@ def downlink_trial(
     csi_link = root_a * csi
 
     spec = cfg.quantizer
-    if cfg.precoder == "WF":
-        pout = precoding.wf_precode(csi_link, sigma2, cfg.p_total)
-    elif cfg.precoder == "WFQ":
-        pout, _ = precoding.wfq_precode(csi_link, sigma2, cfg.p_total, spec)
-        converged = pout.converged
-    else:
-        pout = precoding.baseline_precode(
-            cfg.precoder, csi_link, cfg.p_total, spec=spec, sigma2=sigma2
-        )
+    pout = precoding.precode(cfg.precoder, csi_link, sigma2, cfg.p_total, spec)
 
     bps = _bits_per_symbol(cfg.modulation)
     n_bits = dims.users * cfg.symbols_per_trial * bps
@@ -381,7 +376,7 @@ def downlink_trial(
         mse_noisy=mse_noisy,
         delta_eta=d_eta,
         eta_hat=eta_hat,
-        converged=converged,
+        converged=pout.converged,
         seed_key=(cfg.seed, trial_index),
     )
 

@@ -26,10 +26,10 @@ from scipy import optimize
 from scipy.special import erf
 
 __all__ = [
+    "PRECODERS",
     "QuantizerSpec",
     "BussgangModel",
     "PrecodeOutput",
-    "make_quantizer",
     "optimal_step",
     "quantize",
     "quantized_power",
@@ -38,11 +38,16 @@ __all__ = [
     "measure_distortion",
     "wf_precode",
     "wfq_precode",
-    "baseline_precode",
+    "precode",
     "transmit",
 ]
 
+PRECODERS = ("WF", "WFQ", "MRT", "ZF", "QCE")
+
 _MAX_BITS = 12
+# fixed point of wfq_precode: stop below this relative change of sigma_d2
+_WFQ_REL_TOL = 1e-6
+_WFQ_MAX_ITER = 10
 
 
 @dataclass(frozen=True)
@@ -72,73 +77,37 @@ class QuantizerSpec:
             return self.step
         return optimal_step(self.bits) * np.sqrt(input_variance)
 
-    def materialize(self, input_variance: float) -> "QuantizerSpec":
-        """Concrete spec for a given per-component input variance."""
-        if not self.is_auto:
-            return self
-        if input_variance < 0:
-            raise ValueError("input_variance must be nonnegative")
-        return QuantizerSpec(self.bits, float(self.step_for(input_variance)))
-
     def labels(self) -> np.ndarray:
         if self.is_auto:
-            raise ValueError("labels undefined for an unmaterialized auto step")
+            raise ValueError("labels undefined for an auto step; take step_for(variance)")
         j = np.arange(2 ** self.bits)
         return self.step * (j - (2 ** self.bits - 1) / 2.0)
 
     def thresholds(self) -> np.ndarray:
         if self.is_auto:
-            raise ValueError("thresholds undefined for an unmaterialized auto step")
+            raise ValueError("thresholds undefined for an auto step; take step_for(variance)")
         l = np.arange(1, 2 ** self.bits)
         return self.step * (l - 2 ** (self.bits - 1))
 
 
-def make_quantizer(
-    bits: int, step: float | str = "auto", input_variance: float | None = None
-) -> QuantizerSpec:
-    """Build a quantizer spec; with step='auto' and a known per-component
-    input variance the optimal uniform step is materialized immediately."""
-    spec = QuantizerSpec(int(bits), step)
-    if spec.is_auto and input_variance is not None:
-        spec = spec.materialize(input_variance)
-    return spec
-
-
-def _gaussian_distortion(step: float, bits: int) -> float:
-    """E (Q(x) - x)^2 for x ~ N(0, 1) under the label/threshold layout."""
-    n = 2 ** bits
-    labels = step * (np.arange(n) - (n - 1) / 2.0)
-    edges = np.concatenate(([-np.inf], step * (np.arange(1, n) - n / 2.0), [np.inf]))
-
-    def _phi(x):
-        out = np.zeros_like(x)
-        finite = np.isfinite(x)
-        out[finite] = np.exp(-0.5 * x[finite] ** 2) / np.sqrt(2.0 * np.pi)
-        return out
-
-    def _cdf(x):
-        return 0.5 * (1.0 + erf(np.where(np.isfinite(x), x, np.sign(x) * 40.0) / np.sqrt(2.0)))
-
-    a, b = edges[:-1], edges[1:]
-    pa, pb = _phi(a), _phi(b)
-    ca, cb = _cdf(a), _cdf(b)
-    mass = cb - ca
-    # integral of x^2 phi over the cell minus first-moment cross term
-    x2 = mass - (np.where(np.isfinite(b), b, 0.0) * pb - np.where(np.isfinite(a), a, 0.0) * pa)
-    x1 = pa - pb
-    return float(np.sum(x2 - 2.0 * labels * x1 + labels ** 2 * mass))
-
-
 @lru_cache(maxsize=None)
 def optimal_step(bits: int) -> float:
-    """Distortion-minimizing uniform step for a unit-variance Gaussian input."""
+    """Distortion-minimizing uniform step for a unit-variance Gaussian input.
+
+    For real x ~ N(0, 1) the distortion is E(Q(x) - x)^2 = 1 - 2F + P/2, with
+    F and P the Bussgang gain and output power of a CN(0, 2) input, whose
+    components are unit-variance (Max, IRE Trans. IT 1960; Jacobsson et al.,
+    IEEE Trans. Commun. 2017).
+    """
     if not (1 <= bits <= _MAX_BITS):
         raise ValueError(f"bits must lie in [1, {_MAX_BITS}], got {bits}")
+
+    def distortion(step):
+        spec = QuantizerSpec(bits, step)
+        return 1.0 - 2.0 * bussgang_gain(spec, 2.0) + quantized_power(spec, 2.0) / 2.0
+
     res = optimize.minimize_scalar(
-        lambda d: _gaussian_distortion(d, bits),
-        bounds=(1e-4, 3.0),
-        method="bounded",
-        options={"xatol": 1e-8},
+        distortion, bounds=(1e-4, 3.0), method="bounded", options={"xatol": 1e-8}
     )
     return float(res.x)
 
@@ -222,9 +191,6 @@ class BussgangModel:
     gains: np.ndarray        # diagonal of the A x A gain matrix F
     sigma_d2: np.ndarray     # per-antenna distortion variances
     sigma_m2: np.ndarray     # per-antenna quantizer-input variances
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.gains)
 
 
 def bussgang_model(
@@ -316,12 +282,7 @@ def wf_precode(
 
 
 def wfq_precode(
-    H_csi: np.ndarray,
-    sigma2: float,
-    p_total: float = 1.0,
-    spec: QuantizerSpec | None = None,
-    rel_tol: float = 1e-6,
-    max_iter: int = 10,
+    H_csi: np.ndarray, sigma2: float, p_total: float = 1.0, *, spec: QuantizerSpec
 ) -> tuple[PrecodeOutput, BussgangModel]:
     """Quantization-aware regularized precoder.
 
@@ -331,14 +292,6 @@ def wfq_precode(
     regularized Gram is U x U, so the antenna average enters the loop (exact
     under the auto step rule, which makes sigma_d2 constant across antennas).
     """
-    if spec is None:
-        out = wf_precode(H_csi, sigma2, p_total)
-        model = BussgangModel(
-            gains=np.ones(H_csi.shape[1]),
-            sigma_d2=np.zeros(H_csi.shape[1]),
-            sigma_m2=np.einsum("ij,ij->i", out.P, out.P.conj()).real,
-        )
-        return out, model
     H_csi = np.asarray(H_csi)
     users = H_csi.shape[0]
     sigma_d2 = np.zeros(H_csi.shape[1])
@@ -346,7 +299,7 @@ def wfq_precode(
     converged = False
     P = None
     model = None
-    for _ in range(max_iter):
+    for _ in range(_WFQ_MAX_ITER):
         P = _regularized(H_csi, sigma2 + float(np.mean(sigma_d2)), p_total)
         model = bussgang_model(P, spec, sigma2, users)
         prev = sigma_d2
@@ -354,7 +307,7 @@ def wfq_precode(
         denom = max(float(np.linalg.norm(sigma_d2)), np.finfo(float).tiny)
         res = float(np.linalg.norm(sigma_d2 - prev)) / denom
         residuals.append(res)
-        if res < rel_tol:
+        if res < _WFQ_REL_TOL:
             converged = True
             break
     beta = _receiver_beta(H_csi, P, sigma2, model)
@@ -369,48 +322,51 @@ def wfq_precode(
     return out, model
 
 
-def baseline_precode(
+def precode(
     kind: str,
     H_csi: np.ndarray,
+    sigma2: float,
     p_total: float = 1.0,
     spec: QuantizerSpec | None = None,
-    sigma2: float = 0.0,
 ) -> PrecodeOutput:
-    """MRT, ZF, or QCE precoder, power-normalized.
+    """The precoder ``kind``, one of :data:`PRECODERS`, power-normalized.
 
-    QCE stores the (normalized) regularized matrix that supplies the phases;
-    the constant-envelope mapping itself happens in :func:`transmit`, where
-    each antenna sample becomes sqrt(P_total/A) * exp(i * quantized phase),
-    so per-symbol radiated power is exactly P_total.
+    WF and WFQ are :func:`wf_precode` and :func:`wfq_precode`; WFQ with
+    ``spec=None`` (ideal DACs) is WF.  MRT is the matched filter and ZF the
+    zero-noise regularized precoder.  QCE stores the (normalized) regularized
+    matrix that supplies the phases; the constant-envelope mapping itself
+    happens in :func:`transmit`, where each antenna sample becomes
+    sqrt(P_total/A) * exp(i * quantized phase), so per-symbol radiated power
+    is exactly P_total.
     """
+    if kind not in PRECODERS:
+        raise ValueError(f"precoder must be one of {PRECODERS}, got {kind!r}")
+    # WF and WFQ are looked up at call time, so a wrapper set on this module sees them
+    if kind == "WF" or (kind == "WFQ" and spec is None):
+        return wf_precode(H_csi, sigma2, p_total)
+    if kind == "WFQ":
+        return wfq_precode(H_csi, sigma2, p_total, spec=spec)[0]
+    if kind == "QCE" and spec is None:
+        raise ValueError("QCE needs a quantizer spec for the phase sectors")
     H_csi = np.asarray(H_csi)
     if kind == "MRT":
         P = _normalize_power(H_csi.conj().T, p_total)
-    elif kind == "ZF":
-        P = _regularized(H_csi, 0.0, p_total)
-    elif kind == "QCE":
-        if spec is None:
-            raise ValueError("QCE needs a quantizer spec for the phase sectors")
-        P = _regularized(H_csi, sigma2, p_total)
     else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
+        P = _regularized(H_csi, 0.0 if kind == "ZF" else sigma2, p_total)
     beta = _receiver_beta(H_csi, P, sigma2, None)
     return PrecodeOutput(P=P, beta=beta, kind=kind, p_total=float(p_total))
 
 
 def transmit(
-    pout: PrecodeOutput,
-    s: np.ndarray,
-    spec: QuantizerSpec | None = None,
-    renormalize: bool = True,
+    pout: PrecodeOutput, s: np.ndarray, spec: QuantizerSpec | None = None
 ) -> np.ndarray:
     """Map symbol vectors to antenna samples through the configured DACs.
 
     ``spec=None`` bypasses quantization (ideal DACs).  For QCE outputs the
     antenna samples are constant-envelope with the phase rounded to one of
     2^B sectors.  Otherwise the precoded samples are quantized per antenna
-    (auto steps from diag(P P^H)) and, when ``renormalize`` is set, scaled
-    by a deterministic scalar so the expected radiated power is P_total.
+    (auto steps from diag(P P^H)) and scaled by a deterministic scalar so the
+    expected radiated power is P_total.
     """
     s = np.asarray(s, dtype=complex)
     x_lin = pout.P @ s
@@ -426,8 +382,7 @@ def transmit(
         return x_lin
     sigma_m2 = np.einsum("ij,ij->i", pout.P, pout.P.conj()).real
     x = quantize(x_lin, spec, input_variance=sigma_m2 / 2.0)
-    if renormalize:
-        p_rad = float(np.sum(quantized_power(spec, sigma_m2)))
-        if p_rad > 0:
-            x = x * np.sqrt(pout.p_total / p_rad)
+    p_rad = float(np.sum(quantized_power(spec, sigma_m2)))
+    if p_rad > 0:
+        x = x * np.sqrt(pout.p_total / p_rad)
     return x

@@ -95,13 +95,9 @@ def shrink_eigenvalue(y: float, h: float, q: float, alpha: float) -> float:
     return min(max(float(xi), 0.0), float(y))
 
 
-def reconstruct(u: np.ndarray, xi, vh: np.ndarray, rescale: float = 1.0) -> np.ndarray:
-    """Cleaned channel rescale * u diag(xi) vh from cleaned singular values.
-
-    ``rescale`` is the identity by default; pass sqrt(1 - eta_hat) to undo an
-    observation normalization when the damped frame is the desired estimand.
-    """
-    return float(rescale) * ((u * xi) @ vh)
+def reconstruct(u: np.ndarray, xi, vh: np.ndarray) -> np.ndarray:
+    """Cleaned channel u diag(xi) vh from cleaned singular values."""
+    return (u * xi) @ vh
 
 
 def clean_channel(
@@ -110,7 +106,6 @@ def clean_channel(
     q: float,
     mode: str = "additive",
     c: float = 1.0,
-    denormalize: bool = False,
 ) -> np.ndarray:
     """Full cleaning pipeline: normalize, thin SVD, clean singular values,
     reconstruct.
@@ -125,8 +120,7 @@ def clean_channel(
     ``mode`` declares the corruption form of the observation: damped
     observations are divided by sqrt(1 - eta_hat) first (additive ones are
     already in the required form), so the estimand is the true channel.
-    Set ``denormalize=True`` to rescale the output back into the damped
-    observation frame instead.  Non-finite input raises ValueError.
+    Non-finite input raises ValueError.
     """
     H_obs = np.asarray(H_obs, dtype=complex)
     u, a = H_obs.shape
@@ -145,8 +139,7 @@ def clean_channel(
     for k, y in enumerate(kept):
         h = -local_stieltjes(spectrum, y, epsilon)[0]
         xi[k] = shrink_eigenvalue(y, h, q, alpha)
-    rescale = np.sqrt(1.0 - eta_hat) if (denormalize and mode == "damped") else 1.0
-    return reconstruct(left, xi, vh, rescale=rescale)
+    return reconstruct(left, xi, vh)
 
 
 def linear_mmse_baseline(

@@ -579,13 +579,14 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys):
         ("estimate-eta", "eta=[]", "eta"),
         ("ber", "antennas_grid=[]", "antennas_grid"),
         ("clean-csi", "antennas_grid=[]", "antennas_grid"),
+        ("ber", ("precoder=QCE", "bits=bypass"), "precoder/bits"),
     ],
 )
 def test_cli_out_of_range_value_exits_2(command, item, field, tmp_path, capsys):
-    code, out, err = _run_cli(
-        [command, "--out", str(tmp_path / "o"), "--set", item, "--set", "trials=2"],
-        capsys,
-    )
+    argv = [command, "--out", str(tmp_path / "o")]
+    for one in ((item,) if isinstance(item, str) else item) + ("trials=2",):
+        argv += ["--set", one]
+    code, out, err = _run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("config error")
     assert re.search(rf"\b{field}\b", err), err
@@ -602,11 +603,13 @@ def test_cli_incomplete_experiment_exits_2(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exits_1(tmp_path, capsys):
+    # cleaning at eta 0.99 shrinks every singular value of a 2 x 64
+    # observation to 0, and MRT cannot scale a zero matrix to P_total
     code, _, err = _run_cli(
         [
-            "ber", "--out", str(tmp_path / "o"), "--precoder", "QCE",
-            "--bits", "bypass", "--csi", "perfect",
-            "--set", "users=4", "--set", "antennas=8",
+            "ber", "--out", str(tmp_path / "o"), "--precoder", "MRT",
+            "--csi", "ei_cleaned_known_eta",
+            "--set", "users=2", "--set", "antennas=64", "--set", "eta=0.99",
             "--set", "trials=1", "--set", "symbols_per_trial=10",
             "--set", "snr_db=5",
         ],
@@ -614,6 +617,26 @@ def test_cli_numerical_failure_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "numerical failure" in err
+    assert "zero precoding matrix" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_clean_csi_at_zero_eta_writes_null_ratio(tmp_path, capsys, recwarn):
+    code, _, _ = _run_cli(
+        [
+            "clean-csi", "--out", str(tmp_path / "o"),
+            "--set", "eta=[0.0]", "--set", "antennas_grid=[32,64]", "--set", "trials=2",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+    text = (tmp_path / "o" / "mse_vs_antennas.json").read_text()
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert doc["headline"]["eta=0"]["ratio_to_floor_last"] is None
 
 
 def test_cli_requires_a_subcommand():

@@ -158,6 +158,7 @@ def test_sim_config_validation():
         dict(min_errors=0),
         dict(max_bits=0),
         dict(theory_mode="printed", c=2.0),
+        dict(precoder="QCE", bits=None),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SimConfig(**bad)
@@ -313,10 +314,11 @@ def test_monte_carlo_exhausts_short_trial_lists():
 
 
 def test_monte_carlo_wraps_trial_failures():
-    # constant-envelope transmit requires a quantizer; bits=None must surface
-    # as an engine error with the partial aggregate attached
-    cfg = SimConfig(**_SMALL, precoder="QCE", bits=None, csi="perfect",
-                    eta=0.0, snr_db=10.0, seed=34, trials=8)
+    # cleaning at eta 0.99 shrinks a 2 x 64 observation to the zero matrix,
+    # which MRT cannot scale to P_total; the failure must surface as an
+    # engine error with the partial aggregate attached
+    cfg = SimConfig(users=2, antennas=64, symbols_per_trial=50, precoder="MRT",
+                    csi="ei_cleaned_known_eta", eta=0.99, snr_db=10.0, seed=34, trials=8)
     with pytest.raises(MonteCarloError) as info:
         linksim.monte_carlo(cfg)
     assert info.value.trial_index == 0

@@ -1,12 +1,15 @@
 """Quantizer, Bussgang linearization, and precoder tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from eiprecode import channel, precoding
-from eiprecode.precoding import QuantizerSpec, make_quantizer
+from eiprecode.precoding import PRECODERS, QuantizerSpec
 
 _SPEC_HALF = QuantizerSpec(3, 0.5)
 
@@ -24,13 +27,13 @@ def _re(x):
 
 
 def test_labels_and_thresholds_two_bit():
-    spec = make_quantizer(2, 1.0)
+    spec = QuantizerSpec(2, 1.0)
     assert np.allclose(spec.labels(), [-1.5, -0.5, 0.5, 1.5], atol=1e-15)
     assert np.allclose(spec.thresholds(), [-1.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_quantize_two_bit_examples():
-    spec = make_quantizer(2, 1.0)
+    spec = QuantizerSpec(2, 1.0)
     assert _re(precoding.quantize(np.array(0.3 + 0j), spec)) == 0.5
     assert _re(precoding.quantize(np.array(-1.2 + 0j), spec)) == -1.5
     assert _re(precoding.quantize(np.array(2.9 + 0j), spec)) == 1.5
@@ -40,7 +43,7 @@ def test_quantize_two_bit_examples():
 
 
 def test_quantize_one_bit_is_sign_map():
-    spec = make_quantizer(1, 2.0)
+    spec = QuantizerSpec(1, 2.0)
     assert np.allclose(spec.labels(), [-1.0, 1.0])
     for v, want in ((0.7, 1.0), (-0.3, -1.0), (5.0, 1.0), (-9.0, -1.0)):
         assert _re(precoding.quantize(np.array(v + 0j), spec)) == want
@@ -64,12 +67,10 @@ def test_quantizer_spec_validation():
         precoding.quantize(np.array(1.0 + 0j), auto)
 
 
-def test_materialize_scales_optimal_step():
-    auto = QuantizerSpec(3)
-    conc = auto.materialize(4.0)
-    assert conc.step == pytest.approx(2.0 * precoding.optimal_step(3), rel=1e-12)
-    fixed = QuantizerSpec(3, 0.7)
-    assert fixed.materialize(9.0) is fixed
+def test_step_for_scales_optimal_step():
+    step = QuantizerSpec(3).step_for(4.0)
+    assert step == pytest.approx(2.0 * precoding.optimal_step(3), rel=1e-12)
+    assert QuantizerSpec(3, 0.7).step_for(9.0) == 0.7
 
 
 def test_optimal_step_frozen_values():
@@ -80,9 +81,37 @@ def test_optimal_step_frozen_values():
     assert all(a > b for a, b in zip(steps, steps[1:]))
 
 
+def _bussgang_distortion(bits, step):
+    # the objective optimal_step minimizes: F and P of a CN(0, 2) input,
+    # whose real and imaginary parts are unit-variance
+    spec = QuantizerSpec(bits, step)
+    return 1.0 - 2.0 * precoding.bussgang_gain(spec, 2.0) + precoding.quantized_power(spec, 2.0) / 2.0
+
+
+def _integrated_distortion(bits, step):
+    # E (Q(x) - x)^2 for x ~ N(0, 1), one quadrature per quantizer cell
+    spec = QuantizerSpec(bits, step)
+    edges = np.concatenate(([-np.inf], spec.thresholds(), [np.inf]))
+    return sum(
+        integrate.quad(lambda x, l=label: (l - x) ** 2 * stats.norm.pdf(x), a, b,
+                       epsabs=1e-14, epsrel=1e-12)[0]
+        for a, b, label in zip(edges[:-1], edges[1:], spec.labels())
+    )
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_optimal_step_minimizes_the_integrated_gaussian_distortion(bits):
+    best = precoding.optimal_step(bits)
+    for step in (best, 0.5 * best, 2.0 * best):
+        assert abs(_bussgang_distortion(bits, step) - _integrated_distortion(bits, step)) < 1e-9
+    at_best = _bussgang_distortion(bits, best)
+    for step in (best * (1.0 - 1e-3), best * (1.0 + 1e-3)):
+        assert _bussgang_distortion(bits, step) >= at_best
+
+
 def test_four_bit_distortion_under_one_percent():
     rng = np.random.default_rng(127)
-    spec = QuantizerSpec(4).materialize(1.0)
+    spec = QuantizerSpec(4, precoding.optimal_step(4))
     x = rng.standard_normal(1_000_000)
     qx = precoding.quantize(x.astype(complex), spec).real
     d = np.mean((qx - x) ** 2)
@@ -222,7 +251,6 @@ def test_bussgang_model_formula():
     assert np.allclose(
         model.sigma_d2, (1.0 - model.gains) * (8 * sigma2 + 1.0), atol=1e-15
     )
-    assert np.array_equal(model.as_matrix(), np.diag(model.gains))
 
 
 def test_bussgang_model_dead_antenna():
@@ -321,16 +349,6 @@ def test_wf_singular_channel_raises():
         precoding.wf_precode(h, 0.0)
 
 
-def test_wfq_without_spec_reduces_to_wf():
-    h = _chan(10, 40, 145)
-    base = precoding.wf_precode(h, 0.07)
-    out, model = precoding.wfq_precode(h, 0.07, spec=None)
-    assert np.array_equal(out.P, base.P)
-    assert out.beta == base.beta
-    assert np.all(model.gains == 1.0)
-    assert np.all(model.sigma_d2 == 0.0)
-
-
 def test_wfq_auto_step_converges_immediately():
     # auto steps make sigma_d2 independent of the regularizer, so the
     # second residual already sits at machine precision
@@ -359,12 +377,56 @@ def test_wfq_power_normalization():
 
 
 # ---------------------------------------------------------------------------
-# baselines
+# the precoder dispatch and the baselines
+
+
+def _baseline_reference(kind, h, sigma2, p_total):
+    # the MRT, ZF and QCE matrices and receiver scaling, written out
+    users = h.shape[0]
+    if kind == "MRT":
+        raw = h.conj().T
+    else:
+        theta = 0.0 if kind == "ZF" else sigma2
+        gram = h @ h.conj().T + users * theta * np.eye(users)
+        raw = np.linalg.solve(gram, h).conj().T
+    P = raw * np.sqrt(p_total / np.sum(np.abs(raw) ** 2))
+    hp = h @ P
+    beta = float(np.trace(hp).real) / (float(np.sum(np.abs(hp) ** 2)) + users * sigma2)
+    return P, max(beta, np.finfo(float).tiny), kind, True
+
+
+@pytest.mark.parametrize("with_spec", [True, False], ids=["spec", "bypass"])
+@pytest.mark.parametrize("kind", PRECODERS)
+def test_precode_matches_each_precoder(kind, with_spec):
+    h = _chan(12, 48, 158)
+    sigma2, p_total = 0.05, 1.7
+    spec = QuantizerSpec(3) if with_spec else None
+    if kind == "QCE" and spec is None:
+        with pytest.raises(ValueError, match="quantizer spec"):
+            precoding.precode(kind, h, sigma2, p_total, spec)
+        return
+    out = precoding.precode(kind, h, sigma2, p_total, spec)
+    if kind in ("MRT", "ZF", "QCE"):
+        want = _baseline_reference(kind, h, sigma2, p_total)
+    else:
+        if kind == "WFQ" and spec is not None:
+            ref = precoding.wfq_precode(h, sigma2, p_total, spec=spec)[0]
+        else:
+            ref = precoding.wf_precode(h, sigma2, p_total)
+        want = (ref.P, ref.beta, ref.kind, ref.converged)
+    assert np.array_equal(out.P, want[0])
+    assert (out.beta, out.kind, out.converged) == want[1:]
+    assert out.p_total == p_total
+
+
+def test_precode_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match=re.escape(str(PRECODERS))):
+        precoding.precode("DPC", _chan(4, 8, 157), 0.05)
 
 
 def test_mrt_single_user_matches_matched_filter():
     h = _chan(1, 16, 153)
-    out = precoding.baseline_precode("MRT", h)
+    out = precoding.precode("MRT", h, 0.0)
     v = out.P[:, 0]
     w = h.conj().T[:, 0]
     cos = abs(np.vdot(v, w)) / (np.linalg.norm(v) * np.linalg.norm(w))
@@ -373,25 +435,17 @@ def test_mrt_single_user_matches_matched_filter():
 
 def test_zf_cancels_interference():
     h = _chan(8, 32, 155)
-    out = precoding.baseline_precode("ZF", h)
+    out = precoding.precode("ZF", h, 0.0)
     hp = h @ out.P
     diag = np.abs(np.diag(hp))
     off = hp - np.diag(np.diag(hp))
     assert np.max(np.abs(off)) < 1e-8 * np.min(diag)
 
 
-def test_baseline_validation():
-    h = _chan(4, 8, 157)
-    with pytest.raises(ValueError):
-        precoding.baseline_precode("DPC", h)
-    with pytest.raises(ValueError):
-        precoding.baseline_precode("QCE", h)  # needs a quantizer spec
-
-
 def test_qce_transmit_is_constant_envelope():
     h = _chan(4, 16, 159)
     spec = QuantizerSpec(3)
-    out = precoding.baseline_precode("QCE", h, p_total=2.0, spec=spec, sigma2=0.05)
+    out = precoding.precode("QCE", h, 0.05, p_total=2.0, spec=spec)
     rng = np.random.default_rng(160)
     s = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2.0)
     x = precoding.transmit(out, s, spec=spec)
@@ -420,10 +474,12 @@ def test_transmit_zero_symbols_hit_half_step_corner():
     h = _chan(6, 24, 163)
     out = precoding.wf_precode(h, 0.1)
     spec = QuantizerSpec(3)
-    x = precoding.transmit(out, np.zeros(6, dtype=complex), spec=spec, renormalize=False)
+    x = precoding.transmit(out, np.zeros(6, dtype=complex), spec=spec)
     sigma_m2 = np.sum(np.abs(out.P) ** 2, axis=1)
     steps = precoding.optimal_step(3) * np.sqrt(sigma_m2 / 2.0)
-    want = 0.5 * steps * (1.0 + 1.0j)
+    # the radiated-power scaling is one deterministic scalar
+    scale = np.sqrt(1.0 / np.sum(precoding.quantized_power(spec, sigma_m2)))
+    want = 0.5 * steps * (1.0 + 1.0j) * scale
     assert np.max(np.abs(x - want)) < 1e-15
 
 

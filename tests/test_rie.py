@@ -239,8 +239,8 @@ def test_reconstruct_scales_each_singular_direction():
     h, _ = _draw(4, 8, 0.0, 111, 0)
     u, s, vh = rie.eig_bsca(h)
     xi = np.array([2.0, 0.0, 0.5, 1.0])
-    out = rie.reconstruct(u, xi, vh, rescale=0.5)
-    assert np.max(np.abs(u.conj().T @ out @ vh.conj().T - 0.5 * np.diag(xi))) < 1e-12
+    out = rie.reconstruct(u, xi, vh)
+    assert np.max(np.abs(u.conj().T @ out @ vh.conj().T - np.diag(xi))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +261,6 @@ def test_clean_channel_validation():
         rie.clean_channel(h, -0.1, 0.5)
     with pytest.raises(ValueError):
         rie.clean_channel(h, 0.3, 0.5, mode="multiplicative")
-
-
-def test_clean_channel_damped_denormalization_is_a_rescale():
-    h = channel.gen_channel(SystemDims(8, 32), np.random.default_rng(117))
-    y = channel.corrupt(
-        h, CorruptionModel(0.4, mode="damped"), np.random.default_rng(118)
-    )
-    base = rie.clean_channel(y, 0.4, 0.25, mode="damped")
-    denorm = rie.clean_channel(y, 0.4, 0.25, mode="damped", denormalize=True)
-    assert np.max(np.abs(denorm - np.sqrt(0.6) * base)) < 1e-12
 
 
 @pytest.mark.parametrize("mode", ["additive", "damped"])
