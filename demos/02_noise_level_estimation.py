@@ -31,7 +31,7 @@ for eta in (0.1, 0.3, 0.5, 0.7):
     for d in range(seeds):
         H = gen_channel(dims, np.random.default_rng((key, d, 0)))
         H_obs = corrupt(H, model, np.random.default_rng((key, d, 1)))
-        estimates.append(estimate_eta(H_obs, dims.q).eta_hat)
+        estimates.append(estimate_eta(H_obs).eta_hat)
     err = np.abs(np.array(estimates) - eta)
     print(f"{eta:9.2f} {np.mean(estimates):9.4f} {np.median(err):13.4f} "
           f"{err.max():10.4f}")
@@ -45,7 +45,7 @@ for antennas in (64, 128, 256, 512):
     for d in range(seeds):
         H = gen_channel(d2, np.random.default_rng((antennas, d, 0)))
         H_obs = corrupt(H, model, np.random.default_rng((antennas, d, 1)))
-        errs.append(abs(estimate_eta(H_obs, d2.q).eta_hat - 0.5))
+        errs.append(abs(estimate_eta(H_obs).eta_hat - 0.5))
     print(f"  A = {antennas:4d}: median |err| = {np.median(errs):.4f}")
 
 # damped corruption with c = 1 keeps the observation equal in law to a clean
@@ -54,7 +54,7 @@ model = CorruptionModel(eta=0.6, mode="damped", c=1.0)
 H = gen_channel(dims, np.random.default_rng(91))
 H_obs = corrupt(H, model, np.random.default_rng(92))
 cfg = EstimatorConfig(data_mode="damped", c=1.0)
-est = estimate_eta(H_obs, dims.q, cfg)
+est = estimate_eta(H_obs, cfg)
 print(f"\ndamped corruption at c = 1, true eta = 0.6: "
       f"estimate {est.eta_hat:.4f}, identifiable = {est.identifiable}")
 print("(the observed spectrum carries no trace of eta in this regime)")

@@ -40,7 +40,7 @@ H = gen_channel(dims, np.random.default_rng(33))
 sigma2 = 0.05
 pout = wf_precode(H, sigma2)
 qspec = QuantizerSpec(3)
-model = bussgang_model(pout.P, qspec, sigma2, dims.users)
+model = bussgang_model(pout.P, qspec, sigma2)
 
 rng = np.random.default_rng(34)
 draws = 50_000

@@ -8,6 +8,7 @@ the CLI maps to exit code 2.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import yaml
@@ -30,16 +31,15 @@ def _fail(key, value, expected):
 def _coerce_int(key, v, allow_none=False):
     if v is None and allow_none:
         return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(key, v, "an integer")
-    if float(v) != int(v):
+    if _coerce_float(key, v, "an integer") != int(v):
         _fail(key, v, "an integer")
     return int(v)
 
 
-def _coerce_float(key, v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(key, v, "a number")
+def _coerce_float(key, v, expected="a finite number"):
+    # NaN, +/-inf and ints past the float range fail the bound
+    if isinstance(v, bool) or not (isinstance(v, (int, float)) and abs(v) <= sys.float_info.max):
+        _fail(key, v, expected)
     return float(v)
 
 

@@ -95,12 +95,13 @@ def empirical_moments(H_obs: np.ndarray) -> np.ndarray:
     return np.array([np.mean(lam), np.mean(lam ** 2), np.mean(lam ** 3)])
 
 
-def estimate_eta(H_obs: np.ndarray, q: float, cfg: EstimatorConfig | None = None) -> EtaEstimate:
-    """Fit the CSI error level by cumulant matching on the Gram spectrum."""
+def estimate_eta(H_obs: np.ndarray, cfg: EstimatorConfig | None = None) -> EtaEstimate:
+    """Fit the CSI error level by cumulant matching on the Gram spectrum (q = U/A)."""
     if cfg is None:
         cfg = EstimatorConfig()
     H_obs = np.asarray(H_obs)
     u, a = H_obs.shape
+    q = u / a
     if not np.isfinite(H_obs).all():
         raise ValueError("observation has non-finite entries")
     if not np.any(H_obs):

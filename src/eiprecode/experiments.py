@@ -164,7 +164,7 @@ def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
     zero_counts = [r[1] for r in results]
     n_eigs = dims.users + dims.antennas
     density = counts / (cfg.trials * n_eigs * width)
-    analytic = np.array([bsca_density(c, cfg.q) for c in centers])
+    analytic = bsca_density(centers, cfg.q)
     l1 = float(np.sum(np.abs(density - analytic)) * width)
 
     rows = tuple(
@@ -202,7 +202,7 @@ def _eta_cdf(cfg: SimConfig) -> ExperimentResult:
 
         def one(t: int, _eta=eta):
             _, H_obs = draw_observation(cfg, dims, _eta, t)
-            est = estimate_eta(H_obs, dims.q, cfg.estimator)
+            est = estimate_eta(H_obs, cfg.estimator)
             return abs(est.eta_hat - _eta), est.eta_hat, est.identifiable
 
         with trial_map(cfg.threads) as map_trials:
@@ -243,7 +243,7 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
 
             def one(t: int, _dims=dims, _eta=eta):
                 H, H_obs = draw_observation(cfg, _dims, _eta, t)
-                H_hat, _ = estimate_csi(cfg, _dims, _eta, H, H_obs)
+                H_hat, _ = estimate_csi(cfg, _eta, H, H_obs)
                 return (
                     mse(H, H_hat),
                     mse(H, H_obs),

@@ -298,7 +298,7 @@ def draw_observation(
 
 
 def estimate_csi(
-    cfg: SimConfig, dims: SystemDims, eta: float, H: np.ndarray, H_obs: np.ndarray
+    cfg: SimConfig, eta: float, H: np.ndarray, H_obs: np.ndarray
 ) -> tuple[np.ndarray, float | None]:
     """The CSI the configured ``csi`` mode hands the precoder, and eta_hat.
 
@@ -312,10 +312,10 @@ def estimate_csi(
     if cfg.csi == "noisy_raw":
         return H_obs, None
     if cfg.csi == "ei_cleaned":
-        eta_hat = estimate_eta(H_obs, dims.q, cfg.estimator).eta_hat
+        eta_hat = estimate_eta(H_obs, cfg.estimator).eta_hat
     else:
         eta_hat = eta
-    csi = clean_channel(H_obs, eta_hat, dims.q, mode=cfg.corruption_mode, c=cfg.c)
+    csi = clean_channel(H_obs, eta_hat, mode=cfg.corruption_mode, c=cfg.c)
     return csi, eta_hat
 
 
@@ -339,7 +339,7 @@ def downlink_trial(
     rng_sym = _trial_rng(cfg.seed, trial_index, 3)
 
     H, H_obs = draw_observation(cfg, dims, eta, trial_index)
-    csi, eta_hat = estimate_csi(cfg, dims, eta, H, H_obs)
+    csi, eta_hat = estimate_csi(cfg, eta, H, H_obs)
     mse_csi = mse_noisy = d_eta = None
     if eta_hat is not None:
         d_eta = abs(eta - eta_hat)

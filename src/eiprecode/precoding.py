@@ -193,13 +193,12 @@ class BussgangModel:
     sigma_m2: np.ndarray     # per-antenna quantizer-input variances
 
 
-def bussgang_model(
-    P: np.ndarray, spec: QuantizerSpec, sigma2: float, users: int
-) -> BussgangModel:
+def bussgang_model(P: np.ndarray, spec: QuantizerSpec, sigma2: float) -> BussgangModel:
     """Diagonal Bussgang gains and the distortion variances
     sigma_d2 = (1 - F_mm)(U sigma^2 + 1) for the precoder input covariance
-    R_zz = P P^H (unit-energy symbols)."""
+    R_zz = P P^H (unit-energy symbols), with U the column count of P."""
     P = np.asarray(P)
+    users = P.shape[1]
     sigma_m2 = np.einsum("ij,ij->i", P, P.conj()).real
     gains = bussgang_gain(spec, sigma_m2)
     sigma_d2 = (1.0 - gains) * (users * sigma2 + 1.0)
@@ -293,7 +292,6 @@ def wfq_precode(
     under the auto step rule, which makes sigma_d2 constant across antennas).
     """
     H_csi = np.asarray(H_csi)
-    users = H_csi.shape[0]
     sigma_d2 = np.zeros(H_csi.shape[1])
     residuals = []
     converged = False
@@ -301,7 +299,7 @@ def wfq_precode(
     model = None
     for _ in range(_WFQ_MAX_ITER):
         P = _regularized(H_csi, sigma2 + float(np.mean(sigma_d2)), p_total)
-        model = bussgang_model(P, spec, sigma2, users)
+        model = bussgang_model(P, spec, sigma2)
         prev = sigma_d2
         sigma_d2 = model.sigma_d2
         denom = max(float(np.linalg.norm(sigma_d2)), np.finfo(float).tiny)

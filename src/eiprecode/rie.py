@@ -10,10 +10,10 @@ Benaych-Georges, Bouchaud and Potters, arXiv:1901.05543)
 
     xi_k = s_k - a2 ((1 - q) / s_k + 2 q h(s_k)),   a2 = eta c / (1 - eta),
 
-with h the leave-one-out Hilbert transform of the symmetrized singular
-values {+/-s_j} (the nonzero BSCA spectrum), and returns U diag(xi) V^H.
-Singular vectors are kept untouched, which is the defining property of the
-estimator family.
+with q = U/A and h the leave-one-out Hilbert transform of the symmetrized
+singular values {+/-s_j} (the nonzero BSCA spectrum), all k in one array
+pass, and returns U diag(xi) V^H.  Singular vectors are kept untouched,
+which is the defining property of the estimator family.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 # build_bsca is unused here; perfbench's traced run looks it up on this module
 from .channel import CorruptionModel, SystemDims, build_bsca, normalize_observation  # noqa: F401
-from .rmt import default_epsilon
+from .rmt import default_epsilon, empirical_stieltjes
 
 __all__ = [
     "eig_bsca",
@@ -53,30 +53,33 @@ def eig_bsca(X: np.ndarray):
     return np.linalg.svd(X, full_matrices=False)
 
 
-def local_stieltjes(spectrum, x: float, epsilon: float) -> tuple[float, float]:
+def local_stieltjes(spectrum, x, epsilon: float):
     """Leave-one-out empirical Stieltjes transform of a spectrum at x + i*eps.
 
-    Excludes the entry matching x (nearest entry when no exact match) and
-    returns (real part, imaginary part) of mean(1/(lam - x - i eps)) over the
-    remaining entries.  Minus the real part is the smoothed Hilbert transform
-    h(x) that :func:`shrink_eigenvalue` takes; the imaginary part is a local
-    density probe (no 1/pi factor applied).
+    For each point x, excludes the entry nearest x and returns (real part,
+    imaginary part) of mean(1/(lam - x - i eps)) over the other n - 1
+    entries, for all points in one broadcast: (n g(z) - 1/(lam_drop - z)) /
+    (n - 1), g the full :func:`~eiprecode.rmt.empirical_stieltjes`.  A scalar
+    x gives two floats, an array two arrays.  Minus the real part is the
+    smoothed Hilbert transform h(x); the imaginary part is a local density
+    probe (no 1/pi factor applied).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     lam = np.asarray(spectrum, dtype=float).ravel()
-    if lam.size == 0:
-        raise ValueError("empty eigenvalue list")
-    drop = int(np.argmin(np.abs(lam - x)))
-    rest = np.delete(lam, drop)
-    if rest.size == 0:
-        return (0.0, 0.0)
-    g = np.mean(1.0 / (rest - (x + 1j * epsilon)))
-    return (float(g.real), float(g.imag))
+    x = np.asarray(x, dtype=float)
+    z = x + 1j * epsilon
+    g = empirical_stieltjes(lam, z)  # raises on an empty spectrum
+    drop = lam[np.argmin(np.abs(lam - x[..., None]), axis=-1)]
+    # a one-entry spectrum leaves nothing: n g - 1/(lam_drop - z) is exactly 0
+    g = (lam.size * g - 1.0 / (drop - z)) / max(lam.size - 1, 1)
+    if g.ndim == 0:
+        return (float(g.real), float(g.imag))
+    return g.real, g.imag
 
 
 def shrink_eigenvalue(y: float, h: float, q: float, alpha: float) -> float:
-    """Clean one singular value of the observation.
+    """Clean one singular value: the scalar form of :func:`clean_channel`'s rule.
 
     With a2 = alpha^2 (the noise-to-channel power ratio of the observation)
     and h the leave-one-out Hilbert transform of the symmetrized singular
@@ -103,17 +106,17 @@ def reconstruct(u: np.ndarray, xi, vh: np.ndarray) -> np.ndarray:
 def clean_channel(
     H_obs: np.ndarray,
     eta_hat: float,
-    q: float,
     mode: str = "additive",
     c: float = 1.0,
 ) -> np.ndarray:
     """Full cleaning pipeline: normalize, thin SVD, clean singular values,
     reconstruct.
 
-    Each singular value y of the normalized observation becomes
-    :func:`shrink_eigenvalue` of y, with alpha^2 = eta_hat c / (1 - eta_hat)
-    and h = -Re :func:`local_stieltjes` of the nonzero BSCA spectrum
-    {+/-y_j} at y, at the bandwidth :func:`~eiprecode.rmt.default_epsilon`
+    All singular values y of the normalized observation go through the rule
+    of :func:`shrink_eigenvalue` in one array pass, with q = U/A from the
+    shape of ``H_obs``, alpha^2 = eta_hat c / (1 - eta_hat) and h = -Re
+    :func:`local_stieltjes` of the nonzero BSCA spectrum {+/-y_j} at every y
+    in one call, at the bandwidth :func:`~eiprecode.rmt.default_epsilon`
     (U + A).  Singular values at or below 1e-10 times the largest are left
     out of that spectrum and map to 0.  Singular vectors are kept.
 
@@ -124,7 +127,7 @@ def clean_channel(
     """
     H_obs = np.asarray(H_obs, dtype=complex)
     u, a = H_obs.shape
-    SystemDims(u, a)  # validates 0 < U < A
+    q = SystemDims(u, a).q  # validates 0 < U < A
     if not 0.0 <= eta_hat < 1.0:
         raise ValueError("eta_hat must lie in [0, 1)")
     if mode not in ("additive", "damped"):
@@ -133,12 +136,13 @@ def clean_channel(
     alpha = float(np.sqrt(eta_hat * c / (1.0 - eta_hat)))
     left, sv, vh = eig_bsca(X)
     kept = sv[sv > _NULL_TOL * sv[0]]
-    spectrum = np.concatenate([kept, -kept])
-    epsilon = default_epsilon(u + a)
     xi = np.zeros_like(sv)
-    for k, y in enumerate(kept):
-        h = -local_stieltjes(spectrum, y, epsilon)[0]
-        xi[k] = shrink_eigenvalue(y, h, q, alpha)
+    if kept.size:
+        spectrum = np.concatenate([kept, -kept])
+        h = -local_stieltjes(spectrum, kept, default_epsilon(u + a))[0]
+        xi[: kept.size] = np.clip(
+            kept - alpha * alpha * ((1.0 - q) / kept + 2.0 * q * h), 0.0, kept
+        )
     return reconstruct(left, xi, vh)
 
 

@@ -213,11 +213,8 @@ def empirical_stieltjes(eigs, z, eps: float | None = None):
     if eigs.size == 0:
         raise ValueError("empty eigenvalue list")
     z = _offaxis(z, eps)
-    if z.ndim == 0:
-        return complex(np.mean(1.0 / (eigs - complex(z))))
-    return np.array([complex(np.mean(1.0 / (eigs - zz))) for zz in z.ravel()]).reshape(
-        z.shape
-    )
+    g = np.mean(1.0 / (eigs - z[..., None]), axis=-1)
+    return complex(g) if g.ndim == 0 else g
 
 
 # ---------------------------------------------------------------------------

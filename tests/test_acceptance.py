@@ -85,7 +85,7 @@ def test_a2_estimator_accuracy(acceptance):
     for d in range(n_seeds):
         H = gen_channel(dims, default_rng((9_020, d, 0)))
         H_obs = corrupt(H, model, default_rng((9_020, d, 1)))
-        est = estimate_eta(H_obs, dims.q, cfg)
+        est = estimate_eta(H_obs, cfg)
         hits += abs(est.eta_hat - eta_true) < 0.05
     runtime = time.perf_counter() - t0
     frac = hits / n_seeds
@@ -122,8 +122,8 @@ def cleaning_grid():
             for t in range(_A3_TRIALS):
                 H = gen_channel(dims, default_rng((9_030, i, a, t, 0)))
                 H_obs = corrupt(H, model, default_rng((9_030, i, a, t, 1)))
-                eta_hat = estimate_eta(H_obs, dims.q).eta_hat
-                m_clean = mse(H, clean_channel(H_obs, eta_hat, dims.q))
+                eta_hat = estimate_eta(H_obs).eta_hat
+                m_clean = mse(H, clean_channel(H_obs, eta_hat))
                 wins += m_clean <= mse(H, H_obs)
                 clean_sum += m_clean
             cells[(eta, a)] = (wins / _A3_TRIALS, clean_sum / _A3_TRIALS)

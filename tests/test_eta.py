@@ -83,7 +83,7 @@ def test_estimate_eta_closed_form_first_cumulant():
     h = np.zeros((2, 8), dtype=complex)
     h[0, 0] = np.sqrt(2.0)
     h[1, 1] = np.sqrt(2.0)
-    est = eta.estimate_eta(h, 0.25, EstimatorConfig(order=1))
+    est = eta.estimate_eta(h, EstimatorConfig(order=1))
     assert abs(est.eta_hat - 0.5) < 1e-4
     assert abs(est.alpha_hat - 1.0) < 1e-3
     assert est.order == 1
@@ -129,7 +129,7 @@ def test_estimate_eta_closed_form_reaches_the_dense_grid_minimum(
     y = channel.corrupt(h, channel.CorruptionModel(level, mode="additive", c=c), rng)
     dense = _published_cumulants(_DENSE_ETA, q, mode, c)
     for order in (1, 2, 3):
-        est = eta.estimate_eta(y, q, EstimatorConfig(order=order, mode=mode, c=c))
+        est = eta.estimate_eta(y, EstimatorConfig(order=order, mode=mode, c=c))
         resid = np.array(est.kappa_hat)[:order] - dense[:, :order]
         grid_min = np.min(np.sum(resid ** 2, axis=1))
         assert 1e-6 <= est.eta_hat <= 0.999
@@ -146,14 +146,14 @@ def test_estimate_eta_clamps_to_the_range_ends(mode, order):
     cfg = EstimatorConfig(order=order, mode=mode)
     h = channel.gen_channel(channel.SystemDims(20, 128), np.random.default_rng(5))
     # kappa_1 near 1/4 < 1: every admissible eta over-predicts each cumulant
-    assert eta.estimate_eta(0.5 * h, 20 / 128, cfg).eta_hat == 1e-6
+    assert eta.estimate_eta(0.5 * h, cfg).eta_hat == 1e-6
     # kappa_1 near 1e4, far above s(0.999) = 1000: every eta under-predicts
-    assert eta.estimate_eta(100.0 * h, 20 / 128, cfg).eta_hat == 0.999
+    assert eta.estimate_eta(100.0 * h, cfg).eta_hat == 0.999
 
 
 def test_estimate_eta_rejects_zero_observation():
     with pytest.raises(ValueError):
-        eta.estimate_eta(np.zeros((4, 8), dtype=complex), 0.5)
+        eta.estimate_eta(np.zeros((4, 8), dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -161,13 +161,13 @@ def test_estimate_eta_rejects_non_finite_observation(bad):
     y = _draw(4, 8, 0.3, 90, 91)
     y[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        eta.estimate_eta(y, 0.5)
+        eta.estimate_eta(y)
 
 
 def test_estimate_eta_stays_in_range():
     for d in range(5):
         y = _draw(16, 64, 0.7, 300 + d, 400 + d)
-        est = eta.estimate_eta(y, 0.25, EstimatorConfig(order=3))
+        est = eta.estimate_eta(y, EstimatorConfig(order=3))
         assert 0.0 <= est.eta_hat < 1.0
         assert est.objective_value >= 0.0
 
@@ -176,7 +176,7 @@ def test_estimate_eta_clean_channel_reads_near_zero():
     hits = 0
     for d in range(100):
         h = _draw(30, 256, 0.0, 10_000 + d, 1)
-        est = eta.estimate_eta(h, 30 / 256, EstimatorConfig(order=3))
+        est = eta.estimate_eta(h, EstimatorConfig(order=3))
         hits += est.eta_hat < 0.02
     assert hits >= 95, hits
 
@@ -185,7 +185,7 @@ def test_estimate_eta_smoke_accuracy_at_half():
     hits = 0
     for d in range(30):
         y = _draw(30, 256, 0.5, 500 + d, 600 + d)
-        est = eta.estimate_eta(y, 30 / 256, EstimatorConfig(order=3))
+        est = eta.estimate_eta(y, EstimatorConfig(order=3))
         hits += abs(est.eta_hat - 0.5) < 0.05
     assert hits >= 27, hits
 
@@ -196,7 +196,7 @@ def test_estimate_eta_error_shrinks_with_antenna_count():
         devs = []
         for d in range(40):
             y = _draw(20, a_dim, 0.3, 20_000 + d, 30_000 + d)
-            est = eta.estimate_eta(y, 20 / a_dim, EstimatorConfig(order=3))
+            est = eta.estimate_eta(y, EstimatorConfig(order=3))
             devs.append(abs(est.eta_hat - 0.3))
         meds.append(np.median(devs))
     assert meds[1] < meds[0], meds
@@ -209,7 +209,7 @@ def test_estimate_eta_convergence_rate_slope():
         devs = []
         for d in range(24):
             y = _draw(20, a_dim, 0.3, 60_000 + d, 70_000 + d)
-            est = eta.estimate_eta(y, 20 / a_dim, EstimatorConfig(order=3))
+            est = eta.estimate_eta(y, EstimatorConfig(order=3))
             devs.append(abs(est.eta_hat - 0.3))
         meds.append(np.median(devs))
     slope = np.polyfit(np.log(dims), np.log(meds), 1)[0]
@@ -227,7 +227,7 @@ def test_estimate_eta_higher_order_dominates():
         devs = []
         for d in range(80):
             y = _draw(30, 256, 0.5, 40_000 + d, 50_000 + d)
-            est = eta.estimate_eta(y, 30 / 256, EstimatorConfig(order=order))
+            est = eta.estimate_eta(y, EstimatorConfig(order=order))
             devs.append(abs(est.eta_hat - 0.5))
         meds[order] = np.median(devs)
     assert meds[3] <= meds[1], meds
@@ -236,7 +236,7 @@ def test_estimate_eta_higher_order_dominates():
 def test_estimate_eta_damped_unit_scale_is_flagged_unidentifiable():
     y = _draw(30, 256, 0.5, 71, 72, mode="damped", c=1.0)
     est = eta.estimate_eta(
-        y, 30 / 256, EstimatorConfig(order=1, data_mode="damped", c=1.0)
+        y, EstimatorConfig(order=1, data_mode="damped", c=1.0)
     )
     # the damped observation keeps unit scale, so the fit reads ~0 error
     assert est.eta_hat < 0.05
@@ -245,12 +245,12 @@ def test_estimate_eta_damped_unit_scale_is_flagged_unidentifiable():
 
 def test_estimate_eta_additive_data_is_identifiable():
     y = _draw(30, 256, 0.5, 73, 74)
-    est = eta.estimate_eta(y, 30 / 256, EstimatorConfig(order=1))
+    est = eta.estimate_eta(y, EstimatorConfig(order=1))
     assert est.identifiable
 
 
 def test_delta_eta_accepts_estimate_or_float():
     assert abs(eta.delta_eta(0.5, 0.45) - 0.05) < 1e-15
     y = _draw(30, 256, 0.5, 75, 76)
-    est = eta.estimate_eta(y, 30 / 256, EstimatorConfig(order=1))
+    est = eta.estimate_eta(y, EstimatorConfig(order=1))
     assert eta.delta_eta(0.5, est) == abs(0.5 - est.eta_hat)

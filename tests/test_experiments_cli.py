@@ -580,11 +580,17 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys):
         ("ber", "antennas_grid=[]", "antennas_grid"),
         ("clean-csi", "antennas_grid=[]", "antennas_grid"),
         ("ber", ("precoder=QCE", "bits=bypass"), "precoder/bits"),
+        ("ber", "trials=.nan", "trials"),
+        ("ber", "users=.inf", "users"),
+        ("clean-csi", "antennas_grid=[32, .inf]", "antennas_grid"),
+        ("ber", "snr_db=[.nan]", "snr_db"),
+        ("ber", "c=.inf", "c"),
     ],
 )
 def test_cli_out_of_range_value_exits_2(command, item, field, tmp_path, capsys):
     argv = [command, "--out", str(tmp_path / "o")]
-    for one in ((item,) if isinstance(item, str) else item) + ("trials=2",):
+    # the trial budget goes first, so that an item may override it
+    for one in ("trials=2",) + ((item,) if isinstance(item, str) else item):
         argv += ["--set", one]
     code, out, err = _run_cli(argv, capsys)
     assert code == 2

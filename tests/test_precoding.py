@@ -232,7 +232,7 @@ def test_bussgang_model_and_transmit_call_each_constant_once(monkeypatch, antenn
     users = 8
     pout = precoding.wf_precode(_chan(users, antennas, 171), 0.05)
     spec = QuantizerSpec(3)
-    precoding.bussgang_model(pout.P, spec, 0.05, users)
+    precoding.bussgang_model(pout.P, spec, 0.05)
     assert calls == {"bussgang_gain": 1, "quantized_power": 0}
     s = np.ones((users, 10), dtype=complex)
     precoding.transmit(pout, s, spec)
@@ -243,7 +243,7 @@ def test_bussgang_model_formula():
     p = _chan(8, 32, 131).conj().T  # 32 x 8 precoder-shaped matrix
     spec = QuantizerSpec(3)
     sigma2 = 0.05
-    model = precoding.bussgang_model(p, spec, sigma2, users=8)
+    model = precoding.bussgang_model(p, spec, sigma2)
     sigma_m2 = np.sum(np.abs(p) ** 2, axis=1)
     assert np.allclose(model.sigma_m2, sigma_m2, atol=1e-15)
     want_gain = np.array([precoding.bussgang_gain(spec, sm) for sm in sigma_m2])
@@ -256,7 +256,7 @@ def test_bussgang_model_formula():
 def test_bussgang_model_dead_antenna():
     p = np.zeros((4, 2), dtype=complex)
     p[0, 0] = 1.0
-    model = precoding.bussgang_model(p, QuantizerSpec(3), 0.0, users=2)
+    model = precoding.bussgang_model(p, QuantizerSpec(3), 0.0)
     assert model.gains[1] == 1.0
     assert model.sigma_d2[1] == 0.0
 

@@ -17,11 +17,12 @@ def _draw(u, a, level, seed_h, seed_e):
     return h, y
 
 
-def _reference_clean(x, eta_hat, q):
+def _reference_clean(x, eta_hat):
     """The cleaner in its BSCA form: eigh of [[0, X], [X^H, 0]], clean each
-    positive eigenvalue, give its negative partner the negated value, and read
-    the cleaned channel off the upper-right block."""
+    positive eigenvalue with the scalar rule, give its negative partner the
+    negated value, and read the cleaned channel off the upper-right block."""
     u, a = x.shape
+    q = u / a
     w, v = np.linalg.eigh(channel.build_bsca(x))
     nonzero = np.abs(w) > 1e-10 * np.abs(w).max()
     pos = np.flatnonzero(nonzero & (w > 0))
@@ -143,6 +144,40 @@ def test_local_stieltjes_validation():
         rie.local_stieltjes(np.array([]), 1.0, 0.5)
 
 
+def _per_point_local_stieltjes(spectrum, x, epsilon):
+    # the leave-one-out mean written out for one point: drop the nearest entry
+    rest = np.delete(spectrum, np.argmin(np.abs(spectrum - x)))
+    return np.mean(1.0 / (rest - (x + 1j * epsilon)))
+
+
+_HALF = np.sort(np.random.default_rng(127).uniform(0.1, 3.0, 40))
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        np.concatenate([_HALF, -_HALF]),
+        np.array([-2.0, -1.0, -1.0, 0.5, 1.0, 1.0, 1.0, 2.5, 2.5]),  # repeated entries
+    ],
+    ids=["symmetrized", "repeated"],
+)
+def test_local_stieltjes_array_matches_the_per_point_form(spectrum):
+    eps = rmt.default_epsilon(spectrum.size)
+    exact = spectrum[::2]
+    between = 0.5 * (spectrum[:-1] + spectrum[1:]) + 1e-3
+    for points in (exact, between, np.append(spectrum.max() + 1.0, spectrum.min() - 0.7)):
+        real, imag = rie.local_stieltjes(spectrum, points, eps)
+        want = np.array([_per_point_local_stieltjes(spectrum, x, eps) for x in points])
+        assert real.shape == imag.shape == points.shape
+        assert np.max(np.abs(real - want.real)) < 1e-13
+        assert np.max(np.abs(imag - want.imag)) < 1e-13
+    for x in (exact[0], between[0]):
+        got = rie.local_stieltjes(spectrum, x, eps)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        want = _per_point_local_stieltjes(spectrum, x, eps)
+        assert abs(got[0] - want.real) < 1e-13 and abs(got[1] - want.imag) < 1e-13
+
+
 def test_local_stieltjes_tracks_analytic_resolvent():
     # pooled over 400 draws of a 30x256 observation at error level 1/2
     # (scale s = 2).  Interior point: the real part is unbiased; the
@@ -210,7 +245,7 @@ def test_shrunk_gram_eigenvalues_beat_raw_ones():
         h, y = _draw(30, 256, 0.5, 8_300 + d, 8_700 + d)
         true_e = np.sort(np.linalg.eigvalsh(h @ h.conj().T))
         noisy_e = np.sort(np.linalg.eigvalsh(y @ y.conj().T))
-        hc = rie.clean_channel(y, 0.5, 30 / 256)
+        hc = rie.clean_channel(y, 0.5)
         clean_e = np.sort(np.linalg.eigvalsh(hc @ hc.conj().T))
         dev_shrunk.append(np.mean((clean_e - true_e) ** 2))
         dev_raw.append(np.mean((noisy_e - true_e) ** 2))
@@ -249,18 +284,18 @@ def test_reconstruct_scales_each_singular_direction():
 
 def test_clean_channel_zero_eta_is_identity():
     h, _ = _draw(12, 64, 0.0, 113, 0)
-    out = rie.clean_channel(h, 0.0, 12 / 64)
+    out = rie.clean_channel(h, 0.0)
     assert np.max(np.abs(out - h)) < 1e-10
 
 
 def test_clean_channel_validation():
     h, _ = _draw(4, 8, 0.0, 115, 0)
     with pytest.raises(ValueError):
-        rie.clean_channel(h, 1.0, 0.5)
+        rie.clean_channel(h, 1.0)
     with pytest.raises(ValueError):
-        rie.clean_channel(h, -0.1, 0.5)
+        rie.clean_channel(h, -0.1)
     with pytest.raises(ValueError):
-        rie.clean_channel(h, 0.3, 0.5, mode="multiplicative")
+        rie.clean_channel(h, 0.3, mode="multiplicative")
 
 
 @pytest.mark.parametrize("mode", ["additive", "damped"])
@@ -269,23 +304,21 @@ def test_clean_channel_rejects_non_finite(mode, bad):
     _, y = _draw(4, 8, 0.3, 123, 124)
     y[0, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        rie.clean_channel(y, 0.3, 0.5, mode=mode)
+        rie.clean_channel(y, 0.3, mode=mode)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_observations(), _ETA_HAT)
 def test_clean_channel_never_grows_the_spectral_norm(y, eta_hat):
-    u, a = y.shape
-    hc = rie.clean_channel(y, eta_hat, u / a)
+    hc = rie.clean_channel(y, eta_hat)
     assert np.linalg.norm(hc, 2) <= np.linalg.norm(y, 2) * (1.0 + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_observations(), _ETA_HAT)
 def test_clean_channel_preserves_kept_eigenvectors(y, eta_hat):
-    u, a = y.shape
     left, s, vh = np.linalg.svd(y, full_matrices=False)
-    hc = rie.clean_channel(y, eta_hat, u / a)
+    hc = rie.clean_channel(y, eta_hat)
     # in the observed singular bases the cleaned channel is diagonal, real
     # and nonnegative, so it is sum_k xi_k u_k v_k^H with the same u_k, v_k:
     # the BSCA eigenvectors [u_k; +/-v_k] / sqrt(2) are kept
@@ -299,10 +332,20 @@ def test_clean_channel_preserves_kept_eigenvectors(y, eta_hat):
 @settings(max_examples=60, deadline=None)
 @given(_observations(), _ETA_HAT, st.sampled_from(["additive", "damped"]))
 def test_clean_channel_matches_the_bsca_reference(y, eta_hat, mode):
-    u, a = y.shape
     x = channel.normalize_observation(y, eta_hat) if mode == "damped" else y
-    hc = rie.clean_channel(y, eta_hat, u / a, mode=mode)
-    assert np.max(np.abs(hc - _reference_clean(x, eta_hat, u / a))) < 1e-10
+    hc = rie.clean_channel(y, eta_hat, mode=mode)
+    assert np.max(np.abs(hc - _reference_clean(x, eta_hat))) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["additive", "damped"])
+@pytest.mark.parametrize(
+    "dims", [(20, 128), (30, 256), (128, 256)], ids=["20x128", "30x256", "128x256"]
+)
+def test_clean_channel_matches_the_bsca_reference_at_paper_sizes(dims, mode):
+    _, y = _draw(*dims, 0.3, 131, 132)
+    x = channel.normalize_observation(y, 0.3) if mode == "damped" else y
+    hc = rie.clean_channel(y, 0.3, mode=mode)
+    assert np.max(np.abs(hc - _reference_clean(x, 0.3))) < 1e-10
 
 
 def test_clean_channel_matches_the_bsca_reference_on_rank_deficient_inputs():
@@ -310,12 +353,11 @@ def test_clean_channel_matches_the_bsca_reference_on_rank_deficient_inputs():
     rank_two = _draw(4, 10, 0.0, 126, 0)[0]
     rank_two[2:] = rng.standard_normal((2, 2)) @ rank_two[:2]
     for x in (_RANK_ONE, rank_two, np.zeros((2, 5), dtype=complex)):
-        u, a = x.shape
         for eta_hat in (0.0, 0.3, 0.9):
-            hc = rie.clean_channel(x, eta_hat, u / a)
-            assert np.max(np.abs(hc - _reference_clean(x, eta_hat, u / a))) < 1e-10
+            hc = rie.clean_channel(x, eta_hat)
+            assert np.max(np.abs(hc - _reference_clean(x, eta_hat))) < 1e-10
     # the null directions of the rank-two input map to 0
-    s = np.linalg.svd(rie.clean_channel(rank_two, 0.3, 0.4), compute_uv=False)
+    s = np.linalg.svd(rie.clean_channel(rank_two, 0.3), compute_uv=False)
     assert np.max(s[2:]) < 1e-12
 
 
@@ -323,7 +365,7 @@ def test_clean_channel_wins_at_mid_error_level():
     wins = 0
     for d in range(20):
         h, y = _draw(20, 256, 0.5, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.5, 20 / 256)
+        hc = rie.clean_channel(y, 0.5)
         wins += rie.mse(h, hc) <= rie.mse(h, y)
     assert wins == 20, wins
 
@@ -332,7 +374,7 @@ def test_clean_channel_wins_at_low_error_level():
     wins = 0
     for d in range(20):
         h, y = _draw(20, 256, 0.1, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.1, 20 / 256)
+        hc = rie.clean_channel(y, 0.1)
         wins += rie.mse(h, hc) <= rie.mse(h, y)
     assert wins >= 10, wins
 
@@ -341,7 +383,7 @@ def test_clean_channel_reaches_oracle_floor_factor():
     ratios = []
     for d in range(20):
         h, y = _draw(20, 256, 0.5, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.5, 20 / 256)
+        hc = rie.clean_channel(y, 0.5)
         ratios.append(rie.mse(h, hc) / (0.5 / 256))
     assert np.mean(ratios) <= 1.5, np.mean(ratios)
 
