@@ -2,8 +2,8 @@
 
 Walks the quantizer itself (labels, optimal step sizes), verifies the
 linear-plus-distortion decomposition of the quantized output against a
-Monte-Carlo estimate, and runs the distortion-aware regularized precoder
-to show its fixed point converging.
+Monte-Carlo estimate, and runs the distortion-aware regularized precoder,
+which is one regularized solve at a regularizer shifted by the distortion.
 """
 
 import numpy as np
@@ -29,10 +29,10 @@ print(f"2-bit quantizer, step 1.0: labels {spec.labels()}, "
 x = np.array([0.3 - 1.2j, 2.9 + 0.0j])
 print(f"quantize({x}) = {quantize(x, spec)}")
 
-print("\ndistortion-minimizing step per resolution (unit-variance input):")
+print("\ndistortion-minimizing step per resolution (unit-variance components):")
 for b in range(1, 7):
     print(f"  B = {b}: step = {optimal_step(b):.4f}, "
-          f"linear gain F = {bussgang_gain(QuantizerSpec(b, optimal_step(b)), 1.0):.4f}")
+          f"linear gain F_B = {bussgang_gain(QuantizerSpec(b), 1.0):.4f}")
 
 # Bussgang says: quantizer output = F * input + uncorrelated distortion
 dims = SystemDims(users=16, antennas=64)
@@ -57,10 +57,15 @@ cross = np.abs(np.sum(dist * z.conj(), axis=1) / draws)
 print(f"max |<distortion, input>| over antennas: {cross.max():.2e} "
       f"(uncorrelated by construction)")
 
-# the distortion-aware regularized precoder converges in a few sweeps
-out, wmodel = wfq_precode(H, sigma2, spec=QuantizerSpec(4))
-print(f"\nregularized quantized precoder: converged = {out.converged}, "
-      f"residuals per sweep {['%.1e' % r for r in out.residuals]}")
+# an auto step gives every antenna the same gain F_B, so the distortion
+# aware precoder is one solve at theta = sigma^2 + (1 - F_B)(U sigma^2 + 1)
+wspec = QuantizerSpec(4)
+f_b = bussgang_gain(wspec, 1.0)
+theta = sigma2 + (1.0 - f_b) * (dims.users * sigma2 + 1.0)
+out, wmodel = wfq_precode(H, sigma2, spec=wspec)
+print(f"\nregularized quantized precoder: F_B = {f_b:.6f}, "
+      f"theta = {theta:.5f} against sigma^2 = {sigma2}")
+print(f"model gains span [{wmodel.gains.min():.6f}, {wmodel.gains.max():.6f}]")
 print(f"distortion variance per antenna (first 3): "
       f"{np.round(wmodel.sigma_d2[:3], 5)}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -198,15 +199,15 @@ def _eta_cdf(cfg: SimConfig) -> ExperimentResult:
     dims = cfg.dims
     rows = []
     headline = {}
-    for eta in cfg.eta:
 
-        def one(t: int, _eta=eta):
-            _, H_obs = draw_observation(cfg, dims, _eta, t)
-            est = estimate_eta(H_obs, cfg.estimator)
-            return abs(est.eta_hat - _eta), est.eta_hat, est.identifiable
+    def one(eta: float, t: int):
+        _, H_obs = draw_observation(cfg, dims, eta, t)
+        est = estimate_eta(H_obs, cfg.estimator)
+        return abs(est.eta_hat - eta), est.eta_hat, est.identifiable
 
-        with trial_map(cfg.threads) as map_trials:
-            results = map_trials(one, range(cfg.trials))
+    with trial_map(cfg.threads) as map_trials:
+        per_eta = [map_trials(partial(one, eta), range(cfg.trials)) for eta in cfg.eta]
+    for eta, results in zip(cfg.eta, per_eta):
         deltas = np.sort(np.array([r[0] for r in results]))
         cdf = np.arange(1, len(deltas) + 1) / len(deltas)
         rows.extend(
@@ -237,46 +238,46 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
         )
     rows = []
     headline = {}
-    for eta in cfg.eta:
-        means = []
-        for dims in cfg.grid_dims:
 
-            def one(t: int, _dims=dims, _eta=eta):
-                H, H_obs = draw_observation(cfg, _dims, _eta, t)
-                H_hat, _ = estimate_csi(cfg, _eta, H, H_obs)
-                return (
-                    mse(H, H_hat),
-                    mse(H, H_obs),
-                    mse(H, linear_mmse_baseline(H_obs, _eta, cfg.corruption_mode, cfg.c)),
-                )
+    def one(dims, eta: float, t: int):
+        H, H_obs = draw_observation(cfg, dims, eta, t)
+        H_hat, _ = estimate_csi(cfg, eta, H, H_obs)
+        return (
+            mse(H, H_hat),
+            mse(H, H_obs),
+            mse(H, linear_mmse_baseline(H_obs, eta, cfg.corruption_mode, cfg.c)),
+        )
 
-            with trial_map(cfg.threads) as map_trials:
-                results = np.array(map_trials(one, range(cfg.trials)))
-            m_clean, m_noisy, m_scalar = results.mean(axis=0)
-            win = float(np.mean(results[:, 0] <= results[:, 1]))
-            floor = eta / dims.antennas
-            means.append(m_clean)
-            rows.append(
-                (
-                    _round(eta),
-                    dims.antennas,
-                    _round(m_clean),
-                    _round(m_noisy),
-                    _round(m_scalar),
-                    _round(floor),
-                    _round(win),
-                    cfg.trials,
-                    cfg.seed,
+    with trial_map(cfg.threads) as map_trials:
+        for eta in cfg.eta:
+            means = []
+            for dims in cfg.grid_dims:
+                results = np.array(map_trials(partial(one, dims, eta), range(cfg.trials)))
+                m_clean, m_noisy, m_scalar = results.mean(axis=0)
+                win = float(np.mean(results[:, 0] <= results[:, 1]))
+                floor = eta / dims.antennas
+                means.append(m_clean)
+                rows.append(
+                    (
+                        _round(eta),
+                        dims.antennas,
+                        _round(m_clean),
+                        _round(m_noisy),
+                        _round(m_scalar),
+                        _round(floor),
+                        _round(win),
+                        cfg.trials,
+                        cfg.seed,
+                    )
                 )
-            )
-        headline[f"eta={_fmt(eta)}"] = {
-            "nonincreasing_in_antennas": bool(
-                all(means[i + 1] <= means[i] for i in range(len(means) - 1))
-            ),
-            "mse_cleaned_by_antennas": [_round(v) for v in means],
-            # floor is the last grid point's; at eta = 0 it is 0, and JSON has no Infinity
-            "ratio_to_floor_last": _round(means[-1] / floor) if floor > 0 else None,
-        }
+            headline[f"eta={_fmt(eta)}"] = {
+                "nonincreasing_in_antennas": bool(
+                    all(means[i + 1] <= means[i] for i in range(len(means) - 1))
+                ),
+                "mse_cleaned_by_antennas": [_round(v) for v in means],
+                # floor is the last grid point's; at eta = 0 it is 0, and JSON has no Infinity
+                "ratio_to_floor_last": _round(means[-1] / floor) if floor > 0 else None,
+            }
     headline["csi"] = cfg.csi
     summary = {"wall_time_s": None, "headline": headline}
     header = (

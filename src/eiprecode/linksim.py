@@ -176,7 +176,6 @@ class TrialMetrics:
     mse_noisy: float | None
     delta_eta: float | None
     eta_hat: float | None
-    converged: bool
     seed_key: tuple
 
     def __post_init__(self):
@@ -197,7 +196,6 @@ class Aggregate:
     mse_noisy_mean: float | None
     delta_eta_values: tuple
     eta_hat_values: tuple
-    all_converged: bool
 
 
 class MonteCarloError(RuntimeError):
@@ -376,7 +374,6 @@ def downlink_trial(
         mse_noisy=mse_noisy,
         delta_eta=d_eta,
         eta_hat=eta_hat,
-        converged=pout.converged,
         seed_key=(cfg.seed, trial_index),
     )
 
@@ -400,7 +397,6 @@ def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
         mse_noisy_mean=float(np.mean(mses_noisy)) if mses_noisy else None,
         delta_eta_values=tuple(m.delta_eta for m in metrics if m.delta_eta is not None),
         eta_hat_values=tuple(m.eta_hat for m in metrics if m.eta_hat is not None),
-        all_converged=all(m.converged for m in metrics),
     )
 
 

@@ -45,9 +45,6 @@ __all__ = [
 PRECODERS = ("WF", "WFQ", "MRT", "ZF", "QCE")
 
 _MAX_BITS = 12
-# fixed point of wfq_precode: stop below this relative change of sigma_d2
-_WFQ_REL_TOL = 1e-6
-_WFQ_MAX_ITER = 10
 
 
 @dataclass(frozen=True)
@@ -232,6 +229,7 @@ class PrecodeOutput:
     beta: float
     kind: str
     p_total: float
+    # read only by perfbench's wfq_precode observer; every precoder is closed form
     converged: bool = True
     residuals: tuple = field(default=())
 
@@ -283,41 +281,31 @@ def wf_precode(
 def wfq_precode(
     H_csi: np.ndarray, sigma2: float, p_total: float = 1.0, *, spec: QuantizerSpec
 ) -> tuple[PrecodeOutput, BussgangModel]:
-    """Quantization-aware regularized precoder.
+    """Quantization-aware regularized precoder, in closed form.
 
-    Fixed point on the distortion variances: theta = sigma^2 + mean(sigma_d2)
-    feeds the regularizer H^H (H H^H + U theta I)^{-1}; the Bussgang model of
-    the normalized matrix updates sigma_d2.  sigma_d2 is per antenna while the
-    regularized Gram is U x U, so the antenna average enters the loop (exact
-    under the auto step rule, which makes sigma_d2 constant across antennas).
+    One regularized solve H^H (H H^H + U theta I)^{-1} at
+    theta = sigma^2 + (1 - F_B)(U sigma^2 + 1), with F_B = bussgang_gain(spec, 1)
+    and U the row count of ``H_csi``; ``beta`` comes from the
+    Bussgang model of the normalized matrix.  This is exact, not a
+    truncated fixed point: an auto step scales with each antenna's input
+    deviation, so the quantizer is scale-invariant and every antenna has
+    the same gain F_B whatever its power, hence the same distortion
+    variance (1 - F_B)(U sigma^2 + 1), which no choice of P can move.
+    The closed form counts every antenna as live; it differs from iterating
+    on the antenna-average distortion only for CSI with an all-zero column
+    (a dead antenna, distortion 0), which no CSI mode produces.  A fixed
+    step breaks the scale invariance and raises ``ValueError``.
     """
+    if not spec.is_auto:
+        raise ValueError("wfq_precode needs an auto-step quantizer spec")
     H_csi = np.asarray(H_csi)
-    sigma_d2 = np.zeros(H_csi.shape[1])
-    residuals = []
-    converged = False
-    P = None
-    model = None
-    for _ in range(_WFQ_MAX_ITER):
-        P = _regularized(H_csi, sigma2 + float(np.mean(sigma_d2)), p_total)
-        model = bussgang_model(P, spec, sigma2)
-        prev = sigma_d2
-        sigma_d2 = model.sigma_d2
-        denom = max(float(np.linalg.norm(sigma_d2)), np.finfo(float).tiny)
-        res = float(np.linalg.norm(sigma_d2 - prev)) / denom
-        residuals.append(res)
-        if res < _WFQ_REL_TOL:
-            converged = True
-            break
+    users = H_csi.shape[0]
+    gain = bussgang_gain(spec, 1.0)
+    theta = sigma2 + (1.0 - gain) * (users * sigma2 + 1.0)
+    P = _regularized(H_csi, theta, p_total)
+    model = bussgang_model(P, spec, sigma2)
     beta = _receiver_beta(H_csi, P, sigma2, model)
-    out = PrecodeOutput(
-        P=P,
-        beta=beta,
-        kind="WFQ",
-        p_total=float(p_total),
-        converged=converged,
-        residuals=tuple(residuals),
-    )
-    return out, model
+    return PrecodeOutput(P=P, beta=beta, kind="WFQ", p_total=float(p_total)), model
 
 
 def precode(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from eiprecode import linksim
 from eiprecode.channel import CorruptionModel, SystemDims
 from eiprecode.eta import EstimatorConfig
+from eiprecode.experiments import run_experiment
 from eiprecode.linksim import Aggregate, MonteCarloError, SimConfig, TrialMetrics
 
 # small, fast system reused across engine tests
@@ -188,7 +189,6 @@ def test_trial_metrics_rejects_impossible_counts():
             mse_noisy=None,
             delta_eta=None,
             eta_hat=None,
-            converged=True,
             seed_key=(1, 0),
         )
 
@@ -274,6 +274,15 @@ def test_monte_carlo_opens_one_pool_per_call(monkeypatch):
     assert agg.trials_run == 20  # three chunks
     assert len(opened) == 1
     assert agg == linksim.monte_carlo(cfg.at(threads=1))
+    # the experiment families that map trials themselves open one pool per
+    # run too, not one per eta or per (eta, antennas) cell
+    fam = SimConfig(users=4, antennas=32, antennas_grid=(16, 32), eta=(0.2, 0.5),
+                    csi="ei_cleaned_known_eta", seed=22, trials=3, threads=2)
+    for kind in ("eta_cdf", "mse_vs_antennas"):
+        opened.clear()
+        result = run_experiment(kind, fam)
+        assert len(opened) == 1, kind
+        assert result.rows == run_experiment(kind, fam.at(threads=1)).rows
 
 
 def test_monte_carlo_perfect_csi_link_is_clean():

@@ -218,6 +218,18 @@ def test_bussgang_constants_array_matches_scalar(spec, variances):
     assert np.all(precoding.quantized_power(spec, v)[v == 0.0] == 0.0)
 
 
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_auto_step_constants_are_scale_invariant(bits):
+    # the premise of wfq_precode's closed form: under an auto step the gain
+    # does not depend on the input variance, and the output power scales with it
+    spec = QuantizerSpec(bits)
+    v = np.logspace(-8, 8, 65)
+    gain = precoding.bussgang_gain(spec, 1.0)
+    power = precoding.quantized_power(spec, 1.0)
+    assert np.allclose(precoding.bussgang_gain(spec, v), gain, rtol=1e-14, atol=0.0)
+    assert np.allclose(precoding.quantized_power(spec, v) / v, power, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("antennas", [64, 256])
 def test_bussgang_model_and_transmit_call_each_constant_once(monkeypatch, antennas):
     calls = {"bussgang_gain": 0, "quantized_power": 0}
@@ -349,25 +361,69 @@ def test_wf_singular_channel_raises():
         precoding.wf_precode(h, 0.0)
 
 
-def test_wfq_auto_step_converges_immediately():
-    # auto steps make sigma_d2 independent of the regularizer, so the
-    # second residual already sits at machine precision
-    h = _chan(30, 256, 147)
-    out, model = precoding.wfq_precode(h, 0.05, spec=QuantizerSpec(3))
-    assert out.converged
+def _wfq_reference(h, sigma2, p_total, spec):
+    # the WF precoder, one distortion update, then one more solve, written out
+    users = h.shape[0]
+
+    def solve(theta):
+        gram = h @ h.conj().T + users * theta * np.eye(users)
+        raw = np.linalg.solve(gram, h).conj().T
+        return raw * np.sqrt(p_total / np.sum(np.abs(raw) ** 2))
+
+    def distortion(P):
+        gains = precoding.bussgang_gain(spec, np.sum(np.abs(P) ** 2, axis=1))
+        return gains, (1.0 - gains) * (users * sigma2 + 1.0)
+
+    _, sigma_d2 = distortion(solve(sigma2))
+    P = solve(sigma2 + np.mean(sigma_d2))
+    gains, sigma_d2 = distortion(P)
+    hfp = h @ (gains[:, None] * P)
+    den = (
+        np.sum(np.abs(hfp) ** 2)
+        + np.sum(np.abs(h) ** 2 * sigma_d2)
+        + users * sigma2
+    )
+    return P, np.trace(hfp).real / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda u: st.tuples(st.just(u), st.integers(u + 1, 256))
+    ),
+    st.integers(1, 8),
+    st.floats(1e-3, 3.0),
+    st.floats(0.5, 3.0),
+    st.integers(0, 2**16),
+)
+def test_wfq_matches_one_distortion_update(dims, bits, sigma2, p_total, seed):
+    h = np.sqrt(dims[1]) * _chan(*dims, seed)
+    spec = QuantizerSpec(bits)
+    out, model = precoding.wfq_precode(h, sigma2, p_total, spec=spec)
+    P, beta = _wfq_reference(h, sigma2, p_total, spec)
     assert out.kind == "WFQ"
-    assert len(out.residuals) >= 2
-    assert out.residuals[0] == 1.0
-    assert out.residuals[-1] < 1e-6
-    assert all(a >= b for a, b in zip(out.residuals, out.residuals[1:]))
+    assert np.linalg.norm(out.P - P) <= 1e-12 * np.linalg.norm(P)
+    assert abs(out.beta - beta) <= 1e-12 * beta
     assert np.all(model.sigma_d2 >= 0.0)
 
 
-def test_wfq_fixed_step_converges():
-    h = _chan(16, 64, 149)
-    out, _ = precoding.wfq_precode(h, 0.05, spec=QuantizerSpec(3, 0.02))
-    assert out.converged
-    assert out.residuals[-1] < 1e-6
+def test_wfq_makes_one_solve_and_one_bussgang_model(monkeypatch):
+    calls = {"_regularized": 0, "bussgang_model": 0}
+    for name in calls:
+        inner = getattr(precoding, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(precoding, name, counted)
+    precoding.precode("WFQ", _chan(16, 64, 147), 0.05, 1.0, QuantizerSpec(3))
+    assert calls == {"_regularized": 1, "bussgang_model": 1}
+
+
+def test_wfq_rejects_a_fixed_step():
+    with pytest.raises(ValueError, match="auto-step"):
+        precoding.wfq_precode(_chan(16, 64, 149), 0.05, spec=QuantizerSpec(3, 0.02))
 
 
 def test_wfq_power_normalization():
@@ -392,7 +448,7 @@ def _baseline_reference(kind, h, sigma2, p_total):
     P = raw * np.sqrt(p_total / np.sum(np.abs(raw) ** 2))
     hp = h @ P
     beta = float(np.trace(hp).real) / (float(np.sum(np.abs(hp) ** 2)) + users * sigma2)
-    return P, max(beta, np.finfo(float).tiny), kind, True
+    return P, max(beta, np.finfo(float).tiny), kind
 
 
 @pytest.mark.parametrize("with_spec", [True, False], ids=["spec", "bypass"])
@@ -413,9 +469,9 @@ def test_precode_matches_each_precoder(kind, with_spec):
             ref = precoding.wfq_precode(h, sigma2, p_total, spec=spec)[0]
         else:
             ref = precoding.wf_precode(h, sigma2, p_total)
-        want = (ref.P, ref.beta, ref.kind, ref.converged)
+        want = (ref.P, ref.beta, ref.kind)
     assert np.array_equal(out.P, want[0])
-    assert (out.beta, out.kind, out.converged) == want[1:]
+    assert (out.beta, out.kind) == want[1:]
     assert out.p_total == p_total
 
 
