@@ -230,17 +230,23 @@ def test_auto_step_constants_are_scale_invariant(bits):
     assert np.allclose(precoding.quantized_power(spec, v) / v, power, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("antennas", [64, 256])
-def test_bussgang_model_and_transmit_call_each_constant_once(monkeypatch, antennas):
-    calls = {"bussgang_gain": 0, "quantized_power": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names):
+    """Wrap each named precoding function in a counter; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         inner = getattr(precoding, name)
 
-        def counted(*args, _inner=inner, _name=name):
+        def counted(*args, _inner=inner, _name=name, **kwargs):
             calls[_name] += 1
-            return _inner(*args)
+            return _inner(*args, **kwargs)
 
         monkeypatch.setattr(precoding, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("antennas", [64, 256])
+def test_bussgang_model_and_transmit_call_each_constant_once(monkeypatch, antennas):
+    calls = _count_calls(monkeypatch, "bussgang_gain", "quantized_power")
     users = 8
     pout = precoding.wf_precode(_chan(users, antennas, 171), 0.05)
     spec = QuantizerSpec(3)
@@ -378,11 +384,7 @@ def _wfq_reference(h, sigma2, p_total, spec):
     P = solve(sigma2 + np.mean(sigma_d2))
     gains, sigma_d2 = distortion(P)
     hfp = h @ (gains[:, None] * P)
-    den = (
-        np.sum(np.abs(hfp) ** 2)
-        + np.sum(np.abs(h) ** 2 * sigma_d2)
-        + users * sigma2
-    )
+    den = np.sum(np.abs(hfp) ** 2) + np.sum(np.abs(h) ** 2 * sigma_d2) + users * sigma2
     return P, np.trace(hfp).real / den
 
 
@@ -408,15 +410,7 @@ def test_wfq_matches_one_distortion_update(dims, bits, sigma2, p_total, seed):
 
 
 def test_wfq_makes_one_solve_and_one_bussgang_model(monkeypatch):
-    calls = {"_regularized": 0, "bussgang_model": 0}
-    for name in calls:
-        inner = getattr(precoding, name)
-
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-
-        monkeypatch.setattr(precoding, name, counted)
+    calls = _count_calls(monkeypatch, "_regularized", "bussgang_model")
     precoding.precode("WFQ", _chan(16, 64, 147), 0.05, 1.0, QuantizerSpec(3))
     assert calls == {"_regularized": 1, "bussgang_model": 1}
 
