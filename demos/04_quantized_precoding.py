@@ -24,8 +24,9 @@ from eiprecode import (
 
 # the quantizer: midrise labels, thresholds at the midpoints
 spec = QuantizerSpec(bits=2, step=1.0)
-print(f"2-bit quantizer, step 1.0: labels {spec.labels()}, "
-      f"thresholds {spec.thresholds()}")
+labels = spec.step * (np.arange(4) - 1.5)
+print(f"2-bit quantizer, step 1.0: labels {labels}, "
+      f"thresholds {(labels[:-1] + labels[1:]) / 2}")
 x = np.array([0.3 - 1.2j, 2.9 + 0.0j])
 print(f"quantize({x}) = {quantize(x, spec)}")
 
@@ -70,7 +71,7 @@ print(f"distortion variance per antenna (first 3): "
       f"{np.round(wmodel.sigma_d2[:3], 5)}")
 
 # constant-envelope transmission: every antenna sample has the same modulus
-qce = precode("QCE", H, sigma2, p_total=1.0, spec=QuantizerSpec(3))
+qce = precode("QCE", H, sigma2, spec=QuantizerSpec(3))
 sym = (rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5)))
 sym /= np.sqrt(2.0)
 xt = transmit(qce, sym, spec=QuantizerSpec(3))

@@ -21,7 +21,6 @@ from .channel import (
 from .eta import (
     EstimatorConfig,
     EtaEstimate,
-    delta_eta,
     empirical_moments,
     estimate_eta,
 )
@@ -34,7 +33,6 @@ from .linksim import (
     Aggregate,
     SimConfig,
     TrialMetrics,
-    awgn_qpsk_ber,
     demodulate,
     downlink_trial,
     modulate,
@@ -71,7 +69,6 @@ from .rmt import (
     free_cumulants,
     moments_from_cumulants,
     mp_stieltjes,
-    mp_support,
     noisy_gram_cumulants_theory,
     noisy_gram_stieltjes,
     r_transform_aux,

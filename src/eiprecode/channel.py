@@ -57,8 +57,8 @@ class CorruptionModel:
             raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
         if self.mode not in ("damped", "additive"):
             raise ValueError(f"mode must be 'damped' or 'additive', got {self.mode!r}")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not self.c > 0:
+            raise ValueError(f"c must be positive, got {self.c}")
 
     def alpha(self) -> float:
         """Additive-form noise amplitude sqrt(eta c / (1 - eta))."""

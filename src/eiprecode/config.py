@@ -84,7 +84,6 @@ _COERCERS = {
     "max_bits": _coerce_int,
     "estimator_order": lambda k, v: _coerce_int(k, v, allow_none=True),
     "theory_mode": _coerce_str,
-    "p_total": _coerce_float,
     "antennas_grid": lambda k, v: None if v is None else _coerce_int_list(k, v),
 }
 

@@ -26,7 +26,6 @@ __all__ = [
     "EtaEstimate",
     "empirical_moments",
     "estimate_eta",
-    "delta_eta",
     "default_order",
 ]
 
@@ -147,9 +146,3 @@ def estimate_eta(H_obs: np.ndarray, cfg: EstimatorConfig | None = None) -> EtaEs
         mode=cfg.mode,
         kappa_hat=tuple(kappa_hat),
     )
-
-
-def delta_eta(true_eta: float, est: EtaEstimate | float) -> float:
-    """Absolute estimation error |eta - eta_hat|."""
-    eta_hat = est.eta_hat if isinstance(est, EtaEstimate) else float(est)
-    return abs(float(true_eta) - eta_hat)

@@ -147,7 +147,7 @@ def threshold_crossing(xs, ys, target: float):
 
 def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
     dims = cfg.dims
-    a_edge, b_edge, atom = bsca_support(cfg.q)
+    a_edge, b_edge, atom = bsca_support(cfg.dims.q)
     edges = np.linspace(-b_edge, b_edge, bins + 1)
     width = edges[1] - edges[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -165,7 +165,7 @@ def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
     zero_counts = [r[1] for r in results]
     n_eigs = dims.users + dims.antennas
     density = counts / (cfg.trials * n_eigs * width)
-    analytic = bsca_density(centers, cfg.q)
+    analytic = bsca_density(centers, cfg.dims.q)
     l1 = float(np.sum(np.abs(density - analytic)) * width)
 
     rows = tuple(

@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from . import precoding
 from .channel import CorruptionModel, SystemDims, corrupt, gen_channel
@@ -36,8 +35,6 @@ __all__ = [
     "MonteCarloError",
     "modulate",
     "demodulate",
-    "qfunc",
-    "awgn_qpsk_ber",
     "wilson_interval",
     "draw_observation",
     "estimate_csi",
@@ -81,7 +78,6 @@ class SimConfig:
     max_bits: int = 10_000_000
     estimator_order: int | None = None
     theory_mode: str = "gaussian_equivalent"
-    p_total: float = 1.0
     antennas_grid: tuple | None = None
 
     def __post_init__(self):
@@ -112,8 +108,6 @@ class SimConfig:
             raise ValueError("threads must be >= 1")
         if self.min_errors < 1 or self.max_bits < 1:
             raise ValueError("min_errors and max_bits must be >= 1")
-        if not (math.isfinite(self.p_total) and self.p_total > 0):
-            raise ValueError(f"p_total must be positive and finite, got {self.p_total}")
         # The stage objects own the remaining rules: building them here
         # rejects a bad value at parse time, and the trials reuse them.
         with _config_keys("users", "antennas"):
@@ -143,10 +137,6 @@ class SimConfig:
     def corruption(self, eta: float) -> CorruptionModel:
         """The corruption model of this config at one error level."""
         return CorruptionModel(eta=eta, mode=self.corruption_mode, c=self.c)
-
-    @property
-    def q(self) -> float:
-        return self.users / self.antennas
 
     def at(self, **kw) -> "SimConfig":
         return replace(self, **kw)
@@ -249,16 +239,6 @@ def demodulate(symbols, scheme: str = "QPSK") -> np.ndarray:
     return _PAM4_PAIR_OF_LEVEL[idx].ravel()
 
 
-def qfunc(x) -> np.ndarray:
-    """Gaussian tail probability Q(x)."""
-    return 0.5 * erfc(np.asarray(x) / math.sqrt(2.0))
-
-
-def awgn_qpsk_ber(esn0_db: float) -> float:
-    """Closed-form QPSK bit error rate on AWGN, Es/N0 per complex symbol."""
-    return float(qfunc(math.sqrt(10.0 ** (esn0_db / 10.0))))
-
-
 def wilson_interval(errors: int, bits: int, z: float = 1.959964) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate."""
     if bits <= 0:
@@ -331,7 +311,7 @@ def downlink_trial(
     eta = cfg.eta[0] if eta is None else float(eta)
     snr_db = cfg.snr_db[0] if snr_db is None else float(snr_db)
     dims = cfg.dims
-    sigma2 = cfg.p_total * 10.0 ** (-snr_db / 10.0)
+    sigma2 = 10.0 ** (-snr_db / 10.0)
 
     rng_noise = _trial_rng(cfg.seed, trial_index, 2)
     rng_sym = _trial_rng(cfg.seed, trial_index, 3)
@@ -350,7 +330,7 @@ def downlink_trial(
     csi_link = root_a * csi
 
     spec = cfg.quantizer
-    pout = precoding.precode(cfg.precoder, csi_link, sigma2, cfg.p_total, spec)
+    pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=spec)
 
     bps = _bits_per_symbol(cfg.modulation)
     n_bits = dims.users * cfg.symbols_per_trial * bps

@@ -11,8 +11,9 @@ input maps up (to +D/2).  The ``auto`` step rule scales the
 Gaussian-distortion-minimizing unit-variance step by the per-component
 input deviation.
 
-Precoders return a matrix P with tr(P P^H) = P_total exactly and a
-receiver scaling beta minimizing the linearized symbol error
+The total transmit power is fixed at 1, the unit the SNR is defined in:
+precoders return a matrix P with tr(P P^H) = 1 exactly and a receiver
+scaling beta minimizing the linearized symbol error
 E||s - beta(H F P s + H d + n)||^2 in closed form.
 """
 
@@ -35,7 +36,6 @@ __all__ = [
     "quantized_power",
     "bussgang_gain",
     "bussgang_model",
-    "measure_distortion",
     "wf_precode",
     "wfq_precode",
     "precode",
@@ -73,18 +73,6 @@ class QuantizerSpec:
         if not self.is_auto:
             return self.step
         return optimal_step(self.bits) * np.sqrt(input_variance)
-
-    def labels(self) -> np.ndarray:
-        if self.is_auto:
-            raise ValueError("labels undefined for an auto step; take step_for(variance)")
-        j = np.arange(2 ** self.bits)
-        return self.step * (j - (2 ** self.bits - 1) / 2.0)
-
-    def thresholds(self) -> np.ndarray:
-        if self.is_auto:
-            raise ValueError("thresholds undefined for an auto step; take step_for(variance)")
-        l = np.arange(1, 2 ** self.bits)
-        return self.step * (l - 2 ** (self.bits - 1))
 
 
 @lru_cache(maxsize=None)
@@ -202,25 +190,6 @@ def bussgang_model(P: np.ndarray, spec: QuantizerSpec, sigma2: float) -> Bussgan
     return BussgangModel(gains=gains, sigma_d2=sigma_d2, sigma_m2=sigma_m2)
 
 
-def measure_distortion(
-    P: np.ndarray,
-    spec: QuantizerSpec,
-    rng: np.random.Generator,
-    draws: int = 20000,
-) -> np.ndarray:
-    """Monte-Carlo per-antenna distortion power E|Q(u) - F u|^2 with
-    Gaussian symbols; diagnostic companion to the closed-form sigma_d2."""
-    P = np.asarray(P)
-    a, u = P.shape
-    s = (rng.standard_normal((u, draws)) + 1j * rng.standard_normal((u, draws))) / np.sqrt(2.0)
-    z = P @ s
-    sigma_m2 = np.einsum("ij,ij->i", P, P.conj()).real
-    gains = bussgang_gain(spec, sigma_m2)
-    q = quantize(z, spec, input_variance=sigma_m2 / 2.0)
-    d = q - gains[:, None] * z
-    return np.mean(np.abs(d) ** 2, axis=1)
-
-
 @dataclass(frozen=True)
 class PrecodeOutput:
     """Power-normalized precoding matrix plus receiver scaling."""
@@ -228,24 +197,23 @@ class PrecodeOutput:
     P: np.ndarray
     beta: float
     kind: str
-    p_total: float
     # read only by perfbench's wfq_precode observer; every precoder is closed form
     converged: bool = True
     residuals: tuple = field(default=())
 
 
-def _normalize_power(P_raw: np.ndarray, p_total: float) -> np.ndarray:
+def _normalize_power(P_raw: np.ndarray) -> np.ndarray:
     power = np.sum(np.abs(P_raw) ** 2)
     if power == 0:
         raise np.linalg.LinAlgError("zero precoding matrix")
-    return P_raw * np.sqrt(p_total / power)
+    return P_raw * np.sqrt(1.0 / power)
 
 
-def _regularized(H_csi: np.ndarray, theta: float, p_total: float) -> np.ndarray:
-    """H^H (H H^H + U theta I)^{-1}, scaled to tr(P P^H) = P_total."""
+def _regularized(H_csi: np.ndarray, theta: float) -> np.ndarray:
+    """H^H (H H^H + U theta I)^{-1}, scaled to tr(P P^H) = 1."""
     users = H_csi.shape[0]
     gram = H_csi @ H_csi.conj().T + users * theta * np.eye(users)
-    return _normalize_power(np.linalg.solve(gram, H_csi).conj().T, p_total)
+    return _normalize_power(np.linalg.solve(gram, H_csi).conj().T)
 
 
 def _receiver_beta(
@@ -267,19 +235,17 @@ def _receiver_beta(
     return max(num / den, np.finfo(float).tiny)
 
 
-def wf_precode(
-    H_csi: np.ndarray, sigma2: float, p_total: float = 1.0
-) -> PrecodeOutput:
+def wf_precode(H_csi: np.ndarray, sigma2: float) -> PrecodeOutput:
     """Regularized (Wiener) precoder P ~ H^H (H H^H + U sigma^2 I)^{-1},
-    scaled to tr(P P^H) = P_total."""
+    scaled to tr(P P^H) = 1."""
     H_csi = np.asarray(H_csi)
-    P = _regularized(H_csi, sigma2, p_total)
+    P = _regularized(H_csi, sigma2)
     beta = _receiver_beta(H_csi, P, sigma2, None)
-    return PrecodeOutput(P=P, beta=beta, kind="WF", p_total=float(p_total))
+    return PrecodeOutput(P=P, beta=beta, kind="WF")
 
 
 def wfq_precode(
-    H_csi: np.ndarray, sigma2: float, p_total: float = 1.0, *, spec: QuantizerSpec
+    H_csi: np.ndarray, sigma2: float, *, spec: QuantizerSpec
 ) -> tuple[PrecodeOutput, BussgangModel]:
     """Quantization-aware regularized precoder, in closed form.
 
@@ -302,17 +268,17 @@ def wfq_precode(
     users = H_csi.shape[0]
     gain = bussgang_gain(spec, 1.0)
     theta = sigma2 + (1.0 - gain) * (users * sigma2 + 1.0)
-    P = _regularized(H_csi, theta, p_total)
+    P = _regularized(H_csi, theta)
     model = bussgang_model(P, spec, sigma2)
     beta = _receiver_beta(H_csi, P, sigma2, model)
-    return PrecodeOutput(P=P, beta=beta, kind="WFQ", p_total=float(p_total)), model
+    return PrecodeOutput(P=P, beta=beta, kind="WFQ"), model
 
 
 def precode(
     kind: str,
     H_csi: np.ndarray,
     sigma2: float,
-    p_total: float = 1.0,
+    *,
     spec: QuantizerSpec | None = None,
 ) -> PrecodeOutput:
     """The precoder ``kind``, one of :data:`PRECODERS`, power-normalized.
@@ -322,25 +288,25 @@ def precode(
     zero-noise regularized precoder.  QCE stores the (normalized) regularized
     matrix that supplies the phases; the constant-envelope mapping itself
     happens in :func:`transmit`, where each antenna sample becomes
-    sqrt(P_total/A) * exp(i * quantized phase), so per-symbol radiated power
-    is exactly P_total.
+    sqrt(1/A) * exp(i * quantized phase), so per-symbol radiated power is
+    exactly 1.
     """
     if kind not in PRECODERS:
         raise ValueError(f"precoder must be one of {PRECODERS}, got {kind!r}")
     # WF and WFQ are looked up at call time, so a wrapper set on this module sees them
     if kind == "WF" or (kind == "WFQ" and spec is None):
-        return wf_precode(H_csi, sigma2, p_total)
+        return wf_precode(H_csi, sigma2)
     if kind == "WFQ":
-        return wfq_precode(H_csi, sigma2, p_total, spec=spec)[0]
+        return wfq_precode(H_csi, sigma2, spec=spec)[0]
     if kind == "QCE" and spec is None:
         raise ValueError("QCE needs a quantizer spec for the phase sectors")
     H_csi = np.asarray(H_csi)
     if kind == "MRT":
-        P = _normalize_power(H_csi.conj().T, p_total)
+        P = _normalize_power(H_csi.conj().T)
     else:
-        P = _regularized(H_csi, 0.0 if kind == "ZF" else sigma2, p_total)
+        P = _regularized(H_csi, 0.0 if kind == "ZF" else sigma2)
     beta = _receiver_beta(H_csi, P, sigma2, None)
-    return PrecodeOutput(P=P, beta=beta, kind=kind, p_total=float(p_total))
+    return PrecodeOutput(P=P, beta=beta, kind=kind)
 
 
 def transmit(
@@ -352,7 +318,7 @@ def transmit(
     antenna samples are constant-envelope with the phase rounded to one of
     2^B sectors.  Otherwise the precoded samples are quantized per antenna
     (auto steps from diag(P P^H)) and scaled by a deterministic scalar so the
-    expected radiated power is P_total.
+    expected radiated power is 1.
     """
     s = np.asarray(s, dtype=complex)
     x_lin = pout.P @ s
@@ -362,7 +328,7 @@ def transmit(
         sectors = 2 ** spec.bits
         width = 2.0 * np.pi / sectors
         phase = np.round(np.angle(x_lin) / width) * width
-        amp = np.sqrt(pout.p_total / pout.P.shape[0])
+        amp = np.sqrt(1.0 / pout.P.shape[0])
         return amp * np.exp(1j * phase)
     if spec is None:
         return x_lin
@@ -370,5 +336,5 @@ def transmit(
     x = quantize(x_lin, spec, input_variance=sigma_m2 / 2.0)
     p_rad = float(np.sum(quantized_power(spec, sigma_m2)))
     if p_rad > 0:
-        x = x * np.sqrt(pout.p_total / p_rad)
+        x = x * np.sqrt(1.0 / p_rad)
     return x

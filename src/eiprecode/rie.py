@@ -114,7 +114,9 @@ def clean_channel(
 
     All singular values y of the normalized observation go through the rule
     of :func:`shrink_eigenvalue` in one array pass, with q = U/A from the
-    shape of ``H_obs``, alpha^2 = eta_hat c / (1 - eta_hat) and h = -Re
+    shape of ``H_obs``, alpha^2 = eta_hat c / (1 - eta_hat) from
+    :class:`~eiprecode.channel.CorruptionModel` (which owns the eta, mode
+    and c rules) and h = -Re
     :func:`local_stieltjes` of the nonzero BSCA spectrum {+/-y_j} at every y
     in one call, at the bandwidth :func:`~eiprecode.rmt.default_epsilon`
     (U + A).  Singular values at or below 1e-10 times the largest are left
@@ -128,12 +130,8 @@ def clean_channel(
     H_obs = np.asarray(H_obs, dtype=complex)
     u, a = H_obs.shape
     q = SystemDims(u, a).q  # validates 0 < U < A
-    if not 0.0 <= eta_hat < 1.0:
-        raise ValueError("eta_hat must lie in [0, 1)")
-    if mode not in ("additive", "damped"):
-        raise ValueError(f"unknown mode {mode!r}")
+    alpha = CorruptionModel(eta_hat, mode, c).alpha()
     X = normalize_observation(H_obs, eta_hat) if mode == "damped" else H_obs
-    alpha = float(np.sqrt(eta_hat * c / (1.0 - eta_hat)))
     left, sv, vh = eig_bsca(X)
     kept = sv[sv > _NULL_TOL * sv[0]]
     xi = np.zeros_like(sv)

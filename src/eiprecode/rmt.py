@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "RootSelectionError",
     "default_epsilon",
-    "mp_support",
     "mp_stieltjes",
     "bsca_support",
     "bsca_density",
@@ -78,13 +77,6 @@ def _offaxis(z, eps):
             )
         z = np.where(on_axis, z.real + 1j * float(eps), z)
     return z
-
-
-def mp_support(q: float) -> tuple[float, float]:
-    """Support edges ((1-sqrt(q))^2, (1+sqrt(q))^2) of the unit-mean MP law."""
-    q = _check_q(q)
-    r = np.sqrt(q)
-    return ((1.0 - r) ** 2, (1.0 + r) ** 2)
 
 
 def mp_stieltjes(z, q: float, eps: float | None = None):

@@ -32,8 +32,9 @@ def test_corruption_model_validation():
         CorruptionModel(1.0)
     with pytest.raises(ValueError):
         CorruptionModel(0.5, mode="multiplicative")
-    with pytest.raises(ValueError):
-        CorruptionModel(0.5, c=0.0)
+    for c in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="c must be positive"):
+            CorruptionModel(0.5, c=c)
 
 
 def test_corruption_alpha():

@@ -247,10 +247,3 @@ def test_estimate_eta_additive_data_is_identifiable():
     y = _draw(30, 256, 0.5, 73, 74)
     est = eta.estimate_eta(y, EstimatorConfig(order=1))
     assert est.identifiable
-
-
-def test_delta_eta_accepts_estimate_or_float():
-    assert abs(eta.delta_eta(0.5, 0.45) - 0.05) < 1e-15
-    y = _draw(30, 256, 0.5, 75, 76)
-    est = eta.estimate_eta(y, EstimatorConfig(order=1))
-    assert eta.delta_eta(0.5, est) == abs(0.5 - est.eta_hat)

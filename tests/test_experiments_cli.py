@@ -1,5 +1,6 @@
 """Experiment drivers, config resolution, and the command-line front end."""
 
+import dataclasses
 import json
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from eiprecode import config
 from eiprecode.cli import build_parser, main
 from eiprecode.config import (
     ENV_SEED,
@@ -374,6 +376,12 @@ def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError) as ei:
         parse_config(overrides=("sneed=3",))
     assert "unknown config key 'sneed'" in str(ei.value)
+
+
+def test_every_config_field_has_exactly_one_coercer():
+    # a SimConfig field without a coercer cannot be set; a coercer without a
+    # field turns a settable key into a TypeError
+    assert set(config._COERCERS) == {f.name for f in dataclasses.fields(SimConfig)}
 
 
 def test_parse_config_type_errors_name_the_field():

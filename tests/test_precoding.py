@@ -1,5 +1,7 @@
 """Quantizer, Bussgang linearization, and precoder tests."""
 
+import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -22,14 +24,27 @@ def _re(x):
     return float(np.asarray(x).real)
 
 
+def _labels(spec):
+    # l_j = D (j - (2^B - 1)/2), j = 0 .. 2^B - 1, for a fixed step D
+    return spec.step * (np.arange(2 ** spec.bits) - (2 ** spec.bits - 1) / 2.0)
+
+
+def _thresholds(spec):
+    # t_l = D (l - 2^(B-1)), l = 1 .. 2^B - 1: the midpoints of the labels
+    return spec.step * (np.arange(1, 2 ** spec.bits) - 2 ** (spec.bits - 1))
+
+
 # ---------------------------------------------------------------------------
 # quantizer grid
 
 
 def test_labels_and_thresholds_two_bit():
     spec = QuantizerSpec(2, 1.0)
-    assert np.allclose(spec.labels(), [-1.5, -0.5, 0.5, 1.5], atol=1e-15)
-    assert np.allclose(spec.thresholds(), [-1.0, 0.0, 1.0], atol=1e-15)
+    assert np.allclose(_labels(spec), [-1.5, -0.5, 0.5, 1.5], atol=1e-15)
+    assert np.allclose(_thresholds(spec), [-1.0, 0.0, 1.0], atol=1e-15)
+    # quantize puts each label on itself and each threshold on the label above
+    assert np.array_equal(precoding.quantize(_labels(spec) + 0j, spec).real, _labels(spec))
+    assert np.array_equal(precoding.quantize(_thresholds(spec) + 0j, spec).real, _labels(spec)[1:])
 
 
 def test_quantize_two_bit_examples():
@@ -44,7 +59,7 @@ def test_quantize_two_bit_examples():
 
 def test_quantize_one_bit_is_sign_map():
     spec = QuantizerSpec(1, 2.0)
-    assert np.allclose(spec.labels(), [-1.0, 1.0])
+    assert np.allclose(_labels(spec), [-1.0, 1.0])
     for v, want in ((0.7, 1.0), (-0.3, -1.0), (5.0, 1.0), (-9.0, -1.0)):
         assert _re(precoding.quantize(np.array(v + 0j), spec)) == want
 
@@ -58,13 +73,8 @@ def test_quantizer_spec_validation():
         QuantizerSpec(3, -0.5)
     with pytest.raises(ValueError):
         QuantizerSpec(3, "wide")
-    auto = QuantizerSpec(3)
     with pytest.raises(ValueError):
-        auto.labels()
-    with pytest.raises(ValueError):
-        auto.thresholds()
-    with pytest.raises(ValueError):
-        precoding.quantize(np.array(1.0 + 0j), auto)
+        precoding.quantize(np.array(1.0 + 0j), QuantizerSpec(3))
 
 
 def test_step_for_scales_optimal_step():
@@ -91,11 +101,11 @@ def _bussgang_distortion(bits, step):
 def _integrated_distortion(bits, step):
     # E (Q(x) - x)^2 for x ~ N(0, 1), one quadrature per quantizer cell
     spec = QuantizerSpec(bits, step)
-    edges = np.concatenate(([-np.inf], spec.thresholds(), [np.inf]))
+    edges = np.concatenate(([-np.inf], _thresholds(spec), [np.inf]))
     return sum(
         integrate.quad(lambda x, l=label: (l - x) ** 2 * stats.norm.pdf(x), a, b,
                        epsabs=1e-14, epsrel=1e-12)[0]
-        for a, b, label in zip(edges[:-1], edges[1:], spec.labels())
+        for a, b, label in zip(edges[:-1], edges[1:], _labels(spec))
     )
 
 
@@ -327,9 +337,14 @@ def test_measured_distortion_matches_second_moment_identity():
     h = _chan(12, 48, 139)
     pout = precoding.wf_precode(h, 0.02)
     spec = QuantizerSpec(3)
-    d_mc = precoding.measure_distortion(pout.P, spec, np.random.default_rng(140), draws=200_000)
+    rng = np.random.default_rng(140)
+    draws = 200_000
+    s = (rng.standard_normal((12, draws)) + 1j * rng.standard_normal((12, draws))) / np.sqrt(2.0)
+    z = pout.P @ s
     sigma_m2 = np.sum(np.abs(pout.P) ** 2, axis=1)
     gains = np.array([precoding.bussgang_gain(spec, sm) for sm in sigma_m2])
+    x = precoding.quantize(z, spec, input_variance=sigma_m2 / 2.0)
+    d_mc = np.mean(np.abs(x - gains[:, None] * z) ** 2, axis=1)
     want = np.array(
         [
             precoding.quantized_power(spec, sm) - f * f * sm
@@ -354,9 +369,9 @@ def test_wf_zero_noise_on_square_channel_is_zero_forcing():
 
 def test_wf_power_normalization():
     h = _chan(10, 40, 143)
-    for p_total in (1.0, 2.5):
-        out = precoding.wf_precode(h, 0.1, p_total=p_total)
-        assert abs(np.sum(np.abs(out.P) ** 2) - p_total) < 1e-10
+    for scale in (1.0, 2.5):
+        out = precoding.wf_precode(scale * h, 0.1)
+        assert abs(np.sum(np.abs(out.P) ** 2) - 1.0) < 1e-10
         assert out.beta > 0
         assert out.kind == "WF"
 
@@ -367,14 +382,14 @@ def test_wf_singular_channel_raises():
         precoding.wf_precode(h, 0.0)
 
 
-def _wfq_reference(h, sigma2, p_total, spec):
+def _wfq_reference(h, sigma2, spec):
     # the WF precoder, one distortion update, then one more solve, written out
     users = h.shape[0]
 
     def solve(theta):
         gram = h @ h.conj().T + users * theta * np.eye(users)
         raw = np.linalg.solve(gram, h).conj().T
-        return raw * np.sqrt(p_total / np.sum(np.abs(raw) ** 2))
+        return raw * np.sqrt(1.0 / np.sum(np.abs(raw) ** 2))
 
     def distortion(P):
         gains = precoding.bussgang_gain(spec, np.sum(np.abs(P) ** 2, axis=1))
@@ -395,14 +410,13 @@ def _wfq_reference(h, sigma2, p_total, spec):
     ),
     st.integers(1, 8),
     st.floats(1e-3, 3.0),
-    st.floats(0.5, 3.0),
     st.integers(0, 2**16),
 )
-def test_wfq_matches_one_distortion_update(dims, bits, sigma2, p_total, seed):
+def test_wfq_matches_one_distortion_update(dims, bits, sigma2, seed):
     h = np.sqrt(dims[1]) * _chan(*dims, seed)
     spec = QuantizerSpec(bits)
-    out, model = precoding.wfq_precode(h, sigma2, p_total, spec=spec)
-    P, beta = _wfq_reference(h, sigma2, p_total, spec)
+    out, model = precoding.wfq_precode(h, sigma2, spec=spec)
+    P, beta = _wfq_reference(h, sigma2, spec)
     assert out.kind == "WFQ"
     assert np.linalg.norm(out.P - P) <= 1e-12 * np.linalg.norm(P)
     assert abs(out.beta - beta) <= 1e-12 * beta
@@ -411,7 +425,7 @@ def test_wfq_matches_one_distortion_update(dims, bits, sigma2, p_total, seed):
 
 def test_wfq_makes_one_solve_and_one_bussgang_model(monkeypatch):
     calls = _count_calls(monkeypatch, "_regularized", "bussgang_model")
-    precoding.precode("WFQ", _chan(16, 64, 147), 0.05, 1.0, QuantizerSpec(3))
+    precoding.precode("WFQ", _chan(16, 64, 147), 0.05, spec=QuantizerSpec(3))
     assert calls == {"_regularized": 1, "bussgang_model": 1}
 
 
@@ -422,15 +436,16 @@ def test_wfq_rejects_a_fixed_step():
 
 def test_wfq_power_normalization():
     h = _chan(16, 64, 151)
-    out, _ = precoding.wfq_precode(h, 0.05, p_total=2.5, spec=QuantizerSpec(4))
-    assert abs(np.sum(np.abs(out.P) ** 2) - 2.5) < 1e-10
+    for scale in (1.0, 2.5):
+        out, _ = precoding.wfq_precode(scale * h, 0.05, spec=QuantizerSpec(4))
+        assert abs(np.sum(np.abs(out.P) ** 2) - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
 # the precoder dispatch and the baselines
 
 
-def _baseline_reference(kind, h, sigma2, p_total):
+def _baseline_reference(kind, h, sigma2):
     # the MRT, ZF and QCE matrices and receiver scaling, written out
     users = h.shape[0]
     if kind == "MRT":
@@ -439,7 +454,7 @@ def _baseline_reference(kind, h, sigma2, p_total):
         theta = 0.0 if kind == "ZF" else sigma2
         gram = h @ h.conj().T + users * theta * np.eye(users)
         raw = np.linalg.solve(gram, h).conj().T
-    P = raw * np.sqrt(p_total / np.sum(np.abs(raw) ** 2))
+    P = raw * np.sqrt(1.0 / np.sum(np.abs(raw) ** 2))
     hp = h @ P
     beta = float(np.trace(hp).real) / (float(np.sum(np.abs(hp) ** 2)) + users * sigma2)
     return P, max(beta, np.finfo(float).tiny), kind
@@ -449,24 +464,40 @@ def _baseline_reference(kind, h, sigma2, p_total):
 @pytest.mark.parametrize("kind", PRECODERS)
 def test_precode_matches_each_precoder(kind, with_spec):
     h = _chan(12, 48, 158)
-    sigma2, p_total = 0.05, 1.7
+    sigma2 = 0.05
     spec = QuantizerSpec(3) if with_spec else None
     if kind == "QCE" and spec is None:
         with pytest.raises(ValueError, match="quantizer spec"):
-            precoding.precode(kind, h, sigma2, p_total, spec)
+            precoding.precode(kind, h, sigma2, spec=spec)
         return
-    out = precoding.precode(kind, h, sigma2, p_total, spec)
+    out = precoding.precode(kind, h, sigma2, spec=spec)
     if kind in ("MRT", "ZF", "QCE"):
-        want = _baseline_reference(kind, h, sigma2, p_total)
+        want = _baseline_reference(kind, h, sigma2)
     else:
         if kind == "WFQ" and spec is not None:
-            ref = precoding.wfq_precode(h, sigma2, p_total, spec=spec)[0]
+            ref = precoding.wfq_precode(h, sigma2, spec=spec)[0]
         else:
-            ref = precoding.wf_precode(h, sigma2, p_total)
+            ref = precoding.wf_precode(h, sigma2)
         want = (ref.P, ref.beta, ref.kind)
     assert np.array_equal(out.P, want[0])
     assert (out.beta, out.kind) == want[1:]
-    assert out.p_total == p_total
+
+
+@pytest.mark.parametrize("kind", PRECODERS)
+def test_every_precoder_radiates_unit_power(kind):
+    # the total transmit power is fixed at 1 whatever the channel scale
+    h = 3.0 * np.sqrt(48) * _chan(12, 48, 156)
+    out = precoding.precode(kind, h, 0.05, spec=QuantizerSpec(3))
+    assert abs(np.sum(np.abs(out.P) ** 2) - 1.0) <= 1e-12
+
+
+def test_precode_takes_no_power_argument():
+    # spec is keyword-only, so an old positional power cannot land in it
+    with pytest.raises(TypeError):
+        precoding.precode("WF", _chan(4, 8, 157), 0.05, 1.0)
+    for fn in (precoding.precode, precoding.wf_precode, precoding.wfq_precode):
+        assert "p_total" not in inspect.signature(fn).parameters
+    assert "p_total" not in {f.name for f in dataclasses.fields(precoding.PrecodeOutput)}
 
 
 def test_precode_rejects_an_unknown_kind():
@@ -495,11 +526,11 @@ def test_zf_cancels_interference():
 def test_qce_transmit_is_constant_envelope():
     h = _chan(4, 16, 159)
     spec = QuantizerSpec(3)
-    out = precoding.precode("QCE", h, 0.05, p_total=2.0, spec=spec)
+    out = precoding.precode("QCE", h, 0.05, spec=spec)
     rng = np.random.default_rng(160)
     s = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2.0)
     x = precoding.transmit(out, s, spec=spec)
-    assert np.max(np.abs(np.abs(x) - np.sqrt(2.0 / 16))) < 1e-12
+    assert np.max(np.abs(np.abs(x) - np.sqrt(1.0 / 16))) < 1e-12
     width = 2.0 * np.pi / 2 ** 3
     sectors = np.angle(x) / width
     assert np.max(np.abs(sectors - np.round(sectors))) < 1e-9
@@ -535,7 +566,7 @@ def test_transmit_zero_symbols_hit_half_step_corner():
 
 def test_transmit_renormalization_restores_radiated_power():
     h = _chan(8, 64, 165)
-    out = precoding.wf_precode(h, 0.05, p_total=1.0)
+    out = precoding.wf_precode(h, 0.05)
     spec = QuantizerSpec(3)
     rng = np.random.default_rng(166)
     draws = 4000

@@ -296,6 +296,11 @@ def test_clean_channel_validation():
         rie.clean_channel(h, -0.1)
     with pytest.raises(ValueError):
         rie.clean_channel(h, 0.3, mode="multiplicative")
+    # c follows the CorruptionModel rule, so a NaN or negative c fails by name
+    # instead of cleaning into a NaN matrix
+    for c in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="c must be positive"):
+            rie.clean_channel(h, 0.3, c=c)
 
 
 @pytest.mark.parametrize("mode", ["additive", "damped"])

@@ -41,10 +41,13 @@ def test_mp_real_axis_needs_explicit_epsilon():
 
 
 def test_mp_support_edges():
+    # the MP density is positive just inside ((1 - sqrt q)^2, (1 + sqrt q)^2)
+    # and vanishes just outside
     for q in (0.117, 0.25, 0.5):
-        lo, hi = rmt.mp_support(q)
-        assert abs(lo - (1 - np.sqrt(q)) ** 2) < 1e-12
-        assert abs(hi - (1 + np.sqrt(q)) ** 2) < 1e-12
+        lo, hi = (1.0 - np.sqrt(q)) ** 2, (1.0 + np.sqrt(q)) ** 2
+        inside = rmt.mp_stieltjes(np.array([lo + 1e-3, hi - 1e-3]), q, eps=1e-12).imag
+        outside = rmt.mp_stieltjes(np.array([lo - 1e-3, hi + 1e-3]), q, eps=1e-12).imag
+        assert np.all(inside > 1e-2) and np.all(outside < 1e-8)
 
 
 @settings(max_examples=60, deadline=None)
