@@ -12,7 +12,6 @@ from eiprecode import (
     QuantizerSpec,
     SystemDims,
     bussgang_gain,
-    bussgang_model,
     gen_channel,
     optimal_step,
     precode,
@@ -35,13 +34,14 @@ for b in range(1, 7):
     print(f"  B = {b}: step = {optimal_step(b):.4f}, "
           f"linear gain F_B = {bussgang_gain(QuantizerSpec(b), 1.0):.4f}")
 
-# Bussgang says: quantizer output = F * input + uncorrelated distortion
+# Bussgang says: quantizer output = F * input + uncorrelated distortion, and
+# an auto step gives every antenna the same gain F_B whatever its power
 dims = SystemDims(users=16, antennas=64)
 H = gen_channel(dims, np.random.default_rng(33))
 sigma2 = 0.05
 pout = wf_precode(H, sigma2)
 qspec = QuantizerSpec(3)
-model = bussgang_model(pout.P, qspec, sigma2)
+f_3 = bussgang_gain(qspec, 1.0)
 
 rng = np.random.default_rng(34)
 draws = 50_000
@@ -51,24 +51,23 @@ z = pout.P @ s
 sigma_m2 = np.sum(np.abs(pout.P) ** 2, axis=1)
 xq = quantize(z, qspec, input_variance=sigma_m2 / 2.0)
 f_mc = np.real(np.sum(xq * z.conj(), axis=1) / draws) / sigma_m2
-print(f"\nBussgang gains, antenna 0..3: model {np.round(model.gains[:4], 4)}")
-print(f"                    sampled  {np.round(f_mc[:4], 4)}")
-dist = xq - model.gains[:, None] * z
+print(f"\nBussgang gain F_B = {f_3:.4f}; sampled per antenna, 0..3: "
+      f"{np.round(f_mc[:4], 4)}")
+print(f"sampled gains span [{f_mc.min():.4f}, {f_mc.max():.4f}] over "
+      f"{dims.antennas} antennas")
+dist = xq - f_3 * z
 cross = np.abs(np.sum(dist * z.conj(), axis=1) / draws)
 print(f"max |<distortion, input>| over antennas: {cross.max():.2e} "
       f"(uncorrelated by construction)")
 
-# an auto step gives every antenna the same gain F_B, so the distortion
-# aware precoder is one solve at theta = sigma^2 + (1 - F_B)(U sigma^2 + 1)
+# so every antenna has the distortion variance (1 - F_B)(U sigma^2 + 1), and
+# the distortion aware precoder is one solve at theta = sigma^2 + that
 wspec = QuantizerSpec(4)
-f_b = bussgang_gain(wspec, 1.0)
-theta = sigma2 + (1.0 - f_b) * (dims.users * sigma2 + 1.0)
-out, wmodel = wfq_precode(H, sigma2, spec=wspec)
+out, f_b = wfq_precode(H, sigma2, spec=wspec)
+sigma_d2 = (1.0 - f_b) * (dims.users * sigma2 + 1.0)
 print(f"\nregularized quantized precoder: F_B = {f_b:.6f}, "
-      f"theta = {theta:.5f} against sigma^2 = {sigma2}")
-print(f"model gains span [{wmodel.gains.min():.6f}, {wmodel.gains.max():.6f}]")
-print(f"distortion variance per antenna (first 3): "
-      f"{np.round(wmodel.sigma_d2[:3], 5)}")
+      f"distortion variance {sigma_d2:.5f}, "
+      f"theta = {sigma2 + sigma_d2:.5f} against sigma^2 = {sigma2}")
 
 # constant-envelope transmission: every antenna sample has the same modulus
 qce = precode("QCE", H, sigma2, spec=QuantizerSpec(3))

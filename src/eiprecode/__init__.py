@@ -16,7 +16,6 @@ from .channel import (
     build_bsca,
     corrupt,
     gen_channel,
-    normalize_observation,
 )
 from .eta import (
     EstimatorConfig,
@@ -40,11 +39,9 @@ from .linksim import (
     wilson_interval,
 )
 from .precoding import (
-    BussgangModel,
     PrecodeOutput,
     QuantizerSpec,
     bussgang_gain,
-    bussgang_model,
     optimal_step,
     precode,
     quantize,

@@ -23,7 +23,6 @@ __all__ = [
     "CorruptionModel",
     "gen_channel",
     "corrupt",
-    "normalize_observation",
     "build_bsca",
 ]
 
@@ -64,6 +63,22 @@ class CorruptionModel:
         """Additive-form noise amplitude sqrt(eta c / (1 - eta))."""
         return float(np.sqrt(self.eta * self.c / (1.0 - self.eta)))
 
+    def additive_form(self, H_obs: np.ndarray) -> np.ndarray:
+        """The observation in additive form, whose estimand is the true channel.
+
+        An additive observation is already in that form and comes back as
+        it is.  A damped one is divided by sqrt(1 - eta), or copied at
+        eta 0; its non-finite entries raise ValueError before the divide
+        touches them.
+        """
+        if self.mode == "additive":
+            return H_obs
+        if not np.isfinite(H_obs).all():
+            raise ValueError("observation has non-finite entries")
+        if self.eta == 0.0:
+            return H_obs.copy()
+        return H_obs / np.sqrt(1.0 - self.eta)
+
 
 def _cn_matrix(rows: int, cols: int, var: float, rng: np.random.Generator):
     # circularly symmetric complex Gaussian, per-entry variance var
@@ -90,20 +105,6 @@ def corrupt(
         return np.sqrt(1.0 - model.eta) * H + np.sqrt(model.eta) * E
     E = _cn_matrix(u, a, 1.0 / a, rng)
     return H + model.alpha() * E
-
-
-def normalize_observation(H_obs: np.ndarray, eta_hat: float) -> np.ndarray:
-    """Rescale a damped observation into additive form: H_obs / sqrt(1 - eta).
-
-    Non-finite entries raise ValueError before any arithmetic touches them.
-    """
-    if not 0.0 <= eta_hat < 1.0:
-        raise ValueError(f"eta_hat must lie in [0, 1), got {eta_hat}")
-    if not np.isfinite(H_obs).all():
-        raise ValueError("observation has non-finite entries")
-    if eta_hat == 0.0:
-        return H_obs.copy()
-    return H_obs / np.sqrt(1.0 - eta_hat)
 
 
 def build_bsca(X: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import CorruptionModel
 from .rmt import (
     free_cumulants,
     noisy_gram_cumulant_polys,
@@ -56,10 +57,7 @@ class EstimatorConfig:
             raise ValueError("order must be 1, 2, 3 or None")
         if self.mode not in ("gaussian_equivalent", "printed"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.data_mode not in ("additive", "damped"):
-            raise ValueError(f"unknown data_mode {self.data_mode!r}")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        CorruptionModel(0.0, self.data_mode, self.c)  # owns the data_mode and c rules
         if self.mode == "printed" and self.c != 1.0:
             raise ValueError(f"mode 'printed' assumes c = 1, got c = {self.c}")
 

@@ -320,10 +320,12 @@ def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
     rows = []
     bers = []
     unresolved = []
+    degenerate = 0
     for x in points:
         eta, snr = (fixed, x) if axis == "snr_db" else (x, fixed)
         agg = monte_carlo(cfg, eta=eta, snr_db=snr)
         bers.append(agg.ber)
+        degenerate += agg.degenerate_csi_trials
         if not agg.resolved:
             unresolved.append(_round(x))
         row = (
@@ -345,6 +347,8 @@ def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
             other: _round(fixed),
             f"{name}_at_ber_1e-3": None if crossing is None else _round(crossing),
             f"unresolved_{axis}": unresolved,
+            # trials whose CSI was all zero and transmitted nothing
+            "degenerate_csi_trials": degenerate,
         },
     }
     header = _BER_HEADER if axis == "snr_db" else ("eta",) + _BER_HEADER

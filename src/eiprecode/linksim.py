@@ -167,6 +167,7 @@ class TrialMetrics:
     delta_eta: float | None
     eta_hat: float | None
     seed_key: tuple
+    degenerate_csi: bool = False
 
     def __post_init__(self):
         if self.bit_errors > self.bits_sent:
@@ -186,6 +187,7 @@ class Aggregate:
     mse_noisy_mean: float | None
     delta_eta_values: tuple
     eta_hat_values: tuple
+    degenerate_csi_trials: int
 
 
 class MonteCarloError(RuntimeError):
@@ -306,7 +308,10 @@ def downlink_trial(
     """One seeded downlink realization.
 
     The true channel always carries the propagation; the configured CSI
-    handling only decides what the precoder sees.
+    handling only decides what the precoder sees.  An all-zero CSI (the
+    cleaner can shrink every singular value away) gives the precoder no
+    direction: the trial transmits nothing, scores the bits as received
+    with beta 1, and is flagged ``degenerate_csi``.
     """
     eta = cfg.eta[0] if eta is None else float(eta)
     snr_db = cfg.snr_db[0] if snr_db is None else float(snr_db)
@@ -328,21 +333,24 @@ def downlink_trial(
     root_a = np.sqrt(dims.antennas)
     H_link = root_a * H
     csi_link = root_a * csi
-
-    spec = cfg.quantizer
-    pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=spec)
+    degenerate = not np.any(csi)
 
     bps = _bits_per_symbol(cfg.modulation)
     n_bits = dims.users * cfg.symbols_per_trial * bps
     tx_bits = rng_sym.integers(0, 2, size=n_bits)
     s = modulate(tx_bits, cfg.modulation).reshape(dims.users, cfg.symbols_per_trial)
 
-    x = precoding.transmit(pout, s, spec)
+    if degenerate:
+        x, beta = np.zeros((dims.antennas, cfg.symbols_per_trial), dtype=complex), 1.0
+    else:
+        spec = cfg.quantizer
+        pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=spec)
+        x, beta = precoding.transmit(pout, s, spec), pout.beta
     noise = (
         rng_noise.standard_normal(s.shape) + 1j * rng_noise.standard_normal(s.shape)
     ) * np.sqrt(sigma2 / 2.0)
     y = H_link @ x + noise
-    s_hat = pout.beta * y
+    s_hat = beta * y
     rx_bits = demodulate(s_hat.reshape(-1), cfg.modulation)
     errors = int(np.count_nonzero(rx_bits != demodulate(s.reshape(-1), cfg.modulation)))
 
@@ -355,6 +363,7 @@ def downlink_trial(
         delta_eta=d_eta,
         eta_hat=eta_hat,
         seed_key=(cfg.seed, trial_index),
+        degenerate_csi=degenerate,
     )
 
 
@@ -377,6 +386,7 @@ def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
         mse_noisy_mean=float(np.mean(mses_noisy)) if mses_noisy else None,
         delta_eta_values=tuple(m.delta_eta for m in metrics if m.delta_eta is not None),
         eta_hat_values=tuple(m.eta_hat for m in metrics if m.eta_hat is not None),
+        degenerate_csi_trials=sum(m.degenerate_csi for m in metrics),
     )
 
 

@@ -9,7 +9,12 @@ components separately:
 so the thresholds are the midpoints between consecutive labels and a zero
 input maps up (to +D/2).  The ``auto`` step rule scales the
 Gaussian-distortion-minimizing unit-variance step by the per-component
-input deviation.
+input deviation, which makes the quantizer scale-invariant: for a
+CN(0, sigma^2) input the Bussgang gain is F_B = bussgang_gain(spec, 1) and
+the output power is P_B sigma^2 with P_B = quantized_power(spec, 1),
+whatever sigma^2.  The quantized precoding chain runs on these two
+constants of the bit depth: WFQ's regularizer and receiver scaling use F_B,
+and transmit's renormalization uses P_B.
 
 The total transmit power is fixed at 1, the unit the SNR is defined in:
 precoders return a matrix P with tr(P P^H) = 1 exactly and a receiver
@@ -29,13 +34,11 @@ from scipy.special import erf
 __all__ = [
     "PRECODERS",
     "QuantizerSpec",
-    "BussgangModel",
     "PrecodeOutput",
     "optimal_step",
     "quantize",
     "quantized_power",
     "bussgang_gain",
-    "bussgang_model",
     "wf_precode",
     "wfq_precode",
     "precode",
@@ -55,13 +58,14 @@ class QuantizerSpec:
     step: float | str = "auto"
 
     def __post_init__(self):
-        if not (1 <= int(self.bits) <= _MAX_BITS):
-            raise ValueError(f"bits must lie in [1, {_MAX_BITS}], got {self.bits}")
+        # a NaN fails the range, and a fractional depth would break the odd label grid
+        if not 1 <= self.bits <= _MAX_BITS or self.bits != int(self.bits):
+            raise ValueError(f"bits must be an integer in [1, {_MAX_BITS}], got {self.bits}")
         if isinstance(self.step, str):
             if self.step != "auto":
                 raise ValueError(f"step must be positive or 'auto', got {self.step!r}")
-        elif self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        elif not 0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
     @property
     def is_auto(self) -> bool:
@@ -127,67 +131,44 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, input_variance=None) -> np.ndar
     )
 
 
-def _live_variances(sigma_u2):
-    """Validated CN input variances, a mask of the nonzero ones, and the
-    variances with zeros replaced by 1 so the formulas stay finite."""
-    s = np.asarray(sigma_u2, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("sigma_u2 must be nonnegative")
-    live = s != 0
-    return live, np.where(live, s, 1.0)
+def _variance(sigma_u2) -> float:
+    """A validated CN input variance: a nonnegative scalar, as a float."""
+    if np.ndim(sigma_u2) != 0:
+        raise TypeError("sigma_u2 must be a scalar variance")
+    v = float(sigma_u2)
+    if not v >= 0:
+        raise ValueError(f"sigma_u2 must be nonnegative, got {v}")
+    return v
 
 
-def bussgang_gain(spec: QuantizerSpec, sigma_u2):
+def bussgang_gain(spec: QuantizerSpec, sigma_u2: float) -> float:
     """Linear (Bussgang) gain of the quantizer for a CN(0, sigma_u2) input.
 
     F = (D / sqrt(pi sigma_u2)) * sum_l exp(-D^2 (l - 2^(B-1))^2 / sigma_u2)
-    over the threshold indices l = 1 .. 2^B - 1.  ``sigma_u2`` may be an
-    array of per-antenna variances, evaluated in one broadcast; a scalar
-    returns a float.  A zero-variance input is assigned gain 1 (no signal,
-    no distortion).
+    over the threshold indices l = 1 .. 2^B - 1.  A zero-variance input is
+    assigned gain 1 (no signal, no distortion).
     """
-    live, v = _live_variances(sigma_u2)
-    d = np.asarray(spec.step_for(v / 2.0))
+    v = _variance(sigma_u2)
+    if v == 0:
+        return 1.0
+    d = spec.step_for(v / 2.0)
     k = np.arange(1, 2 ** spec.bits) - 2 ** (spec.bits - 1)
-    expo = np.exp(-(d[..., None] ** 2) * k ** 2 / v[..., None])
-    gain = np.where(live, d / np.sqrt(np.pi * v) * np.sum(expo, axis=-1), 1.0)
-    return float(gain) if gain.ndim == 0 else gain
+    return float(d / np.sqrt(np.pi * v) * np.sum(np.exp(-(d ** 2) * k ** 2 / v)))
 
 
-def quantized_power(spec: QuantizerSpec, sigma_u2):
-    """E |Q(u)|^2 for a CN(0, sigma_u2) input (both components pooled);
-    array input is evaluated per entry in one broadcast, as in
-    :func:`bussgang_gain`, and a zero variance gives 0."""
-    live, v = _live_variances(sigma_u2)
+def quantized_power(spec: QuantizerSpec, sigma_u2: float) -> float:
+    """E |Q(u)|^2 for a CN(0, sigma_u2) input (both components pooled); a
+    zero variance gives 0."""
+    v = _variance(sigma_u2)
+    if v == 0:
+        return 0.0
     n = 2 ** spec.bits
-    d = np.asarray(spec.step_for(v / 2.0))[..., None]
+    d = spec.step_for(v / 2.0)
     labels = d * (np.arange(n) - (n - 1) / 2.0)
-    z = d * (np.arange(1, n) - n // 2) / (np.sqrt(v / 2.0)[..., None] * np.sqrt(2.0))
+    z = d * (np.arange(1, n) - n // 2) / (np.sqrt(v / 2.0) * np.sqrt(2.0))
     # the outer cells run to -inf and +inf, where the CDF is exactly 0 and 1
-    mass = np.diff(0.5 * (1.0 + erf(z)), prepend=0.0, append=1.0, axis=-1)
-    power = np.where(live, 2.0 * np.sum(labels ** 2 * mass, axis=-1), 0.0)
-    return float(power) if power.ndim == 0 else power
-
-
-@dataclass(frozen=True)
-class BussgangModel:
-    """Per-antenna linearization of the quantized transmit chain."""
-
-    gains: np.ndarray        # diagonal of the A x A gain matrix F
-    sigma_d2: np.ndarray     # per-antenna distortion variances
-    sigma_m2: np.ndarray     # per-antenna quantizer-input variances
-
-
-def bussgang_model(P: np.ndarray, spec: QuantizerSpec, sigma2: float) -> BussgangModel:
-    """Diagonal Bussgang gains and the distortion variances
-    sigma_d2 = (1 - F_mm)(U sigma^2 + 1) for the precoder input covariance
-    R_zz = P P^H (unit-energy symbols), with U the column count of P."""
-    P = np.asarray(P)
-    users = P.shape[1]
-    sigma_m2 = np.einsum("ij,ij->i", P, P.conj()).real
-    gains = bussgang_gain(spec, sigma_m2)
-    sigma_d2 = (1.0 - gains) * (users * sigma2 + 1.0)
-    return BussgangModel(gains=gains, sigma_d2=sigma_d2, sigma_m2=sigma_m2)
+    mass = np.diff(0.5 * (1.0 + erf(z)), prepend=0.0, append=1.0)
+    return float(2.0 * np.sum(labels ** 2 * mass))
 
 
 @dataclass(frozen=True)
@@ -217,18 +198,15 @@ def _regularized(H_csi: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _receiver_beta(
-    H_csi: np.ndarray, P: np.ndarray, sigma2: float, model: BussgangModel | None
+    H_csi: np.ndarray, P: np.ndarray, sigma2: float, gain: float = 1.0, sigma_d2: float = 0.0
 ) -> float:
+    """The beta minimizing E||s - beta(H F P s + H d + n)||^2 for the gain
+    F = gain I and the distortion covariance sigma_d2 I; the defaults are
+    ideal DACs."""
     users = H_csi.shape[0]
-    if model is None:
-        HFP = H_csi @ P
-        distortion = 0.0
-    else:
-        HFP = H_csi @ (model.gains[:, None] * P)
-        distortion = float(
-            np.einsum("um,m,um->", H_csi, model.sigma_d2, H_csi.conj()).real
-        )
+    HFP = gain * (H_csi @ P)
     num = float(np.trace(HFP).real)
+    distortion = sigma_d2 * float(np.sum(np.abs(H_csi) ** 2))
     den = float(np.sum(np.abs(HFP) ** 2)) + distortion + users * sigma2
     if den <= 0:
         return 1.0
@@ -240,38 +218,36 @@ def wf_precode(H_csi: np.ndarray, sigma2: float) -> PrecodeOutput:
     scaled to tr(P P^H) = 1."""
     H_csi = np.asarray(H_csi)
     P = _regularized(H_csi, sigma2)
-    beta = _receiver_beta(H_csi, P, sigma2, None)
+    beta = _receiver_beta(H_csi, P, sigma2)
     return PrecodeOutput(P=P, beta=beta, kind="WF")
 
 
 def wfq_precode(
     H_csi: np.ndarray, sigma2: float, *, spec: QuantizerSpec
-) -> tuple[PrecodeOutput, BussgangModel]:
-    """Quantization-aware regularized precoder, in closed form.
+) -> tuple[PrecodeOutput, float]:
+    """Quantization-aware regularized precoder, in closed form; returns the
+    output and the gain F_B = bussgang_gain(spec, 1).
 
-    One regularized solve H^H (H H^H + U theta I)^{-1} at
-    theta = sigma^2 + (1 - F_B)(U sigma^2 + 1), with F_B = bussgang_gain(spec, 1)
-    and U the row count of ``H_csi``; ``beta`` comes from the
-    Bussgang model of the normalized matrix.  This is exact, not a
-    truncated fixed point: an auto step scales with each antenna's input
-    deviation, so the quantizer is scale-invariant and every antenna has
-    the same gain F_B whatever its power, hence the same distortion
-    variance (1 - F_B)(U sigma^2 + 1), which no choice of P can move.
-    The closed form counts every antenna as live; it differs from iterating
-    on the antenna-average distortion only for CSI with an all-zero column
-    (a dead antenna, distortion 0), which no CSI mode produces.  A fixed
-    step breaks the scale invariance and raises ``ValueError``.
+    An auto step scales with each antenna's input deviation, so the
+    quantizer is scale-invariant: every antenna has the gain F_B whatever
+    its power, and the distortion variance
+    sigma_d2 = (1 - F_B)(U sigma^2 + 1), with U the row count of ``H_csi``,
+    which no choice of P can move.  So the precoder is one regularized solve
+    H^H (H H^H + U theta I)^{-1} at theta = sigma^2 + sigma_d2, and ``beta``
+    uses the same F_B and sigma_d2.  Every antenna counts as live: only CSI
+    with an all-zero column (a dead antenna, no input and no distortion),
+    which no CSI mode produces, would differ.  A fixed step breaks the scale
+    invariance and raises ``ValueError``.
     """
     if not spec.is_auto:
         raise ValueError("wfq_precode needs an auto-step quantizer spec")
     H_csi = np.asarray(H_csi)
     users = H_csi.shape[0]
     gain = bussgang_gain(spec, 1.0)
-    theta = sigma2 + (1.0 - gain) * (users * sigma2 + 1.0)
-    P = _regularized(H_csi, theta)
-    model = bussgang_model(P, spec, sigma2)
-    beta = _receiver_beta(H_csi, P, sigma2, model)
-    return PrecodeOutput(P=P, beta=beta, kind="WFQ"), model
+    sigma_d2 = (1.0 - gain) * (users * sigma2 + 1.0)
+    P = _regularized(H_csi, sigma2 + sigma_d2)
+    beta = _receiver_beta(H_csi, P, sigma2, gain, sigma_d2)
+    return PrecodeOutput(P=P, beta=beta, kind="WFQ"), gain
 
 
 def precode(
@@ -305,7 +281,7 @@ def precode(
         P = _normalize_power(H_csi.conj().T)
     else:
         P = _regularized(H_csi, 0.0 if kind == "ZF" else sigma2)
-    beta = _receiver_beta(H_csi, P, sigma2, None)
+    beta = _receiver_beta(H_csi, P, sigma2)
     return PrecodeOutput(P=P, beta=beta, kind=kind)
 
 
@@ -316,9 +292,12 @@ def transmit(
 
     ``spec=None`` bypasses quantization (ideal DACs).  For QCE outputs the
     antenna samples are constant-envelope with the phase rounded to one of
-    2^B sectors.  Otherwise the precoded samples are quantized per antenna
-    (auto steps from diag(P P^H)) and scaled by a deterministic scalar so the
-    expected radiated power is 1.
+    2^B sectors.  Otherwise the precoded samples are quantized per antenna,
+    at auto steps from diag(P P^H), and scaled so the expected radiated
+    power is 1.  An auto step makes E|Q(u)|^2 = P_B sigma_m2 on every
+    antenna, with P_B = quantized_power(spec, 1), so the power is
+    P_B tr(P P^H) = P_B and the scale is the constant sqrt(1 / P_B).  A
+    fixed step breaks that and raises ``ValueError``.
     """
     s = np.asarray(s, dtype=complex)
     x_lin = pout.P @ s
@@ -332,9 +311,8 @@ def transmit(
         return amp * np.exp(1j * phase)
     if spec is None:
         return x_lin
+    if not spec.is_auto:
+        raise ValueError("transmit needs an auto-step quantizer spec")
     sigma_m2 = np.einsum("ij,ij->i", pout.P, pout.P.conj()).real
     x = quantize(x_lin, spec, input_variance=sigma_m2 / 2.0)
-    p_rad = float(np.sum(quantized_power(spec, sigma_m2)))
-    if p_rad > 0:
-        x = x * np.sqrt(1.0 / p_rad)
-    return x
+    return x * np.sqrt(1.0 / quantized_power(spec, 1.0))

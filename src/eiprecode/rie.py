@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 # build_bsca is unused here; perfbench's traced run looks it up on this module
-from .channel import CorruptionModel, SystemDims, build_bsca, normalize_observation  # noqa: F401
+from .channel import CorruptionModel, SystemDims, build_bsca  # noqa: F401
 from .rmt import default_epsilon, empirical_stieltjes
 
 __all__ = [
@@ -122,17 +122,17 @@ def clean_channel(
     (U + A).  Singular values at or below 1e-10 times the largest are left
     out of that spectrum and map to 0.  Singular vectors are kept.
 
-    ``mode`` declares the corruption form of the observation: damped
-    observations are divided by sqrt(1 - eta_hat) first (additive ones are
-    already in the required form), so the estimand is the true channel.
-    Non-finite input raises ValueError.
+    ``mode`` declares the corruption form of the observation, which
+    :meth:`~eiprecode.channel.CorruptionModel.additive_form` maps to additive
+    form first (damped observations are divided by sqrt(1 - eta_hat)), so
+    the estimand is the true channel.  Non-finite input raises ValueError.
     """
     H_obs = np.asarray(H_obs, dtype=complex)
     u, a = H_obs.shape
     q = SystemDims(u, a).q  # validates 0 < U < A
-    alpha = CorruptionModel(eta_hat, mode, c).alpha()
-    X = normalize_observation(H_obs, eta_hat) if mode == "damped" else H_obs
-    left, sv, vh = eig_bsca(X)
+    model = CorruptionModel(eta_hat, mode, c)
+    alpha = model.alpha()
+    left, sv, vh = eig_bsca(model.additive_form(H_obs))
     kept = sv[sv > _NULL_TOL * sv[0]]
     xi = np.zeros_like(sv)
     if kept.size:

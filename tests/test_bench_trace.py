@@ -42,3 +42,6 @@ def test_traced_metrics_serialize_as_finite_floats(tmp_path):
     assert not bad, bad
     # the cleaner evaluates every leave-one-out resolvent in one call
     assert metrics["rie.local_stieltjes.calls_per_clean"] == 1.0
+    # WFQ reads F_B once and transmit P_B once per trial, whatever the antenna count
+    assert metrics["precoding.bussgang_gain.calls_per_trial"] == 1.0
+    assert metrics["precoding.quantized_power.calls_per_trial"] == 1.0

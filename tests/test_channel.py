@@ -109,18 +109,22 @@ def test_damped_normalizes_onto_additive_with_shared_noise_stream():
     eta = 0.5
     y_damped = channel.corrupt(h, CorruptionModel(eta, mode="damped"), np.random.default_rng(32))
     y_add = channel.corrupt(h, CorruptionModel(eta, mode="additive"), np.random.default_rng(32))
-    lifted = channel.normalize_observation(y_damped, eta)
+    lifted = CorruptionModel(eta, mode="damped").additive_form(y_damped)
     assert np.max(np.abs(lifted - y_add)) < 1e-12
 
 
 def test_normalize_observation():
     h = _chan(6, 12, 5)
-    assert np.array_equal(channel.normalize_observation(h, 0.0), h)
-    scaled = channel.normalize_observation(h, 0.5)
+    at_zero = CorruptionModel(0.0, mode="damped").additive_form(h)
+    assert np.array_equal(at_zero, h) and at_zero is not h
+    scaled = CorruptionModel(0.5, mode="damped").additive_form(h)
     assert np.max(np.abs(scaled - h * np.sqrt(2.0))) < 1e-15
-    for bad in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            channel.normalize_observation(h, bad)
+    # an additive observation is already in additive form
+    assert CorruptionModel(0.5).additive_form(h) is h
+    bad = h.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        CorruptionModel(0.5, mode="damped").additive_form(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from eiprecode import config
+from eiprecode import config, precoding
 from eiprecode.cli import build_parser, main
 from eiprecode.config import (
     ENV_SEED,
@@ -252,7 +252,8 @@ def test_ber_vs_snr_table_and_bypass_bits():
         assert row[7] == 4
         assert row[8] == 4000
     head = res.summary["headline"]
-    assert set(head) == {"eta", "snr_at_ber_1e-3", "unresolved_snr_db"}
+    assert set(head) == {"eta", "snr_at_ber_1e-3", "unresolved_snr_db", "degenerate_csi_trials"}
+    assert head["degenerate_csi_trials"] == 0
     assert head["eta"] == 0.3
     assert isinstance(head["unresolved_snr_db"], list)
 
@@ -272,7 +273,7 @@ def test_ber_vs_eta_prepends_level_column():
     assert all(r[1] == 5.0 for r in res.rows)
     assert all(r[4] == 4 for r in res.rows)
     head = res.summary["headline"]
-    assert set(head) == {"snr_db", "eta_at_ber_1e-3", "unresolved_eta"}
+    assert set(head) == {"snr_db", "eta_at_ber_1e-3", "unresolved_eta", "degenerate_csi_trials"}
     assert head["snr_db"] == 5.0
     assert isinstance(head["unresolved_eta"], list)
 
@@ -616,14 +617,14 @@ def test_cli_incomplete_experiment_exits_2(tmp_path, capsys):
     assert "antennas_grid" in err
 
 
-def test_cli_numerical_failure_exits_1(tmp_path, capsys):
-    # cleaning at eta 0.99 shrinks every singular value of a 2 x 64
-    # observation to 0, and MRT cannot scale a zero matrix to P_total
+def test_cli_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(precoding, "precode", singular)
     code, _, err = _run_cli(
         [
-            "ber", "--out", str(tmp_path / "o"), "--precoder", "MRT",
-            "--csi", "ei_cleaned_known_eta",
-            "--set", "users=2", "--set", "antennas=64", "--set", "eta=0.99",
+            "ber", "--out", str(tmp_path / "o"), "--precoder", "ZF",
             "--set", "trials=1", "--set", "symbols_per_trial=10",
             "--set", "snr_db=5",
         ],
@@ -631,7 +632,27 @@ def test_cli_numerical_failure_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "numerical failure" in err
-    assert "zero precoding matrix" in err
+    assert "Singular matrix" in err
+
+
+@pytest.mark.parametrize("precoder", ["MRT", "WFQ"])
+def test_cli_ber_survives_a_zero_csi(tmp_path, capsys, precoder):
+    # cleaning at eta 0.99 shrinks every singular value of a 2 x 64
+    # observation to 0; such a trial transmits nothing instead of ending
+    # the run, and the JSON counts it
+    code, _, err = _run_cli(
+        [
+            "ber", "--out", str(tmp_path / "o"), "--precoder", precoder,
+            "--csi", "ei_cleaned_known_eta",
+            "--set", "users=2", "--set", "antennas=64", "--set", "eta=0.99",
+            "--set", "trials=8", "--set", "symbols_per_trial=10",
+            "--set", "snr_db=5",
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    doc = json.loads((tmp_path / "o" / "ber_vs_snr.json").read_text())
+    assert doc["headline"]["degenerate_csi_trials"] > 0
 
 
 def _reject_constant(name):

@@ -246,6 +246,22 @@ def test_downlink_trial_blind_estimates_eta():
     assert m.delta_eta < 0.15
 
 
+def test_downlink_trial_zero_csi_transmits_nothing(monkeypatch):
+    # cleaning at eta 0.99 shrinks trial 2's 2 x 64 observation to the zero
+    # matrix, and keeps trial 0's
+    cfg = SimConfig(users=2, antennas=64, symbols_per_trial=50, precoder="MRT",
+                    csi="ei_cleaned_known_eta", eta=0.99, snr_db=10.0, seed=34, trials=8)
+    calls = []
+    transmit = linksim.precoding.transmit
+    monkeypatch.setattr(linksim.precoding, "transmit", lambda *a: calls.append(a) or transmit(*a))
+    m = linksim.downlink_trial(cfg, 2)
+    assert m.degenerate_csi and not calls
+    assert 0 < m.bit_errors < m.bits_sent
+    assert not linksim.downlink_trial(cfg, 0).degenerate_csi
+    assert len(calls) == 1
+    assert linksim.monte_carlo(cfg).degenerate_csi_trials >= 1
+
+
 def test_downlink_trial_eta_and_snr_overrides():
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect",
                     eta=0.3, snr_db=0.0, seed=23)
@@ -332,12 +348,14 @@ def test_monte_carlo_exhausts_short_trial_lists():
     assert agg.trials_run == 3
 
 
-def test_monte_carlo_wraps_trial_failures():
-    # cleaning at eta 0.99 shrinks a 2 x 64 observation to the zero matrix,
-    # which MRT cannot scale to P_total; the failure must surface as an
-    # engine error with the partial aggregate attached
-    cfg = SimConfig(users=2, antennas=64, symbols_per_trial=50, precoder="MRT",
-                    csi="ei_cleaned_known_eta", eta=0.99, snr_db=10.0, seed=34, trials=8)
+def test_monte_carlo_wraps_trial_failures(monkeypatch):
+    # a failing precoder must surface as an engine error with the partial
+    # aggregate attached
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(linksim.precoding, "precode", singular)
+    cfg = SimConfig(**_SMALL, precoder="ZF", csi="perfect", snr_db=10.0, seed=34, trials=8)
     with pytest.raises(MonteCarloError) as info:
         linksim.monte_carlo(cfg)
     assert info.value.trial_index == 0

@@ -337,7 +337,7 @@ def test_clean_channel_preserves_kept_eigenvectors(y, eta_hat):
 @settings(max_examples=60, deadline=None)
 @given(_observations(), _ETA_HAT, st.sampled_from(["additive", "damped"]))
 def test_clean_channel_matches_the_bsca_reference(y, eta_hat, mode):
-    x = channel.normalize_observation(y, eta_hat) if mode == "damped" else y
+    x = CorruptionModel(eta_hat, mode).additive_form(y)
     hc = rie.clean_channel(y, eta_hat, mode=mode)
     assert np.max(np.abs(hc - _reference_clean(x, eta_hat))) < 1e-10
 
@@ -348,7 +348,7 @@ def test_clean_channel_matches_the_bsca_reference(y, eta_hat, mode):
 )
 def test_clean_channel_matches_the_bsca_reference_at_paper_sizes(dims, mode):
     _, y = _draw(*dims, 0.3, 131, 132)
-    x = channel.normalize_observation(y, 0.3) if mode == "damped" else y
+    x = CorruptionModel(0.3, mode).additive_form(y)
     hc = rie.clean_channel(y, 0.3, mode=mode)
     assert np.max(np.abs(hc - _reference_clean(x, 0.3))) < 1e-10
 
