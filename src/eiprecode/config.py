@@ -1,19 +1,21 @@
 """Strict config resolution: YAML file -> env -> --set pairs -> named flags.
 
-Every key is checked against the experiment schema; unknown keys and
-malformed values raise :class:`ConfigError` naming the offending field, which
-the CLI maps to exit code 2.
+This module only merges the layers and rejects unknown keys.  The schema is
+:class:`~eiprecode.linksim.SimConfig`: its field annotations give every
+type rule and its construction every range rule.  A malformed value raises
+:class:`ConfigError` naming the offending field, which the CLI maps to exit
+code 2.
 """
 
 from __future__ import annotations
 
 import os
-import sys
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
 
-from .linksim import SimConfig
+from .linksim import SimConfig, cast_field
 
 __all__ = ["ConfigError", "parse_config", "parse_set_item", "ENV_SEED", "ENV_THREADS"]
 
@@ -24,71 +26,8 @@ class ConfigError(ValueError):
     """Invalid configuration input; the message names the field."""
 
 
-def _fail(key, value, expected):
-    raise ConfigError(f"config field {key!r}: expected {expected}, got {value!r}")
-
-
-def _coerce_int(key, v, allow_none=False):
-    if v is None and allow_none:
-        return None
-    if _coerce_float(key, v, "an integer") != int(v):
-        _fail(key, v, "an integer")
-    return int(v)
-
-
-def _coerce_float(key, v, expected="a finite number"):
-    # NaN, +/-inf and ints past the float range fail the bound
-    if isinstance(v, bool) or not (isinstance(v, (int, float)) and abs(v) <= sys.float_info.max):
-        _fail(key, v, expected)
-    return float(v)
-
-
-def _coerce_float_list(key, v):
-    items = v if isinstance(v, (list, tuple)) else [v]
-    return tuple(_coerce_float(key, x) for x in items)
-
-
-def _coerce_int_list(key, v):
-    items = v if isinstance(v, (list, tuple)) else [v]
-    return tuple(_coerce_int(key, x) for x in items)
-
-
-def _coerce_str(key, v):
-    if not isinstance(v, str):
-        _fail(key, v, "a string")
-    return v
-
-
-def _coerce_bits(key, v):
-    if v is None or (isinstance(v, str) and v.lower() == "bypass"):
-        return None
-    return _coerce_int(key, v)
-
-
-_COERCERS = {
-    "users": _coerce_int,
-    "antennas": _coerce_int,
-    "eta": _coerce_float_list,
-    "corruption_mode": _coerce_str,
-    "c": _coerce_float,
-    "precoder": _coerce_str,
-    "csi": _coerce_str,
-    "bits": _coerce_bits,
-    "modulation": _coerce_str,
-    "snr_db": _coerce_float_list,
-    "trials": _coerce_int,
-    "symbols_per_trial": _coerce_int,
-    "seed": _coerce_int,
-    "threads": _coerce_int,
-    "min_errors": _coerce_int,
-    "max_bits": _coerce_int,
-    "estimator_order": lambda k, v: _coerce_int(k, v, allow_none=True),
-    "theory_mode": _coerce_str,
-    "antennas_grid": lambda k, v: None if v is None else _coerce_int_list(k, v),
-}
-
 # keys consumed by the experiment driver rather than SimConfig
-_EXTRA_COERCERS = {"bins": _coerce_int}
+_EXTRAS = {"bins": int}
 
 
 def parse_set_item(item: str) -> tuple:
@@ -152,17 +91,13 @@ def parse_config(path=None, overrides=(), env=None, flags=None):
         if value is not None:
             data[key] = value
 
-    extras = {}
-    kwargs = {}
-    for key, value in data.items():
-        if key in _EXTRA_COERCERS:
-            extras[key] = _EXTRA_COERCERS[key](key, value)
-        elif key in _COERCERS:
-            kwargs[key] = _COERCERS[key](key, value)
-        else:
+    names = {f.name for f in fields(SimConfig)}
+    for key in data:
+        if key not in names and key not in _EXTRAS:
             raise ConfigError(f"unknown config key {key!r}")
     try:
-        cfg = SimConfig(**kwargs)
+        extras = {k: cast_field(k, t, data.pop(k)) for k, t in _EXTRAS.items() if k in data}
+        cfg = SimConfig(**data)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, extras

@@ -2,13 +2,15 @@
 
 Each family emits one CSV table (plot-ready, byte-deterministic for a fixed
 config and seed) and one JSON summary (config echo, version, headline
-numbers, wall time).  The wall-time key is the only nondeterministic output
-field and lives nowhere else.
+numbers, wall time; the BER families add per-point CSI diagnostics).  The
+wall-time key is the only nondeterministic output field and lives nowhere
+else.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -311,6 +313,19 @@ _BER_HEADER = (
 _BER_AXES = {"snr_db": ("eta", "snr"), "eta": ("snr_db", "eta")}
 
 
+def _csi_diagnostics(axis: str, x: float, agg) -> dict:
+    """The cleaned-CSI numbers of one BER point; null where the CSI mode
+    estimates and cleans nothing (``perfect``, ``noisy_raw``)."""
+    etas = agg.eta_hat_values
+    values = (None,) * 4
+    if etas:
+        # pstdev is exact, so a constant eta_hat gives exactly 0
+        stats = (statistics.fmean(etas), statistics.pstdev(etas), agg.mse_mean, agg.mse_noisy_mean)
+        values = tuple(_round(v) for v in stats)
+    keys = ("eta_hat_mean", "eta_hat_std", "mse_cleaned_mean", "mse_raw_mean")
+    return {axis: _round(x), **dict(zip(keys, values))}
+
+
 def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
     """BER at each value of the ``axis`` config field, the other link
     parameter (eta or snr_db) held at its first configured value."""
@@ -320,11 +335,13 @@ def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
     rows = []
     bers = []
     unresolved = []
+    diagnostics = []
     degenerate = 0
     for x in points:
         eta, snr = (fixed, x) if axis == "snr_db" else (x, fixed)
         agg = monte_carlo(cfg, eta=eta, snr_db=snr)
         bers.append(agg.ber)
+        diagnostics.append(_csi_diagnostics(axis, x, agg))
         degenerate += agg.degenerate_csi_trials
         if not agg.resolved:
             unresolved.append(_round(x))
@@ -343,6 +360,7 @@ def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
     crossing = threshold_crossing(points, bers, 1e-3)
     summary = {
         "wall_time_s": None,
+        "diagnostics": diagnostics,
         "headline": {
             other: _round(fixed),
             f"{name}_at_ber_1e-3": None if crossing is None else _round(crossing),

@@ -16,6 +16,9 @@ trial is recomputable in isolation.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -30,6 +33,7 @@ from .rie import clean_channel, mse
 __all__ = [
     "SNR_DEFINITION",
     "SimConfig",
+    "cast_field",
     "TrialMetrics",
     "Aggregate",
     "MonteCarloError",
@@ -53,23 +57,28 @@ _CHUNK = 8  # fixed accumulation granularity; parallelism never crosses it
 class SimConfig:
     """Complete description of one Monte-Carlo experiment family.
 
-    Construction validates every field and keeps the stage objects built
-    from them: ``dims`` (:class:`SystemDims`), ``grid_dims`` (one per
-    ``antennas_grid`` entry, or None), ``estimator``
-    (:class:`EstimatorConfig`) and ``quantizer`` (:class:`QuantizerSpec`, or
-    None for bypass).  :meth:`corruption` gives the model at one eta.
+    This is the one config schema.  Each field's annotation is its type
+    rule: construction casts every value through :func:`cast_field` (so
+    4.0 becomes 4, a list becomes a tuple, and a NaN, a bool or a string
+    where a number belongs raise ValueError naming the field), and
+    ``bits`` also takes ``"bypass"`` for None.  It then checks the range
+    rules and keeps the stage objects built from the fields: ``dims``
+    (:class:`SystemDims`), ``grid_dims`` (one per ``antennas_grid`` entry,
+    or None), ``estimator`` (:class:`EstimatorConfig`) and ``quantizer``
+    (:class:`QuantizerSpec`, or None for bypass).  :meth:`corruption` gives
+    the model at one eta.
     """
 
     users: int = 20
     antennas: int = 128
-    eta: tuple = (0.3,)
+    eta: tuple[float, ...] = (0.3,)
     corruption_mode: str = "additive"
     c: float = 1.0
     precoder: str = "WFQ"
     csi: str = "ei_cleaned"
     bits: int | None = 4
     modulation: str = "QPSK"
-    snr_db: tuple = (10.0,)
+    snr_db: tuple[float, ...] = (10.0,)
     trials: int = 1000
     symbols_per_trial: int = 100
     seed: int = 1234
@@ -78,22 +87,22 @@ class SimConfig:
     max_bits: int = 10_000_000
     estimator_order: int | None = None
     theory_mode: str = "gaussian_equivalent"
-    antennas_grid: tuple | None = None
+    antennas_grid: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", _as_tuple(self.eta, float))
-        object.__setattr__(self, "snr_db", _as_tuple(self.snr_db, float))
-        if self.antennas_grid is not None:
-            object.__setattr__(self, "antennas_grid", _as_tuple(self.antennas_grid, int))
+        if isinstance(self.bits, str) and self.bits.lower() == "bypass":
+            object.__setattr__(self, "bits", None)
+        for key, hint in _FIELD_TYPES.items():
+            object.__setattr__(self, key, cast_field(key, hint, getattr(self, key)))
         for key in ("eta", "snr_db", "antennas_grid"):
             if getattr(self, key) == ():
                 raise ValueError(f"config field {key}: needs at least one value")
         # tolerate case variation from config files and flags
-        object.__setattr__(self, "precoder", str(self.precoder).upper())
-        object.__setattr__(self, "csi", str(self.csi).lower())
-        object.__setattr__(self, "corruption_mode", str(self.corruption_mode).lower())
-        object.__setattr__(self, "modulation", str(self.modulation).upper())
-        object.__setattr__(self, "theory_mode", str(self.theory_mode).lower())
+        object.__setattr__(self, "precoder", self.precoder.upper())
+        object.__setattr__(self, "csi", self.csi.lower())
+        object.__setattr__(self, "corruption_mode", self.corruption_mode.lower())
+        object.__setattr__(self, "modulation", self.modulation.upper())
+        object.__setattr__(self, "theory_mode", self.theory_mode.lower())
         if self.precoder not in precoding.PRECODERS:
             raise ValueError(
                 f"precoder must be one of {precoding.PRECODERS}, got {self.precoder!r}"
@@ -128,7 +137,7 @@ class SimConfig:
             )
             object.__setattr__(self, "estimator", estimator)
         with _config_keys("bits"):
-            quantizer = None if self.bits is None else precoding.QuantizerSpec(int(self.bits))
+            quantizer = None if self.bits is None else precoding.QuantizerSpec(self.bits)
             object.__setattr__(self, "quantizer", quantizer)
         with _config_keys("precoder", "bits"):
             if self.precoder == "QCE" and quantizer is None:
@@ -151,10 +160,41 @@ def _config_keys(*keys):
         raise ValueError(f"config field {'/'.join(keys)}: {exc}") from exc
 
 
-def _as_tuple(v, cast):
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return tuple(cast(x) for x in v)
-    return (cast(v),)
+def cast_field(key: str, hint, value):
+    """``value`` cast to the annotated type ``hint`` of config field ``key``.
+
+    An int takes an integral finite real (4.0 gives 4), a float a finite
+    real, a str a str; a tuple takes one value or a list, tuple or array,
+    element by element; None passes where the hint allows it, and a bool is
+    never a number.  Anything else raises ValueError naming ``key``.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else cast_field(key, args[0], value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()  # numpy scalars and arrays to Python ones
+    if typing.get_origin(hint) is tuple:
+        items = value if isinstance(value, (list, tuple)) else [value]
+        return tuple(cast_field(key, args[0], x) for x in items)
+    expected = {int: "an integer", float: "a finite number", str: "a string"}[hint]
+    if hint is str:
+        ok = isinstance(value, str)
+    else:
+        # NaN, +/-inf and ints past the float range fail the bound; the
+        # comparison is exact, where math.isfinite would overflow on a big int
+        ok = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (hint is float or value == int(value))
+        )
+    if not ok:
+        raise ValueError(f"config field {key!r}: expected {expected}, got {value!r}")
+    return hint(value)
+
+
+# every field's type, read from its annotation once
+_FIELD_TYPES = typing.get_type_hints(SimConfig)
 
 
 @dataclass(frozen=True)

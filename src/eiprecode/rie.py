@@ -147,18 +147,13 @@ def clean_channel(
 def linear_mmse_baseline(
     H_obs: np.ndarray, eta: float, mode: str = "damped", c: float = 1.0
 ) -> np.ndarray:
-    """Entrywise conditional mean E[H | H_obs] = k H_obs of the i.i.d. model.
+    """Entrywise conditional mean E[H | H_obs] of the i.i.d. model.
 
-    additive: k = 1 / (1 + alpha^2), alpha^2 = eta c / (1 - eta);
-    damped:   k = sqrt(1 - eta) / (1 - eta + eta c).
+    The observation in additive form, X = H + alpha W with
+    alpha^2 = eta c / (1 - eta), shrunk by 1 / (1 + alpha^2).
     """
     model = CorruptionModel(eta, mode, c)
-    if mode == "damped":
-        # written so that c = 1 gives exactly sqrt(1 - eta)
-        k = np.sqrt(1.0 - eta) / (1.0 + eta * (c - 1.0))
-    else:
-        k = 1.0 / (1.0 + model.alpha() ** 2)
-    return k * np.asarray(H_obs)
+    return model.additive_form(np.asarray(H_obs)) * (1.0 / (1.0 + model.alpha() ** 2))
 
 
 def mse(H: np.ndarray, H_hat: np.ndarray) -> float:

@@ -13,6 +13,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import bench  # noqa: E402
 
+from eiprecode.config import parse_config  # noqa: E402
+from eiprecode.linksim import SimConfig  # noqa: E402
+
 SMALL = bench.Workload(
     "small",
     "ber",
@@ -45,3 +48,19 @@ def test_traced_metrics_serialize_as_finite_floats(tmp_path):
     # WFQ reads F_B once and transmit P_B once per trial, whatever the antenna count
     assert metrics["precoding.bussgang_gain.calls_per_trial"] == 1.0
     assert metrics["precoding.quantized_power.calls_per_trial"] == 1.0
+
+
+def test_the_benchmark_configs_parse_to_their_python_values(tmp_path):
+    for w in bench.WORKLOADS.values():
+        argv = w.argv(seed=7, out=tmp_path)
+        sets = [argv[i + 1] for i, a in enumerate(argv) if a == "--set"]
+        cfg, extras = parse_config(overrides=sets, env={})
+        assert cfg == SimConfig(**w.sets) and extras == {}
+        # the JSON config echo keeps 1.0 for a YAML c: 1
+        assert all(type(v) is float for v in cfg.eta + cfg.snr_db + (cfg.c,)), w.name
+        for key in ("users", "antennas", "trials", "symbols_per_trial", "seed",
+                    "threads", "min_errors", "max_bits"):
+            assert type(getattr(cfg, key)) is int, (w.name, key)
+        assert all(type(a) is int for a in cfg.antennas_grid or ()), w.name
+        if "min_errors" in w.sets:
+            assert cfg.min_errors == 10**15

@@ -173,6 +173,41 @@ def test_sim_config_validation():
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SimConfig(**bad)
+    # every field's type comes from its annotation, for Python callers too
+    for bad in (
+        dict(users=2.5),
+        dict(trials=2.5),
+        dict(seed=1.5),
+        dict(symbols_per_trial=1.5),
+        dict(snr_db=float("nan")),
+        dict(snr_db=[float("inf")]),
+        dict(c=float("inf")),
+        dict(threads=True),
+        dict(bits=True),
+        dict(estimator_order=True),
+        dict(eta="0.3"),
+        dict(users="20"),
+        dict(precoder=3),
+    ):
+        with pytest.raises(ValueError, match=f"config field '{next(iter(bad))}'"):
+            SimConfig(**bad)
+
+
+def test_sim_config_casts_values_to_the_annotated_types():
+    cfg = SimConfig(bits=4.0)
+    assert cfg.bits == 4 and type(cfg.bits) is int
+    assert SimConfig(bits="Bypass", precoder="WF").bits is None
+    cfg = SimConfig(
+        users=np.int64(8), antennas=np.int32(32), eta=np.array([0.1, 0.2]),
+        snr_db=np.float64(3.0), c=np.float32(2.0), seed=np.uint64(5),
+        antennas_grid=np.array([16, 64]), precoder=np.str_("wf"),
+    )
+    assert cfg.eta == (0.1, 0.2) and cfg.snr_db == (3.0,) and cfg.c == 2.0
+    assert cfg.antennas_grid == (16, 64) and cfg.precoder == "WF"
+    for key in ("users", "antennas", "seed"):
+        assert type(getattr(cfg, key)) is int
+    assert all(type(v) is float for v in cfg.eta + cfg.snr_db + (cfg.c,))
+    assert all(type(v) is int for v in cfg.antennas_grid)
 
 
 def test_sim_config_keeps_the_stage_objects():
