@@ -81,15 +81,15 @@ def default_order(users: int, antennas: int) -> int:
 def empirical_moments(H_obs: np.ndarray) -> np.ndarray:
     """First three Gram-spectrum moments m_k = (1/U) tr((H H^H)^k).
 
-    Computed from the eigenvalues of the U x U Gram matrix; never forms
-    matrix powers beyond the Gram itself.
+    Read as traces of the U x U Gram G: tr G, tr G^2 = <G, G> and
+    tr G^3 = <G, G G>, with G Hermitian; no decomposition is needed.
     """
     H_obs = np.asarray(H_obs)
     if H_obs.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     gram = H_obs @ H_obs.conj().T
-    lam = np.linalg.eigvalsh(gram)
-    return np.array([np.mean(lam), np.mean(lam ** 2), np.mean(lam ** 3)])
+    traces = (np.trace(gram), np.vdot(gram, gram), np.vdot(gram, gram @ gram))
+    return np.array(traces).real / H_obs.shape[0]
 
 
 def estimate_eta(H_obs: np.ndarray, cfg: EstimatorConfig | None = None) -> EtaEstimate:

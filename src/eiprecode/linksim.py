@@ -109,8 +109,7 @@ class SimConfig:
             )
         if self.csi not in _CSI_MODES:
             raise ValueError(f"csi must be one of {_CSI_MODES}, got {self.csi!r}")
-        if self.modulation not in ("QPSK", "16QAM"):
-            raise ValueError(f"unknown modulation {self.modulation!r}")
+        _gray_pam(self.modulation)  # rejects an unknown scheme
         if self.trials < 1 or self.symbols_per_trial < 1:
             raise ValueError("trials and symbols_per_trial must be >= 1")
         if self.threads < 1:
@@ -204,9 +203,7 @@ class TrialMetrics:
     bit_errors: int
     mse_csi: float | None
     mse_noisy: float | None
-    delta_eta: float | None
     eta_hat: float | None
-    seed_key: tuple
     degenerate_csi: bool = False
 
     def __post_init__(self):
@@ -225,7 +222,6 @@ class Aggregate:
     resolved: bool
     mse_mean: float | None
     mse_noisy_mean: float | None
-    delta_eta_values: tuple
     eta_hat_values: tuple
     degenerate_csi_trials: int
 
@@ -243,42 +239,55 @@ class MonteCarloError(RuntimeError):
 # Modulation
 
 
+# Gray-PAM per axis: scheme -> (levels, bit group of each level); the groups
+# of adjacent levels differ in one bit, and a symbol carries one group on I
+# and one on Q
+_GRAY_PAM = {
+    "QPSK": (np.array([-1.0, 1.0]) / np.sqrt(2.0), np.array([[1], [0]])),
+    "16QAM": (
+        np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0),
+        np.array([[0, 0], [0, 1], [1, 1], [1, 0]]),
+    ),
+}
+
+
+def _gray_pam(scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return _GRAY_PAM[scheme]
+    except KeyError:
+        raise ValueError(f"unknown modulation {scheme!r}") from None
+
+
 def _bits_per_symbol(scheme: str) -> int:
-    return {"QPSK": 2, "16QAM": 4}[scheme]
+    return 2 * _gray_pam(scheme)[1].shape[1]
 
 
-_PAM4_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
-# Gray map per axis: bit pair (b_hi, b_lo) -> level index, at 2 b_hi + b_lo
-_PAM4_LEVEL_OF_PAIR = np.array([0, 1, 3, 2])
-# and back: level index -> bit pair
-_PAM4_PAIR_OF_LEVEL = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
+def _gray_code(bit_groups: np.ndarray) -> np.ndarray:
+    """Each group of bits along the last axis read as a binary number."""
+    code = bit_groups[..., 0]
+    for j in range(1, bit_groups.shape[-1]):
+        code = 2 * code + bit_groups[..., j]
+    return code
 
 
 def modulate(bits, scheme: str = "QPSK") -> np.ndarray:
     """Gray-mapped unit-energy symbols from a flat 0/1 array."""
+    levels, groups = _gray_pam(scheme)
+    k = groups.shape[1]  # bits per axis
     bits = np.asarray(bits, dtype=int).ravel()
-    bps = _bits_per_symbol(scheme)
-    if bits.size % bps:
-        raise ValueError(f"bit count {bits.size} not divisible by {bps}")
-    if scheme == "QPSK":
-        pairs = bits.reshape(-1, 2)
-        return ((1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1])) / np.sqrt(2.0)
-    pairs = bits.reshape(-1, 2, 2)  # (symbol, I/Q axis, b_hi/b_lo)
-    levels = _PAM4_LEVELS[_PAM4_LEVEL_OF_PAIR[2 * pairs[..., 0] + pairs[..., 1]]]
-    return levels[:, 0] + 1j * levels[:, 1]
+    if bits.size % (2 * k):
+        raise ValueError(f"bit count {bits.size} not divisible by {2 * k}")
+    level_of_code = np.empty_like(levels)
+    level_of_code[_gray_code(groups)] = levels
+    # (symbol, I/Q) levels, contiguous, are the symbols' real and imaginary parts
+    return level_of_code.take(_gray_code(bits.reshape(-1, 2, k))).view(complex).ravel()
 
 
 def demodulate(symbols, scheme: str = "QPSK") -> np.ndarray:
     """Minimum-distance demodulation back to a flat 0/1 array."""
-    symbols = np.asarray(symbols, dtype=complex).ravel()
-    if scheme == "QPSK":
-        out = np.empty((symbols.size, 2), dtype=int)
-        out[:, 0] = (symbols.real < 0).astype(int)
-        out[:, 1] = (symbols.imag < 0).astype(int)
-        return out.ravel()
-    axes = np.stack((symbols.real, symbols.imag), axis=1)
-    idx = np.digitize(axes, (_PAM4_LEVELS[:-1] + _PAM4_LEVELS[1:]) / 2.0)
-    return _PAM4_PAIR_OF_LEVEL[idx].ravel()
+    levels, groups = _gray_pam(scheme)
+    axes = np.asarray(symbols, dtype=complex).ravel().view(float)  # I, Q, I, Q, ...
+    return groups.take(np.digitize(axes, (levels[:-1] + levels[1:]) / 2.0), axis=0).ravel()
 
 
 def wilson_interval(errors: int, bits: int, z: float = 1.959964) -> tuple[float, float]:
@@ -363,9 +372,8 @@ def downlink_trial(
 
     H, H_obs = draw_observation(cfg, dims, eta, trial_index)
     csi, eta_hat = estimate_csi(cfg, eta, H, H_obs)
-    mse_csi = mse_noisy = d_eta = None
+    mse_csi = mse_noisy = None
     if eta_hat is not None:
-        d_eta = abs(eta - eta_hat)
         mse_csi = mse(H, csi)
         mse_noisy = mse(H, H_obs)
 
@@ -392,7 +400,7 @@ def downlink_trial(
     y = H_link @ x + noise
     s_hat = beta * y
     rx_bits = demodulate(s_hat.reshape(-1), cfg.modulation)
-    errors = int(np.count_nonzero(rx_bits != demodulate(s.reshape(-1), cfg.modulation)))
+    errors = int(np.count_nonzero(rx_bits != tx_bits))
 
     return TrialMetrics(
         trial_index=trial_index,
@@ -400,9 +408,7 @@ def downlink_trial(
         bit_errors=errors,
         mse_csi=mse_csi,
         mse_noisy=mse_noisy,
-        delta_eta=d_eta,
         eta_hat=eta_hat,
-        seed_key=(cfg.seed, trial_index),
         degenerate_csi=degenerate,
     )
 
@@ -424,7 +430,6 @@ def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
         resolved=errors >= cfg.min_errors,
         mse_mean=float(np.mean(mses)) if mses else None,
         mse_noisy_mean=float(np.mean(mses_noisy)) if mses_noisy else None,
-        delta_eta_values=tuple(m.delta_eta for m in metrics if m.delta_eta is not None),
         eta_hat_values=tuple(m.eta_hat for m in metrics if m.eta_hat is not None),
         degenerate_csi_trials=sum(m.degenerate_csi for m in metrics),
     )

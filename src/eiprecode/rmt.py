@@ -82,11 +82,12 @@ def _offaxis(z, eps):
 def mp_stieltjes(z, q: float, eps: float | None = None):
     """Stieltjes transform of the Marchenko-Pastur law with ratio q.
 
-    Solves q*z*g^2 + (z + q - 1)*g + 1 = 0 and selects the root on the
-    Herglotz branch (sign(imag g) = sign(imag z)), falling back to the
-    -1/z-asymptote criterion when the sign test is ambiguous.  The closed
-    form with a fixed square-root branch picks the wrong root on parts of
-    the plane, so the selection is done pointwise.
+    The physical root of q*z*g^2 + (z + q - 1)*g + 1 = 0 in closed form:
+    with a, b = (1 -+ sqrt(q))^2, the product of principal roots
+    sqrt(z - a) * sqrt(z - b) is analytic off [a, b] and tends to z at
+    infinity, so g = (1 - q - z + root) / (2 q z) is the Herglotz root with
+    g ~ -1/z everywhere.  Where its numerator cancels, the equal form
+    2 / (1 - q - z - root) is used instead.
 
     Parameters
     ----------
@@ -104,26 +105,14 @@ def mp_stieltjes(z, q: float, eps: float | None = None):
     """
     q = _check_q(q)
     z = _offaxis(z, eps)
-    disc = np.sqrt(z * z - 2.0 * (q + 1.0) * z + (q - 1.0) ** 2)
-    base = 1.0 - q - z
-    # evaluate the numerically stable root first, recover the other from the
-    # product of roots 1/(q z)
-    n_plus = base + disc
-    n_minus = base - disc
-    big = np.where(np.abs(n_plus) >= np.abs(n_minus), n_plus, n_minus)
-    g_stable = big / (2.0 * q * z)
-    g_other = 1.0 / (q * z * g_stable)
-    sgn = np.sign(z.imag)
-    herg_stable = sgn * g_stable.imag > 0
-    herg_other = sgn * g_other.imag > 0
-    # asymptote tie-break: the physical root satisfies g ~ -1/z
-    prefer_stable = np.abs(g_stable * z + 1.0) <= np.abs(g_other * z + 1.0)
-    pick_stable = np.where(
-        herg_stable & ~herg_other,
-        True,
-        np.where(herg_other & ~herg_stable, False, prefer_stable),
+    r = np.sqrt(q)
+    root = np.sqrt(z - (1.0 - r) ** 2) * np.sqrt(z - (1.0 + r) ** 2)
+    # the two numerators multiply to 4 q z, so the larger one is stable
+    n_plus = 1.0 - q - z + root
+    n_minus = 1.0 - q - z - root
+    out = np.where(
+        np.abs(n_minus) > np.abs(n_plus), 2.0 / n_minus, n_plus / (2.0 * q * z)
     )
-    out = np.where(pick_stable, g_stable, g_other)
     if out.ndim == 0:
         return complex(out)
     return out

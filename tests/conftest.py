@@ -33,3 +33,26 @@ def rng():
         return np.random.default_rng(seed)
 
     return make
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Wrap named module attributes in counters for one test.
+
+    ``count_calls(module, *names)`` returns a dict of call counts keyed by
+    name; the wrappers go when the test ends.
+    """
+
+    def wrap(module, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            inner = getattr(module, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return wrap

@@ -46,6 +46,27 @@ def test_empirical_moments_match_mp_pattern():
     assert np.all(np.abs(m - target) / target < 0.05)
 
 
+def _eigvalsh_moments(h):
+    """The three moments from the Gram eigenvalues, as a reference."""
+    lam = np.linalg.eigvalsh(h @ h.conj().T)
+    return np.array([np.mean(lam), np.mean(lam ** 2), np.mean(lam ** 3)])
+
+
+@pytest.mark.parametrize(
+    "u, a, rank",
+    [(2, 64, None), (20, 128, None), (30, 256, None), (128, 256, None),
+     (20, 128, 5), (128, 256, 32)],
+)
+def test_empirical_moments_match_the_gram_eigenvalues(u, a, rank):
+    rng = np.random.default_rng(u * a + (rank or 0))
+    for _ in range(5):
+        h = _draw(u, a, 0.3, int(rng.integers(1 << 30)), int(rng.integers(1 << 30)))
+        if rank is not None:  # a rank-deficient observation
+            h = h[:, :rank] @ h[:rank, :rank].conj().T @ h[:rank, :]
+        ref = _eigvalsh_moments(h)
+        assert np.all(np.abs(eta.empirical_moments(h) - ref) <= 1e-13 * ref)
+
+
 # ---------------------------------------------------------------------------
 # config and policy
 

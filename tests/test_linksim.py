@@ -60,6 +60,53 @@ def test_16qam_gray_map():
     assert neighbours == 24
 
 
+def _reference_modulate(bits, scheme):
+    """The arithmetic QPSK map and the 16QAM per-axis tables, written out."""
+    if scheme == "QPSK":
+        pairs = bits.reshape(-1, 2)
+        return ((1.0 - 2.0 * pairs[:, 0]) + 1j * (1.0 - 2.0 * pairs[:, 1])) / np.sqrt(2.0)
+    levels = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+    level_of_pair = np.array([0, 1, 3, 2])  # at 2 b_hi + b_lo
+    quads = bits.reshape(-1, 2, 2)
+    axes = levels[level_of_pair[2 * quads[..., 0] + quads[..., 1]]]
+    return axes[:, 0] + 1j * axes[:, 1]
+
+
+def _reference_demodulate(symbols, scheme):
+    """Sign decisions for QPSK, 4-PAM thresholds and a pair table for 16QAM."""
+    if scheme == "QPSK":
+        return np.stack((symbols.real < 0, symbols.imag < 0), axis=1).astype(int).ravel()
+    levels = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+    pair_of_level = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
+    axes = np.stack((symbols.real, symbols.imag), axis=1)
+    return pair_of_level[np.digitize(axes, (levels[:-1] + levels[1:]) / 2.0)].ravel()
+
+
+@pytest.mark.parametrize("scheme, bps", [("QPSK", 2), ("16QAM", 4)])
+def test_symbol_maps_match_the_written_out_maps(scheme, bps):
+    rng = np.random.default_rng(51)
+    bits = rng.integers(0, 2, size=bps * 5000)
+    s = linksim.modulate(bits, scheme)
+    assert np.array_equal(s, _reference_modulate(bits, scheme))
+    assert np.array_equal(linksim.demodulate(s, scheme), bits)
+    # noisy symbols, plus zeros, the 16QAM thresholds, NaN and +/-inf on
+    # either axis
+    edges = [0.0, -0.0, 2.0 / np.sqrt(10.0), -2.0 / np.sqrt(10.0), np.nan, np.inf, -np.inf]
+    grid = np.array([complex(x, y) for x in edges for y in edges])
+    noisy = s + 0.3 * (rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
+    for symbols in (grid, noisy):
+        got = linksim.demodulate(symbols, scheme)
+        assert got.dtype == int
+        assert np.array_equal(got, _reference_demodulate(symbols, scheme))
+
+
+def test_unknown_modulation_is_named():
+    with pytest.raises(ValueError, match="'qpsk'"):
+        linksim.modulate([0, 1], "qpsk")
+    with pytest.raises(ValueError, match="'8PSK'"):
+        linksim.demodulate(np.ones(2, dtype=complex), "8PSK")
+
+
 def test_modulate_rejects_ragged_bit_count():
     with pytest.raises(ValueError):
         linksim.modulate([0, 1, 0], "QPSK")
@@ -232,9 +279,7 @@ def test_trial_metrics_rejects_impossible_counts():
             bit_errors=11,
             mse_csi=None,
             mse_noisy=None,
-            delta_eta=None,
             eta_hat=None,
-            seed_key=(1, 0),
         )
 
 
@@ -263,13 +308,12 @@ def test_downlink_trial_known_eta_reports_zero_delta():
     cfg = SimConfig(**_SMALL, precoder="WFQ", csi="ei_cleaned_known_eta", bits=3,
                     eta=0.3, snr_db=8.0, seed=21)
     m = linksim.downlink_trial(cfg, 0)
-    assert m.delta_eta == 0.0
     assert m.eta_hat == 0.3
     assert m.mse_csi is not None and m.mse_noisy is not None
     raw = linksim.downlink_trial(cfg.at(csi="noisy_raw"), 0)
     assert raw.mse_csi is None
     assert raw.bits_sent == m.bits_sent
-    assert raw.seed_key == m.seed_key
+    assert raw.trial_index == m.trial_index
 
 
 def test_downlink_trial_blind_estimates_eta():
@@ -277,8 +321,19 @@ def test_downlink_trial_blind_estimates_eta():
                     csi="ei_cleaned", bits=4, eta=0.3, snr_db=8.0, seed=22)
     m = linksim.downlink_trial(cfg, 0)
     assert m.eta_hat is not None
-    assert m.delta_eta == abs(0.3 - m.eta_hat)
-    assert m.delta_eta < 0.15
+    assert abs(0.3 - m.eta_hat) < 0.15
+
+
+def test_blind_cleaned_trial_decomposes_once_and_demodulates_once(count_calls):
+    # the estimator reads Gram traces, so the cleaner's thin SVD is the one
+    # decomposition, and the errors are counted against the sent bits
+    cfg = SimConfig(users=20, antennas=128, symbols_per_trial=20, precoder="WFQ",
+                    csi="ei_cleaned", bits=4, eta=0.3, snr_db=8.0, seed=22)
+    decompositions = count_calls(np.linalg, "svd", "eigh", "eigvalsh")
+    demodulations = count_calls(linksim, "demodulate")
+    linksim.downlink_trial(cfg, 0)
+    assert decompositions == {"svd": 1, "eigh": 0, "eigvalsh": 0}
+    assert demodulations == {"demodulate": 1}
 
 
 def test_downlink_trial_zero_csi_transmits_nothing(monkeypatch):

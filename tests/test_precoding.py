@@ -233,23 +233,9 @@ def test_auto_step_constants_are_scale_invariant(bits):
         assert precoding.quantized_power(spec, v) / v == pytest.approx(power, rel=1e-14, abs=0.0)
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap each named precoding function in a counter; returns the counts."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        inner = getattr(precoding, name)
-
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-
-        monkeypatch.setattr(precoding, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("antennas", [64, 256])
-def test_transmit_calls_the_power_constant_once(monkeypatch, antennas):
-    calls = _count_calls(monkeypatch, "bussgang_gain", "quantized_power")
+def test_transmit_calls_the_power_constant_once(count_calls, antennas):
+    calls = count_calls(precoding, "bussgang_gain", "quantized_power")
     users = 8
     pout = precoding.wf_precode(_chan(users, antennas, 171), 0.05)
     s = np.ones((users, 10), dtype=complex)
@@ -391,8 +377,8 @@ def test_wfq_matches_one_distortion_update(dims, bits, sigma2, seed):
     assert abs(out.beta - beta) <= 1e-12 * beta
 
 
-def test_wfq_makes_one_solve_at_one_bussgang_gain(monkeypatch):
-    calls = _count_calls(monkeypatch, "_regularized", "bussgang_gain", "quantized_power")
+def test_wfq_makes_one_solve_at_one_bussgang_gain(count_calls):
+    calls = count_calls(precoding, "_regularized", "bussgang_gain", "quantized_power")
     precoding.precode("WFQ", _chan(16, 64, 147), 0.05, spec=QuantizerSpec(3))
     assert calls == {"_regularized": 1, "bussgang_gain": 1, "quantized_power": 0}
 
