@@ -243,7 +243,7 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
 
     def one(dims, eta: float, t: int):
         H, H_obs = draw_observation(cfg, dims, eta, t)
-        H_hat, _ = estimate_csi(cfg, eta, H, H_obs)
+        H_hat = estimate_csi(cfg, eta, H, H_obs)[0]
         return (
             mse(H, H_hat),
             mse(H, H_obs),
@@ -315,7 +315,8 @@ _BER_AXES = {"snr_db": ("eta", "snr"), "eta": ("snr_db", "eta")}
 
 def _csi_diagnostics(axis: str, x: float, agg) -> dict:
     """The cleaned-CSI numbers of one BER point; null where the CSI mode
-    estimates and cleans nothing (``perfect``, ``noisy_raw``)."""
+    estimates and cleans nothing (``perfect``, ``noisy_raw``).  The
+    identifiable fraction is null also where eta is known, not estimated."""
     etas = agg.eta_hat_values
     values = (None,) * 4
     if etas:
@@ -323,23 +324,35 @@ def _csi_diagnostics(axis: str, x: float, agg) -> dict:
         stats = (statistics.fmean(etas), statistics.pstdev(etas), agg.mse_mean, agg.mse_noisy_mean)
         values = tuple(_round(v) for v in stats)
     keys = ("eta_hat_mean", "eta_hat_std", "mse_cleaned_mean", "mse_raw_mean")
-    return {axis: _round(x), **dict(zip(keys, values))}
+    frac = agg.identifiable_fraction
+    return {
+        axis: _round(x),
+        **dict(zip(keys, values)),
+        "identifiable_fraction": None if frac is None else _round(frac),
+    }
 
 
 def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
     """BER at each value of the ``axis`` config field, the other link
-    parameter (eta or snr_db) held at its first configured value."""
+    parameter (eta or snr_db) held at its first configured value.
+
+    The SNR axis is one Monte-Carlo call, so each trial's observation and
+    cleaned CSI serve every SNR point; the observation changes with eta, so
+    the eta axis makes one call per level."""
     other, name = _BER_AXES[axis]
     fixed = getattr(cfg, other)[0]
     points = getattr(cfg, axis)
+    if axis == "snr_db":
+        aggregates = monte_carlo(cfg, eta=fixed, snr_db=points)
+    else:
+        aggregates = [monte_carlo(cfg, eta=x, snr_db=fixed) for x in points]
     rows = []
     bers = []
     unresolved = []
     diagnostics = []
     degenerate = 0
-    for x in points:
+    for x, agg in zip(points, aggregates):
         eta, snr = (fixed, x) if axis == "snr_db" else (x, fixed)
-        agg = monte_carlo(cfg, eta=eta, snr_db=snr)
         bers.append(agg.ber)
         diagnostics.append(_csi_diagnostics(axis, x, agg))
         degenerate += agg.degenerate_csi_trials

@@ -11,6 +11,13 @@ SeedSequence(entropy=master_seed, spawn_key=(t, purpose)) with purpose
 codes 0 = channel, 1 = corruption, 2 = receiver noise, 3 = symbols, so
 flipping the CSI handling or the precoder never changes the draws, and any
 trial is recomputable in isolation.
+
+None of those draws depends on the SNR: the receiver noise is drawn at unit
+variance and scaled per SNR.  So one trial index serves every SNR point of
+a sweep: :func:`downlink_trial` and :func:`monte_carlo` take a tuple of
+SNRs, and a trial's channel, observation, eta-hat, cleaned CSI, symbols and
+unit noise are computed once for all of them.  Each point's metrics are
+bit-identical to a call at that SNR alone.
 """
 
 from __future__ import annotations
@@ -205,6 +212,7 @@ class TrialMetrics:
     mse_noisy: float | None
     eta_hat: float | None
     degenerate_csi: bool = False
+    identifiable: bool | None = None  # EtaEstimate.identifiable; None unless estimated
 
     def __post_init__(self):
         if self.bit_errors > self.bits_sent:
@@ -224,10 +232,15 @@ class Aggregate:
     mse_noisy_mean: float | None
     eta_hat_values: tuple
     degenerate_csi_trials: int
+    identifiable_fraction: float | None  # over the trials that estimate eta
 
 
 class MonteCarloError(RuntimeError):
-    """A trial failed; carries the partial aggregate in ``partial``."""
+    """A trial failed in the chunk starting at ``trial_index``.
+
+    ``partial`` is the aggregate of the chunks before it, or, for a call
+    with a tuple of SNRs, the tuple of per-SNR aggregates.
+    """
 
     def __init__(self, message, trial_index, partial):
         super().__init__(message)
@@ -328,50 +341,60 @@ def draw_observation(
 
 def estimate_csi(
     cfg: SimConfig, eta: float, H: np.ndarray, H_obs: np.ndarray
-) -> tuple[np.ndarray, float | None]:
-    """The CSI the configured ``csi`` mode hands the precoder, and eta_hat.
+) -> tuple[np.ndarray, float | None, bool | None]:
+    """The CSI the configured ``csi`` mode hands the precoder, eta_hat, and
+    whether eta_hat is identifiable.
 
     ``perfect`` and ``noisy_raw`` return H and H_obs as they are, with
     eta_hat None; the cleaned modes estimate eta blindly
     (``ei_cleaned``) or take the true ``eta`` (``ei_cleaned_known_eta``)
-    and clean H_obs at it.
+    and clean H_obs at it.  The flag is :class:`EtaEstimate`'s
+    ``identifiable`` for ``ei_cleaned`` and None where nothing is estimated.
     """
     if cfg.csi == "perfect":
-        return H, None
+        return H, None, None
     if cfg.csi == "noisy_raw":
-        return H_obs, None
+        return H_obs, None, None
+    identifiable = None
     if cfg.csi == "ei_cleaned":
-        eta_hat = estimate_eta(H_obs, cfg.estimator).eta_hat
+        est = estimate_eta(H_obs, cfg.estimator)
+        eta_hat, identifiable = est.eta_hat, est.identifiable
     else:
         eta_hat = eta
     csi = clean_channel(H_obs, eta_hat, mode=cfg.corruption_mode, c=cfg.c)
-    return csi, eta_hat
+    return csi, eta_hat, identifiable
 
 
 def downlink_trial(
     cfg: SimConfig,
     trial_index: int,
     eta: float | None = None,
-    snr_db: float | None = None,
-) -> TrialMetrics:
-    """One seeded downlink realization.
+    snr_db: float | tuple | None = None,
+) -> TrialMetrics | tuple[TrialMetrics, ...]:
+    """One seeded downlink realization, at one SNR or at a tuple of them.
 
     The true channel always carries the propagation; the configured CSI
     handling only decides what the precoder sees.  An all-zero CSI (the
     cleaner can shrink every singular value away) gives the precoder no
     direction: the trial transmits nothing, scores the bits as received
     with beta 1, and is flagged ``degenerate_csi``.
+
+    A scalar (or None, for the first configured) ``snr_db`` returns one
+    :class:`TrialMetrics`.  A tuple returns one per SNR, in order: the
+    observation, eta_hat, cleaned CSI, MSEs, symbols and unit-variance
+    receiver noise are computed once, and only the precoder, transmission
+    and detection run per SNR, so each entry equals the scalar call's.
     """
     eta = cfg.eta[0] if eta is None else float(eta)
-    snr_db = cfg.snr_db[0] if snr_db is None else float(snr_db)
+    sweep = isinstance(snr_db, tuple)
+    snrs = snr_db if sweep else (cfg.snr_db[0] if snr_db is None else snr_db,)
     dims = cfg.dims
-    sigma2 = 10.0 ** (-snr_db / 10.0)
 
     rng_noise = _trial_rng(cfg.seed, trial_index, 2)
     rng_sym = _trial_rng(cfg.seed, trial_index, 3)
 
     H, H_obs = draw_observation(cfg, dims, eta, trial_index)
-    csi, eta_hat = estimate_csi(cfg, eta, H, H_obs)
+    csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
     mse_csi = mse_noisy = None
     if eta_hat is not None:
         mse_csi = mse(H, csi)
@@ -387,30 +410,32 @@ def downlink_trial(
     n_bits = dims.users * cfg.symbols_per_trial * bps
     tx_bits = rng_sym.integers(0, 2, size=n_bits)
     s = modulate(tx_bits, cfg.modulation).reshape(dims.users, cfg.symbols_per_trial)
+    unit_noise = rng_noise.standard_normal(s.shape) + 1j * rng_noise.standard_normal(s.shape)
 
-    if degenerate:
-        x, beta = np.zeros((dims.antennas, cfg.symbols_per_trial), dtype=complex), 1.0
-    else:
-        spec = cfg.quantizer
-        pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=spec)
-        x, beta = precoding.transmit(pout, s, spec), pout.beta
-    noise = (
-        rng_noise.standard_normal(s.shape) + 1j * rng_noise.standard_normal(s.shape)
-    ) * np.sqrt(sigma2 / 2.0)
-    y = H_link @ x + noise
-    s_hat = beta * y
-    rx_bits = demodulate(s_hat.reshape(-1), cfg.modulation)
-    errors = int(np.count_nonzero(rx_bits != tx_bits))
-
-    return TrialMetrics(
-        trial_index=trial_index,
-        bits_sent=n_bits,
-        bit_errors=errors,
-        mse_csi=mse_csi,
-        mse_noisy=mse_noisy,
-        eta_hat=eta_hat,
-        degenerate_csi=degenerate,
-    )
+    metrics = []
+    for snr in snrs:
+        sigma2 = 10.0 ** (-float(snr) / 10.0)
+        if degenerate:
+            x, beta = np.zeros((dims.antennas, cfg.symbols_per_trial), dtype=complex), 1.0
+        else:
+            spec = cfg.quantizer
+            pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=spec)
+            x, beta = precoding.transmit(pout, s, spec), pout.beta
+        y = H_link @ x + unit_noise * np.sqrt(sigma2 / 2.0)
+        rx_bits = demodulate((beta * y).reshape(-1), cfg.modulation)
+        metrics.append(
+            TrialMetrics(
+                trial_index=trial_index,
+                bits_sent=n_bits,
+                bit_errors=int(np.count_nonzero(rx_bits != tx_bits)),
+                mse_csi=mse_csi,
+                mse_noisy=mse_noisy,
+                eta_hat=eta_hat,
+                degenerate_csi=degenerate,
+                identifiable=identifiable,
+            )
+        )
+    return tuple(metrics) if sweep else metrics[0]
 
 
 def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
@@ -420,6 +445,7 @@ def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
     lo, hi = wilson_interval(errors, bits)
     mses = [m.mse_csi for m in metrics if m.mse_csi is not None]
     mses_noisy = [m.mse_noisy for m in metrics if m.mse_noisy is not None]
+    flags = [m.identifiable for m in metrics if m.identifiable is not None]
     return Aggregate(
         bits=bits,
         errors=errors,
@@ -432,6 +458,7 @@ def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
         mse_noisy_mean=float(np.mean(mses_noisy)) if mses_noisy else None,
         eta_hat_values=tuple(m.eta_hat for m in metrics if m.eta_hat is not None),
         degenerate_csi_trials=sum(m.degenerate_csi for m in metrics),
+        identifiable_fraction=float(np.mean(flags)) if flags else None,
     )
 
 
@@ -451,8 +478,8 @@ def trial_map(threads: int):
 
 
 def monte_carlo(
-    cfg: SimConfig, eta: float | None = None, snr_db: float | None = None
-) -> Aggregate:
+    cfg: SimConfig, eta: float | None = None, snr_db: float | tuple | None = None
+) -> Aggregate | tuple[Aggregate, ...]:
     """Run trials until the error budget is met, deterministically.
 
     Trials are consumed in fixed chunks of 8 in index order; the thread
@@ -460,24 +487,38 @@ def monte_carlo(
     for any ``threads`` setting.  Stops at the first chunk boundary where
     bit errors >= min_errors or bits >= max_bits, or when ``trials`` is
     exhausted; ``resolved`` records whether the error target was met.
+
+    A tuple ``snr_db`` returns one aggregate per SNR, in order.  Each trial
+    index runs once, through :func:`downlink_trial`'s tuple form, for every
+    SNR point still short of its budget; a point drops out at the chunk
+    boundary where it alone would stop, so each aggregate equals the
+    scalar call's.
     """
-    metrics: list[TrialMetrics] = []
-    errors = 0
-    bits = 0
+    sweep = isinstance(snr_db, tuple)
+    snrs = snr_db if sweep else (cfg.snr_db[0] if snr_db is None else snr_db,)
+    metrics: list[list[TrialMetrics]] = [[] for _ in snrs]
+    errors = [0] * len(snrs)
+    bits = [0] * len(snrs)
+    live = list(range(len(snrs)))  # the points still short of their budget
     done = 0
     with trial_map(cfg.threads) as map_trials:
-        while done < cfg.trials and errors < cfg.min_errors and bits < cfg.max_bits:
+        while done < cfg.trials and live:
             chunk = range(done, min(done + _CHUNK, cfg.trials))
+            points = tuple(snrs[i] for i in live)
             try:
-                results = map_trials(lambda t: downlink_trial(cfg, t, eta, snr_db), chunk)
+                results = map_trials(lambda t: downlink_trial(cfg, t, eta, points), chunk)
             except Exception as exc:
+                partial = tuple(_aggregate(m, cfg) for m in metrics)
                 raise MonteCarloError(
                     f"trial in chunk starting at {done} failed: {exc}",
                     done,
-                    _aggregate(metrics, cfg),
+                    partial if sweep else partial[0],
                 ) from exc
-            metrics.extend(results)
-            errors += sum(m.bit_errors for m in results)
-            bits += sum(m.bits_sent for m in results)
+            for i, per_trial in zip(live, zip(*results)):
+                metrics[i].extend(per_trial)
+                errors[i] += sum(m.bit_errors for m in per_trial)
+                bits[i] += sum(m.bits_sent for m in per_trial)
             done += len(chunk)
-    return _aggregate(metrics, cfg)
+            live = [i for i in live if errors[i] < cfg.min_errors and bits[i] < cfg.max_bits]
+    aggregates = tuple(_aggregate(m, cfg) for m in metrics)
+    return aggregates if sweep else aggregates[0]

@@ -289,13 +289,35 @@ def test_ber_json_reports_the_cleaned_csi_diagnostics():
         diag = json.loads(res.json_text())["diagnostics"]
         assert [d[axis] for d in diag] == list(getattr(cfg, axis))
         for d in diag:
-            stats = [d[k] for k in ("eta_hat_mean", "eta_hat_std", "mse_cleaned_mean", "mse_raw_mean")]
+            keys = ("eta_hat_mean", "eta_hat_std", "mse_cleaned_mean", "mse_raw_mean",
+                    "identifiable_fraction")
+            stats = [d[k] for k in keys]
             if csi == "noisy_raw":
-                assert stats == [None] * 4
+                assert stats == [None] * 5
             else:
-                # the known-eta mode cleans at the true eta in every trial
+                # the known-eta mode cleans at the true eta in every trial,
+                # and estimates nothing
                 assert d["eta_hat_mean"] == 0.2 and d["eta_hat_std"] == 0
                 assert 0 < d["mse_cleaned_mean"] < d["mse_raw_mean"]
+                assert d["identifiable_fraction"] is None
+
+
+def test_ber_json_reports_the_identifiable_fraction():
+    # damped corruption with c = 1 keeps the observed scale at 1, so eta is
+    # blindly unidentifiable there; additive corruption always identifies it
+    for mode, check in (("damped", lambda f: f < 1.0), ("additive", lambda f: f == 1.0)):
+        cfg = SimConfig(
+            csi="ei_cleaned", corruption_mode=mode, eta=(0.2, 0.4), snr_db=(2.0, 6.0),
+            seed=4300, **_FAST_LINK,
+        )
+        for kind in ("ber_vs_snr", "ber_vs_eta"):
+            diag = json.loads(run_experiment(kind, cfg).json_text())["diagnostics"]
+            fractions = [d["identifiable_fraction"] for d in diag]
+            assert len(fractions) == 2 and all(check(f) for f in fractions), (mode, kind, fractions)
+    # noisy_raw and the known-eta mode are checked with the other diagnostics
+    cfg = SimConfig(csi="perfect", seed=4300, **_FAST_LINK)
+    diag = json.loads(run_experiment("ber_vs_snr", cfg).json_text())["diagnostics"]
+    assert diag[0]["identifiable_fraction"] is None
 
 
 def test_unknown_experiment_kind():

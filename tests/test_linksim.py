@@ -336,6 +336,40 @@ def test_blind_cleaned_trial_decomposes_once_and_demodulates_once(count_calls):
     assert demodulations == {"demodulate": 1}
 
 
+_CSI_MODES = ("perfect", "noisy_raw", "ei_cleaned", "ei_cleaned_known_eta")
+_SWEEP = (-4.0, 2.0, 8.0)
+
+
+@pytest.mark.parametrize("csi", _CSI_MODES)
+def test_downlink_trial_snr_tuple_equals_the_scalar_calls(csi):
+    cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi=csi, eta=0.3, seed=21)
+    for t in (0, 5):
+        sweep = linksim.downlink_trial(cfg, t, snr_db=_SWEEP)
+        assert sweep == tuple(linksim.downlink_trial(cfg, t, snr_db=s) for s in _SWEEP)
+    # a zero CSI transmits nothing at every SNR (trial 2 of the zero-CSI test below)
+    zero = SimConfig(users=2, antennas=64, symbols_per_trial=50, precoder="MRT",
+                     csi="ei_cleaned_known_eta", eta=0.99, seed=34)
+    sweep = linksim.downlink_trial(zero, 2, snr_db=_SWEEP)
+    assert all(m.degenerate_csi for m in sweep)
+    assert sweep == tuple(linksim.downlink_trial(zero, 2, snr_db=s) for s in _SWEEP)
+
+
+def test_blind_cleaned_snr_sweep_draws_and_cleans_once_per_trial(count_calls):
+    # one trial index serves all three SNR points: the draws, eta-hat and the
+    # cleaner's SVD run once per trial, and only the precoder once per point
+    cfg = SimConfig(users=20, antennas=128, symbols_per_trial=20, precoder="WFQ",
+                    csi="ei_cleaned", bits=4, eta=0.3, snr_db=(0.0, 4.0, 8.0), seed=22,
+                    trials=5, min_errors=10**9, max_bits=10**9)
+    stages = count_calls(linksim, "draw_observation", "estimate_eta", "clean_channel")
+    svds = count_calls(np.linalg, "svd")
+    precodes = count_calls(linksim.precoding, "precode")
+    result = run_experiment("ber_vs_snr", cfg)
+    assert [row[7] for row in result.rows] == [5, 5, 5]
+    assert stages == {"draw_observation": 5, "estimate_eta": 5, "clean_channel": 5}
+    assert svds == {"svd": 5}
+    assert precodes == {"precode": 15}
+
+
 def test_downlink_trial_zero_csi_transmits_nothing(monkeypatch):
     # cleaning at eta 0.99 shrinks trial 2's 2 x 64 observation to the zero
     # matrix, and keeps trial 0's
@@ -451,6 +485,42 @@ def test_monte_carlo_wraps_trial_failures(monkeypatch):
     assert info.value.trial_index == 0
     assert isinstance(info.value.partial, Aggregate)
     assert info.value.partial.bits == 0
+
+
+def test_monte_carlo_wraps_trial_failures_in_an_snr_sweep(monkeypatch):
+    # the second chunk fails: the error names its start and carries each
+    # point's aggregate of the first chunk
+    trial = linksim.downlink_trial
+
+    def fail_from_8(cfg, t, *args):
+        if t >= 8:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return trial(cfg, t, *args)
+
+    monkeypatch.setattr(linksim, "downlink_trial", fail_from_8)
+    cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="noisy_raw", seed=34,
+                    trials=16, min_errors=10**9, max_bits=10**9)
+    with pytest.raises(MonteCarloError) as info:
+        linksim.monte_carlo(cfg, snr_db=(0.0, 10.0))
+    assert info.value.trial_index == 8
+    partial = info.value.partial
+    assert partial == (
+        linksim.monte_carlo(cfg.at(trials=8), snr_db=0.0),
+        linksim.monte_carlo(cfg.at(trials=8), snr_db=10.0),
+    )
+    assert all(isinstance(a, Aggregate) and a.trials_run == 8 for a in partial)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("csi", _CSI_MODES)
+def test_monte_carlo_snr_tuple_equals_the_per_snr_calls(csi, threads):
+    # min_errors 400 stops the three points at different chunks, so a point
+    # that has met its budget must drop out while the others run on
+    cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi=csi, eta=0.3, seed=21,
+                    trials=64, min_errors=400, threads=threads)
+    sweep = linksim.monte_carlo(cfg, snr_db=_SWEEP)
+    assert sweep == tuple(linksim.monte_carlo(cfg, snr_db=s) for s in _SWEEP)
+    assert len({a.trials_run for a in sweep}) == 3
 
 
 def test_monte_carlo_interval_shrinks_with_budget():
