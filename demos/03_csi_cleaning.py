@@ -97,9 +97,12 @@ print(f"20 x 128, eta = 0.3, {trials} draws: cleaned / oracle singular value "
       f"top {np.mean(top):.2f}, median {np.mean(mid):.2f}, "
       f"bottom {np.mean(bottom):.2f}")
 
-# the decomposition underneath the cleaner: the thin SVD of the observation,
-# whose singular values are the positive eigenvalues of its BSCA
+# the BSCA spectrum of the observation: its positive eigenvalues are the
+# singular values s_k, which the cleaner reads off the U x U Gram X X^H as
+# sqrt of its eigenvalues
 _, sv, _ = eig_bsca(H_obs)
-print(f"thin SVD: {sv.size} singular values in [{sv[-1]:.3f}, {sv[0]:.3f}]; "
-      f"the BSCA adds {dims.antennas - dims.users} null directions and the "
-      f"mirror values -s_k")
+gram_sv = np.sqrt(np.linalg.eigvalsh(H_obs @ H_obs.conj().T)[::-1])
+print(f"BSCA: {sv.size} positive eigenvalues in [{sv[-1]:.3f}, {sv[0]:.3f}], "
+      f"the mirror values -s_k and {dims.antennas - dims.users} null "
+      f"directions; the Gram gives the same s_k to "
+      f"{np.max(np.abs(gram_sv - sv)) / sv[0]:.0e} of the largest")

@@ -138,7 +138,22 @@ def main(argv=None) -> int:
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     print("headline: " + json.dumps(result.summary["headline"], sort_keys=True, default=str))
+    _warn_unidentifiable(result.summary.get("diagnostics", ()))
     return 0
+
+
+def _warn_unidentifiable(diagnostics) -> None:
+    """One stderr line per BER point whose blind eta-hat was unidentifiable
+    in some trials (damped corruption with c = 1)."""
+    for point in diagnostics:
+        frac = point["identifiable_fraction"]
+        if frac is not None and frac < 1.0:
+            axis, x = next(iter(point.items()))  # the first key names the point
+            print(
+                f"warning: eta not identifiable in {100.0 * (1.0 - frac):.3g}% "
+                f"of trials at {axis}={x:g}",
+                file=sys.stderr,
+            )
 
 
 if __name__ == "__main__":

@@ -107,17 +107,22 @@ def estimate_eta(H_obs: np.ndarray, cfg: EstimatorConfig | None = None) -> EtaEs
     kappa_hat = free_cumulants(empirical_moments(H_obs))
 
     # least-squares objective sum_k (kappa_hat_k - kappa_k(x))^2 as one
-    # polynomial in x; eta = (x - 1)/(x - 1 + b) is increasing in x
+    # polynomial in x, highest power first, each square added at the
+    # low-power end; eta = (x - 1)/(x - 1 + b) is increasing in x
     b, polys = noisy_gram_cumulant_polys(q, cfg.mode, cfg.c)
-    objective = np.zeros(1)
+    objective = np.zeros(2 * len(polys[order - 1]) - 1)
     for k_hat, poly in zip(kappa_hat[:order], polys):
-        resid = np.polysub([k_hat], poly)
-        objective = np.polyadd(objective, np.polymul(resid, resid))
+        resid = np.zeros_like(poly)
+        resid[-1] = k_hat
+        resid -= poly
+        square = np.convolve(resid, resid)
+        objective[objective.size - square.size :] += square
     x_lo, x_hi = (1.0 + b * e / (1.0 - e) for e in (_ETA_FLOOR, _ETA_CEILING))
     # the real part of every root is a candidate: a spurious one costs an
     # evaluation, while a real root is never lost to a rounding-level
     # imaginary part
-    crit = np.roots(np.polyder(objective)).real
+    slope = objective[:-1] * np.arange(objective.size - 1, 0, -1)
+    crit = np.roots(slope).real
     crit = crit[(crit > x_lo) & (crit < x_hi)]
     xs = np.concatenate(([x_lo, x_hi], crit))
     etas = np.concatenate(

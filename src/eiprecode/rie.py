@@ -3,24 +3,26 @@
 The paper studies the observation X through its Hermitian block
 augmentation (BSCA) [[0, X], [X^H, 0]], whose nonzero eigenpairs are
 (+/-s_k, [u_k; +/-v_k] / sqrt(2)) for the thin SVD X = U diag(s) V^H.  The
-cleaner only changes the s_k, so it works on the thin SVD directly: it
-replaces each singular value by the observable rectangular
-rotation-invariant estimate (Troiani et al., arXiv:2203.07752;
-Benaych-Georges, Bouchaud and Potters, arXiv:1901.05543)
+cleaner only changes the s_k and keeps the singular vectors, which is the
+defining property of the estimator family: it replaces each singular value
+by the observable rectangular rotation-invariant estimate (Troiani et al.,
+arXiv:2203.07752; Benaych-Georges, Bouchaud and Potters, arXiv:1901.05543)
 
     xi_k = s_k - a2 ((1 - q) / s_k + 2 q h(s_k)),   a2 = eta c / (1 - eta),
 
 with q = U/A and h the leave-one-out Hilbert transform of the symmetrized
 singular values {+/-s_j} (the nonzero BSCA spectrum), all k in one array
-pass, and returns U diag(xi) V^H.  Singular vectors are kept untouched,
-which is the defining property of the estimator family.
+pass.  V is never needed, because U diag(xi) V^H = U diag(xi/s) U^H X, so
+the cleaner takes the thin SVD's left half, U and s, from the U x U Gram
+X X^H = U diag(s^2) U^H with one Hermitian eigendecomposition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# build_bsca is unused here; perfbench's traced run looks it up on this module
+# build_bsca, eig_bsca and reconstruct are unused here; perfbench's traced run
+# looks them up on this module
 from .channel import CorruptionModel, SystemDims, build_bsca  # noqa: F401
 from .rmt import default_epsilon, empirical_stieltjes
 
@@ -34,8 +36,9 @@ __all__ = [
     "mse",
 ]
 
-# singular values at or below this fraction of the largest are null directions
-_NULL_TOL = 1e-10
+# singular values at or below this fraction of the largest are null directions;
+# the Gram resolves s^2 only to about eps * s_max^2, so s to about 1.5e-8 s_max
+_NULL_TOL = 1e-7
 
 
 def eig_bsca(X: np.ndarray):
@@ -109,39 +112,47 @@ def clean_channel(
     mode: str = "additive",
     c: float = 1.0,
 ) -> np.ndarray:
-    """Full cleaning pipeline: normalize, thin SVD, clean singular values,
-    reconstruct.
+    """Full cleaning pipeline: normalize, Gram eigendecomposition, clean
+    singular values, reconstruct.
 
-    All singular values y of the normalized observation go through the rule
-    of :func:`shrink_eigenvalue` in one array pass, with q = U/A from the
-    shape of ``H_obs``, alpha^2 = eta_hat c / (1 - eta_hat) from
+    The observation X in additive form gives its left singular vectors U
+    and singular values s = sqrt(w) from ``eigh(X X^H)``, in descending
+    order.  All kept s go through the rule of :func:`shrink_eigenvalue` in
+    one array pass, with q = U/A from the shape of ``H_obs``,
+    alpha^2 = eta_hat c / (1 - eta_hat) from
     :class:`~eiprecode.channel.CorruptionModel` (which owns the eta, mode
-    and c rules) and h = -Re
-    :func:`local_stieltjes` of the nonzero BSCA spectrum {+/-y_j} at every y
-    in one call, at the bandwidth :func:`~eiprecode.rmt.default_epsilon`
-    (U + A).  Singular values at or below 1e-10 times the largest are left
-    out of that spectrum and map to 0.  Singular vectors are kept.
+    and c rules) and h = -Re :func:`local_stieltjes` of the nonzero BSCA
+    spectrum {+/-s_j} at every s in one call, at the bandwidth
+    :func:`~eiprecode.rmt.default_epsilon` (U + A).  The cleaned channel is
+    U diag(xi) V^H = (U diag(xi/s) U^H) X, so V is never formed.  Singular
+    values at or below 1e-7 times the largest, the resolution of the Gram,
+    are left out of that spectrum and map to 0.
 
     ``mode`` declares the corruption form of the observation, which
     :meth:`~eiprecode.channel.CorruptionModel.additive_form` maps to additive
     form first (damped observations are divided by sqrt(1 - eta_hat)), so
-    the estimand is the true channel.  Non-finite input raises ValueError.
+    the estimand is the true channel.  Non-finite input raises ValueError;
+    an all-zero input comes back as zeros.
     """
     H_obs = np.asarray(H_obs, dtype=complex)
     u, a = H_obs.shape
     q = SystemDims(u, a).q  # validates 0 < U < A
     model = CorruptionModel(eta_hat, mode, c)
     alpha = model.alpha()
-    left, sv, vh = eig_bsca(model.additive_form(H_obs))
+    X = model.additive_form(H_obs)
+    if not np.isfinite(X).all():
+        raise ValueError("observation has non-finite entries")
+    w, left = np.linalg.eigh(X @ X.conj().T)
+    sv = np.sqrt(np.maximum(w[::-1], 0.0))
+    left = left[:, ::-1]
     kept = sv[sv > _NULL_TOL * sv[0]]
-    xi = np.zeros_like(sv)
+    ratio = np.zeros_like(sv)
     if kept.size:
         spectrum = np.concatenate([kept, -kept])
         h = -local_stieltjes(spectrum, kept, default_epsilon(u + a))[0]
-        xi[: kept.size] = np.clip(
-            kept - alpha * alpha * ((1.0 - q) / kept + 2.0 * q * h), 0.0, kept
-        )
-    return reconstruct(left, xi, vh)
+        xi = np.clip(kept - alpha * alpha * ((1.0 - q) / kept + 2.0 * q * h), 0.0, kept)
+        ratio[: kept.size] = xi / kept
+    return ((left * ratio) @ left.conj().T) @ X
 
 
 def linear_mmse_baseline(

@@ -695,6 +695,39 @@ def test_cli_ber_survives_a_zero_csi(tmp_path, capsys, precoder):
     assert doc["headline"]["degenerate_csi_trials"] > 0
 
 
+@pytest.mark.parametrize("command,axis", [("ber", "snr_db"), ("sweep", "eta")])
+def test_cli_warns_on_stderr_where_eta_is_unidentifiable(tmp_path, capsys, command, axis):
+    # damped corruption with c = 1 leaves eta blindly unidentifiable: one
+    # stderr line per point, and stdout keeps its three lines
+    fast = ["--set", "users=6", "--set", "antennas=24", "--set", "trials=4",
+            "--set", "symbols_per_trial=50", "--csi", "ei_cleaned", "--seed", "4300"]
+    out = tmp_path / "damped"
+    code, text, err = _run_cli(
+        [command, "--out", str(out), *fast, "--set", "corruption_mode=damped",
+         "--set", "eta=[0.2, 0.4]", "--set", "snr_db=[2, 6]"],
+        capsys,
+    )
+    assert code == 0, err
+    assert len(text.splitlines()) == 3 and text.startswith("wrote ")
+    json_name = "ber_vs_snr.json" if command == "ber" else "ber_vs_eta.json"
+    diag = json.loads((out / json_name).read_text())["diagnostics"]
+    want = [
+        f"warning: eta not identifiable in {100.0 * (1.0 - d['identifiable_fraction']):.3g}% "
+        f"of trials at {axis}={d[axis]:g}"
+        for d in diag
+    ]
+    assert all(d["identifiable_fraction"] < 1.0 for d in diag)
+    assert err.splitlines() == want
+    # additive corruption always identifies eta: nothing on stderr
+    code, text, err = _run_cli(
+        [command, "--out", str(tmp_path / "additive"), *fast, "--set", "eta=[0.2, 0.4]",
+         "--set", "snr_db=[2, 6]"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert len(text.splitlines()) == 3
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -347,10 +347,13 @@ def test_clean_channel_matches_the_bsca_reference(y, eta_hat, mode):
     "dims", [(20, 128), (30, 256), (128, 256)], ids=["20x128", "30x256", "128x256"]
 )
 def test_clean_channel_matches_the_bsca_reference_at_paper_sizes(dims, mode):
-    _, y = _draw(*dims, 0.3, 131, 132)
-    x = CorruptionModel(0.3, mode).additive_form(y)
-    hc = rie.clean_channel(y, 0.3, mode=mode)
-    assert np.max(np.abs(hc - _reference_clean(x, 0.3))) < 1e-10
+    for eta in (0.1, 0.3, 0.5, 0.9):
+        _, y = _draw(*dims, eta, 131, 132)
+        x = CorruptionModel(eta, mode).additive_form(y)
+        hc = rie.clean_channel(y, eta, mode=mode)
+        ref = _reference_clean(x, eta)
+        assert np.max(np.abs(hc - ref)) < 1e-10, eta
+        assert np.linalg.norm(hc - ref) <= 1e-12 * np.linalg.norm(ref), eta
 
 
 def test_clean_channel_matches_the_bsca_reference_on_rank_deficient_inputs():
@@ -364,6 +367,29 @@ def test_clean_channel_matches_the_bsca_reference_on_rank_deficient_inputs():
     # the null directions of the rank-two input map to 0
     s = np.linalg.svd(rie.clean_channel(rank_two, 0.3), compute_uv=False)
     assert np.max(s[2:]) < 1e-12
+
+
+def _rotated(spectrum, antennas, seed):
+    # U diag(spectrum) V^H with Haar-like U (square) and V (thin)
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+
+    def haar(m):
+        return np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+
+    return (haar(n) * spectrum) @ haar(antennas)[:n]
+
+
+def test_clean_channel_null_tolerance_is_1e_7_of_the_largest_singular_value():
+    # the Gram resolves singular values to about 1.5e-8 of the largest, so a
+    # 1e-8 direction is a null direction and maps to 0 even at eta 0, while a
+    # 1e-6 direction is kept as it is
+    null = rie.clean_channel(_rotated([1.0, 1e-8], 6, 133), 0.0)
+    assert np.linalg.svd(null, compute_uv=False)[1] < 1e-12
+    x = _rotated([1.0, 1e-6], 6, 134)
+    kept = rie.clean_channel(x, 0.0)
+    assert np.max(np.abs(kept - x)) < 1e-12
+    assert np.linalg.svd(kept, compute_uv=False)[1] == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_clean_channel_wins_at_mid_error_level():
