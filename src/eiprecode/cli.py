@@ -1,16 +1,8 @@
 """Command-line front end.
 
-Subcommands map onto the experiment families:
-
-=============  ================
-subcommand     experiment
-=============  ================
-spectra        spectrum_check
-estimate-eta   eta_cdf
-clean-csi      mse_vs_antennas
-ber            ber_vs_snr
-sweep          ber_vs_eta
-=============  ================
+Each subcommand runs one experiment family; ``_SUBCOMMANDS`` maps the one
+to the other.  A named flag such as ``--seed 5`` is the ``--set seed=5``
+item, placed after every ``--set`` item so that it wins.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 Environment: EIPRECODE_SEED and EIPRECODE_THREADS mirror --seed/--threads
@@ -25,7 +17,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-import yaml
 
 from .config import ConfigError, parse_config
 from .experiments import ExperimentError, run_experiment
@@ -34,13 +25,23 @@ from .rmt import RootSelectionError
 
 __all__ = ["main", "build_parser"]
 
-_KINDS = {
-    "spectra": "spectrum_check",
-    "estimate-eta": "eta_cdf",
-    "clean-csi": "mse_vs_antennas",
-    "ber": "ber_vs_snr",
-    "sweep": "ber_vs_eta",
+# subcommand -> (experiment kind, help)
+_SUBCOMMANDS = {
+    "spectra": (
+        "spectrum_check",
+        "empirical vs analytic spectral density of the augmented channel",
+    ),
+    "estimate-eta": ("eta_cdf", "CDF of the blind CSI-noise-level estimation error"),
+    "clean-csi": (
+        "mse_vs_antennas",
+        "reconstruction MSE of the cleaned channel across antenna counts",
+    ),
+    "ber": ("ber_vs_snr", "bit error rate versus SNR for one precoder/CSI configuration"),
+    "sweep": ("ber_vs_eta", "bit error rate versus CSI noise level at fixed SNR"),
 }
+
+# named flags; each one the user sets becomes a --set item after the others
+_FLAGS = ("seed", "threads", "trials", "precoder", "csi", "bits", "bins")
 
 _NUMERICAL_ERRORS = (
     MonteCarloError,
@@ -57,15 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Eigen-inference CSI cleaning and quantized precoding experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "spectra": "empirical vs analytic spectral density of the augmented channel",
-        "estimate-eta": "CDF of the blind CSI-noise-level estimation error",
-        "clean-csi": "reconstruction MSE of the cleaned channel across antenna counts",
-        "ber": "bit error rate versus SNR for one precoder/CSI configuration",
-        "sweep": "bit error rate versus CSI noise level at fixed SNR",
-    }
-    for name in _KINDS:
-        s = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in _SUBCOMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", metavar="FILE", help="YAML config file")
         s.add_argument(
             "--set",
@@ -89,28 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    flags = {
-        "seed": args.seed,
-        "threads": args.threads,
-        "trials": args.trials,
-    }
-    if hasattr(args, "precoder"):
-        flags["precoder"] = args.precoder
-        flags["csi"] = args.csi
-        flags["bits"] = None if args.bits is None else yaml.safe_load(args.bits)
-    if hasattr(args, "bins"):
-        flags["bins"] = args.bins
-    return flags
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    kind = _KINDS[args.command]
+    kind = _SUBCOMMANDS[args.command][0]
+    flags = [f"{k}={getattr(args, k)}" for k in _FLAGS if getattr(args, k, None) is not None]
     try:
-        cfg, extras = parse_config(
-            path=args.config, overrides=args.sets, flags=_flag_overrides(args)
-        )
+        cfg, extras = parse_config(path=args.config, overrides=args.sets + flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -128,7 +106,7 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(kind, cfg, **extras)
         csv_path, json_path = result.write(args.out)
-    except (ConfigError, ExperimentError) as exc:
+    except ExperimentError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -1,4 +1,4 @@
-"""Strict config resolution: YAML file -> env -> --set pairs -> named flags.
+"""Strict config resolution: YAML file -> env -> ``key=value`` overrides.
 
 This module only merges the layers and rejects unknown keys.  The schema is
 :class:`~eiprecode.linksim.SimConfig`: its field annotations give every
@@ -74,11 +74,13 @@ def _env_overrides(env) -> dict:
     return out
 
 
-def parse_config(path=None, overrides=(), env=None, flags=None):
+def parse_config(path=None, overrides=(), env=None):
     """Resolve a SimConfig plus driver extras from all input layers.
 
     Precedence, lowest to highest: built-in defaults, config file, environment
-    (seed/threads only), ``--set`` pairs, named CLI flags.
+    (seed/threads only), then the ``key=value`` ``overrides`` in order, so a
+    later item beats an earlier one.  The CLI passes its ``--set`` items and
+    then one item per named flag, so a flag beats ``--set``.
     """
     data = {}
     if path is not None:
@@ -87,9 +89,6 @@ def parse_config(path=None, overrides=(), env=None, flags=None):
     for item in overrides:
         key, value = parse_set_item(item)
         data[key] = value
-    for key, value in (flags or {}).items():
-        if value is not None:
-            data[key] = value
 
     names = {f.name for f in fields(SimConfig)}
     for key in data:

@@ -41,15 +41,6 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-EXPERIMENT_KINDS = (
-    "spectrum_check",
-    "eta_cdf",
-    "mse_vs_antennas",
-    "ber_vs_snr",
-    "ber_vs_eta",
-)
-
-
 class ExperimentError(ValueError):
     """A config is incomplete or inconsistent for the requested experiment."""
 
@@ -147,7 +138,9 @@ def threshold_crossing(xs, ys, target: float):
     return None
 
 
-def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
+def _spectrum_check(cfg: SimConfig, bins: int = 50):
+    if bins < 2:
+        raise ExperimentError("spectrum_check requires config field 'bins' >= 2")
     dims = cfg.dims
     a_edge, b_edge, atom = bsca_support(cfg.dims.q)
     edges = np.linspace(-b_edge, b_edge, bins + 1)
@@ -176,7 +169,6 @@ def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
     )
     expected_zeros = dims.antennas - dims.users
     summary = {
-        "wall_time_s": None,  # patched by run_experiment
         "headline": {
             "l1_distance": _round(l1),
             "zero_eigenvalues_per_draw": zero_counts[0] if len(set(zero_counts)) == 1 else zero_counts,
@@ -188,16 +180,10 @@ def _spectrum_check(cfg: SimConfig, bins: int) -> ExperimentResult:
             "bins": bins,
         },
     }
-    return ExperimentResult(
-        "spectrum_check",
-        ("bin_center", "empirical_density", "analytic_density"),
-        rows,
-        summary,
-        cfg,
-    )
+    return ("bin_center", "empirical_density", "analytic_density"), rows, summary
 
 
-def _eta_cdf(cfg: SimConfig) -> ExperimentResult:
+def _eta_cdf(cfg: SimConfig):
     dims = cfg.dims
     rows = []
     headline = {}
@@ -225,13 +211,10 @@ def _eta_cdf(cfg: SimConfig) -> ExperimentResult:
     order = cfg.estimator.order
     headline["estimator_order"] = order if order is not None else "auto"
     headline["theory_mode"] = cfg.theory_mode
-    summary = {"wall_time_s": None, "headline": headline}
-    return ExperimentResult(
-        "eta_cdf", ("eta", "delta_eta", "cdf"), tuple(rows), summary, cfg
-    )
+    return ("eta", "delta_eta", "cdf"), rows, {"headline": headline}
 
 
-def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
+def _mse_vs_antennas(cfg: SimConfig):
     if cfg.antennas_grid is None:
         raise ExperimentError("mse_vs_antennas requires config field 'antennas_grid'")
     if cfg.csi not in ("ei_cleaned", "ei_cleaned_known_eta"):
@@ -281,7 +264,6 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
                 "ratio_to_floor_last": _round(means[-1] / floor) if floor > 0 else None,
             }
     headline["csi"] = cfg.csi
-    summary = {"wall_time_s": None, "headline": headline}
     header = (
         "eta",
         "antennas",
@@ -293,7 +275,7 @@ def _mse_vs_antennas(cfg: SimConfig) -> ExperimentResult:
         "trials",
         "seed",
     )
-    return ExperimentResult("mse_vs_antennas", header, tuple(rows), summary, cfg)
+    return header, rows, {"headline": headline}
 
 
 _BER_HEADER = (
@@ -309,7 +291,7 @@ _BER_HEADER = (
 )
 
 
-# axis -> (the config field held at its first value, the name in the kind)
+# axis -> (the config field held at its first value, the name in the headline)
 _BER_AXES = {"snr_db": ("eta", "snr"), "eta": ("snr_db", "eta")}
 
 
@@ -332,7 +314,7 @@ def _csi_diagnostics(axis: str, x: float, agg) -> dict:
     }
 
 
-def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
+def _ber_sweep(cfg: SimConfig, axis: str):
     """BER at each value of the ``axis`` config field, the other link
     parameter (eta or snr_db) held at its first configured value.
 
@@ -372,7 +354,6 @@ def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
         rows.append(row if axis == "snr_db" else (_round(eta),) + row)
     crossing = threshold_crossing(points, bers, 1e-3)
     summary = {
-        "wall_time_s": None,
         "diagnostics": diagnostics,
         "headline": {
             other: _round(fixed),
@@ -383,27 +364,36 @@ def _ber_sweep(cfg: SimConfig, axis: str) -> ExperimentResult:
         },
     }
     header = _BER_HEADER if axis == "snr_db" else ("eta",) + _BER_HEADER
-    return ExperimentResult(f"ber_vs_{name}", header, tuple(rows), summary, cfg)
+    return header, rows, summary
 
 
-def run_experiment(kind: str, cfg: SimConfig, bins: int = 50) -> ExperimentResult:
-    """Run one experiment family and return its tables and summary."""
-    t0 = time.perf_counter()
-    if kind == "spectrum_check":
-        if bins < 2:
-            raise ExperimentError("spectrum_check requires config field 'bins' >= 2")
-        result = _spectrum_check(cfg, bins)
-    elif kind == "eta_cdf":
-        result = _eta_cdf(cfg)
-    elif kind == "mse_vs_antennas":
-        result = _mse_vs_antennas(cfg)
-    elif kind == "ber_vs_snr":
-        result = _ber_sweep(cfg, "snr_db")
-    elif kind == "ber_vs_eta":
-        result = _ber_sweep(cfg, "eta")
-    else:
+# kind -> family; a family returns (header, rows, summary) and takes the
+# config plus its own options (only spectrum_check has one, ``bins``)
+_FAMILIES = {
+    "spectrum_check": _spectrum_check,
+    "eta_cdf": _eta_cdf,
+    "mse_vs_antennas": _mse_vs_antennas,
+    "ber_vs_snr": partial(_ber_sweep, axis="snr_db"),
+    "ber_vs_eta": partial(_ber_sweep, axis="eta"),
+}
+EXPERIMENT_KINDS = tuple(_FAMILIES)
+
+
+def run_experiment(kind: str, cfg: SimConfig, bins: int | None = None) -> ExperimentResult:
+    """Run one experiment family and return its tables and summary.
+
+    ``kind`` is one of :data:`EXPERIMENT_KINDS`.  ``bins`` is the histogram
+    size of ``spectrum_check`` (None means 50) and an error for any other
+    kind.  The result carries ``kind`` and the summary's ``wall_time_s``.
+    """
+    if kind not in _FAMILIES:
         raise ExperimentError(
             f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}"
         )
-    result.summary["wall_time_s"] = round(time.perf_counter() - t0, 3)
-    return result
+    options = {} if bins is None else {"bins": bins}
+    if options and kind != "spectrum_check":
+        raise ExperimentError(f"config field 'bins' applies to spectrum_check only, not {kind}")
+    t0 = time.perf_counter()
+    header, rows, summary = _FAMILIES[kind](cfg, **options)
+    summary["wall_time_s"] = round(time.perf_counter() - t0, 3)
+    return ExperimentResult(kind, header, tuple(rows), summary, cfg)

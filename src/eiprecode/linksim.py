@@ -28,7 +28,7 @@ import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,6 +121,8 @@ class SimConfig:
             raise ValueError("trials and symbols_per_trial must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.min_errors < 1 or self.max_bits < 1:
             raise ValueError("min_errors and max_bits must be >= 1")
         # The stage objects own the remaining rules: building them here
@@ -152,9 +154,6 @@ class SimConfig:
     def corruption(self, eta: float) -> CorruptionModel:
         """The corruption model of this config at one error level."""
         return CorruptionModel(eta=eta, mode=self.corruption_mode, c=self.c)
-
-    def at(self, **kw) -> "SimConfig":
-        return replace(self, **kw)
 
 
 @contextmanager

@@ -16,7 +16,9 @@ from eiprecode.config import (
     parse_config,
     parse_set_item,
 )
+from eiprecode.cli import _SUBCOMMANDS
 from eiprecode.experiments import (
+    EXPERIMENT_KINDS,
     ExperimentError,
     _round,
     run_experiment,
@@ -394,12 +396,11 @@ def test_parse_config_layers_and_precedence(tmp_path):
     )
     cfg, extras = parse_config(
         path=path,
-        overrides=("seed=33", "bins=12"),
+        overrides=("seed=33", "bins=12", "seed=44"),
         env={ENV_SEED: "22", ENV_THREADS: "3"},
-        flags={"seed": 44, "trials": None},
     )
     assert cfg.users == 8 and cfg.antennas == 16
-    # flag beats --set beats environment beats file
+    # a later override beats an earlier one beats environment beats file
     assert cfg.seed == 44
     # nothing above the environment touches threads
     assert cfg.threads == 3
@@ -485,6 +486,7 @@ def test_cli_subcommands_map_to_experiments(command, kind, capsys):
     code, out, _ = _run_cli([command, "--dry-run"], capsys)
     assert code == 0
     assert json.loads(out)["experiment"] == kind
+    assert tuple(k for k, _ in _SUBCOMMANDS.values()) == EXPERIMENT_KINDS
 
 
 def test_cli_dry_run_prints_plan_without_writing(tmp_path, monkeypatch, capsys):
@@ -548,6 +550,32 @@ def test_cli_env_seed_applies(monkeypatch, capsys):
     code, out, _ = _run_cli(["ber", "--dry-run"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["seed"] == 22
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,other",
+    [
+        ("ber", "seed", "5", "3"),
+        ("ber", "threads", "2", "3"),
+        ("ber", "trials", "9", "4"),
+        ("ber", "precoder", "zf", "MRT"),
+        ("sweep", "csi", "noisy_raw", "perfect"),
+        ("sweep", "bits", "bypass", "2"),
+        ("spectra", "bins", "12", "20"),
+    ],
+)
+def test_cli_flag_is_its_set_item_placed_last(command, flag, value, other, capsys):
+    def plan(*argv):
+        code, out, err = _run_cli([command, "--dry-run", *argv], capsys)
+        assert code == 0, err
+        return json.loads(out)
+
+    flagged = plan(f"--{flag}", value)
+    assert flagged == plan("--set", f"{flag}={value}")
+    assert flagged != plan()
+    # the flag wins over a --set item of its key, before or after it
+    assert plan("--set", f"{flag}={other}", f"--{flag}", value) == flagged
+    assert plan(f"--{flag}", value, "--set", f"{flag}={other}") == flagged
 
 
 def test_cli_flag_beats_set(capsys):
@@ -634,6 +662,9 @@ def test_cli_missing_config_file_exits_2(tmp_path, capsys):
         pytest.param("ber", "seed=" + "9" * 400, "seed", id="ber-seed=400_nines-seed"),
         # null is a bad value here, not an unset one
         ("spectra", "bins=null", "bins"),
+        ("spectra", "seed=-1", "seed"),
+        # bins sizes the spectrum histogram and nothing else
+        ("ber", "bins=3", "bins"),
     ],
 )
 def test_cli_out_of_range_value_exits_2(command, item, field, tmp_path, capsys):
