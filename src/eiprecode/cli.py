@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .experiments import ExperimentError, run_experiment
+from .experiments import ExperimentError, experiment_options, run_experiment
 from .linksim import MonteCarloError
 from .rmt import RootSelectionError
 
@@ -89,7 +89,8 @@ def main(argv=None) -> int:
     flags = [f"{k}={getattr(args, k)}" for k in _FLAGS if getattr(args, k, None) is not None]
     try:
         cfg, extras = parse_config(path=args.config, overrides=args.sets + flags)
-    except ConfigError as exc:
+        experiment_options(kind, **extras)
+    except (ConfigError, ExperimentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,7 @@ __all__ = [
     "ExperimentError",
     "ExperimentResult",
     "run_experiment",
+    "experiment_options",
     "threshold_crossing",
     "EXPERIMENT_KINDS",
 ]
@@ -139,8 +140,6 @@ def threshold_crossing(xs, ys, target: float):
 
 
 def _spectrum_check(cfg: SimConfig, bins: int = 50):
-    if bins < 2:
-        raise ExperimentError("spectrum_check requires config field 'bins' >= 2")
     dims = cfg.dims
     a_edge, b_edge, atom = bsca_support(cfg.dims.q)
     edges = np.linspace(-b_edge, b_edge, bins + 1)
@@ -379,20 +378,34 @@ _FAMILIES = {
 EXPERIMENT_KINDS = tuple(_FAMILIES)
 
 
-def run_experiment(kind: str, cfg: SimConfig, bins: int | None = None) -> ExperimentResult:
-    """Run one experiment family and return its tables and summary.
+def experiment_options(kind: str, bins: int | None = None) -> dict:
+    """The keyword options of the family ``kind``, checked.
 
     ``kind`` is one of :data:`EXPERIMENT_KINDS`.  ``bins`` is the histogram
-    size of ``spectrum_check`` (None means 50) and an error for any other
-    kind.  The result carries ``kind`` and the summary's ``wall_time_s``.
+    size of ``spectrum_check``, at least 2 (None means 50), and an error for
+    any other kind.  Raises :class:`ExperimentError`; a dry run checks its
+    plan here, so it fails where the run would.
     """
     if kind not in _FAMILIES:
         raise ExperimentError(
             f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}"
         )
-    options = {} if bins is None else {"bins": bins}
-    if options and kind != "spectrum_check":
+    if bins is None:
+        return {}
+    if kind != "spectrum_check":
         raise ExperimentError(f"config field 'bins' applies to spectrum_check only, not {kind}")
+    if bins < 2:
+        raise ExperimentError("spectrum_check requires config field 'bins' >= 2")
+    return {"bins": bins}
+
+
+def run_experiment(kind: str, cfg: SimConfig, bins: int | None = None) -> ExperimentResult:
+    """Run one experiment family and return its tables and summary.
+
+    ``kind`` and ``bins`` are checked by :func:`experiment_options`.  The
+    result carries ``kind`` and the summary's ``wall_time_s``.
+    """
+    options = experiment_options(kind, bins)
     t0 = time.perf_counter()
     header, rows, summary = _FAMILIES[kind](cfg, **options)
     summary["wall_time_s"] = round(time.perf_counter() - t0, 3)

@@ -299,7 +299,12 @@ def demodulate(symbols, scheme: str = "QPSK") -> np.ndarray:
     """Minimum-distance demodulation back to a flat 0/1 array."""
     levels, groups = _gray_pam(scheme)
     axes = np.asarray(symbols, dtype=complex).ravel().view(float)  # I, Q, I, Q, ...
-    return groups.take(np.digitize(axes, (levels[:-1] + levels[1:]) / 2.0), axis=0).ravel()
+    # the level index is the count of midpoints at or below the value, as
+    # np.digitize gives it: NaN reaches every midpoint and -0.0 reaches 0.0
+    level = np.zeros(axes.shape, dtype=np.uint8)  # at most 3 midpoints per axis
+    for mid in (levels[:-1] + levels[1:]) / 2.0:
+        level += ~(axes < mid)
+    return groups.take(level, axis=0).ravel()
 
 
 def wilson_interval(errors: int, bits: int, z: float = 1.959964) -> tuple[float, float]:

@@ -101,19 +101,13 @@ def optimal_step(bits: int) -> float:
     return float(res.x)
 
 
-def _quantize_real(v: np.ndarray, bits: int, step) -> np.ndarray:
-    n = 2 ** bits
-    idx = np.floor(v / step) + n // 2
-    idx = np.clip(idx, 0, n - 1)
-    return step * (idx - (n - 1) / 2.0)
-
-
 def quantize(x: np.ndarray, spec: QuantizerSpec, input_variance=None) -> np.ndarray:
     """Quantize the real and imaginary parts of x on the label grid.
 
     ``input_variance`` (per real component) materializes an auto step; for
     matrix inputs it may be a per-row array so every antenna gets its own
     step.  Saturating inputs clamp to the outermost labels; zero maps up.
+    x is left unchanged: the result is a new array.
     """
     x = np.asarray(x, dtype=complex)
     if spec.is_auto:
@@ -124,11 +118,20 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, input_variance=None) -> np.ndar
             step = step[:, None]
         if np.any(step <= 0):
             step = np.where(step <= 0, 1.0, step)  # dead antennas: grid is moot
+        step = step[..., None]  # one step for a sample's I and Q
     else:
         step = spec.step
-    return _quantize_real(x.real, spec.bits, step) + 1j * _quantize_real(
-        x.imag, spec.bits, step
-    )
+    n = 2 ** spec.bits
+    # (..., sample, I/Q): each sample's real and imaginary parts side by side,
+    # a view of x even when x is a strided slice; the divide makes the one copy
+    q = x[..., None].view(float) / step
+    np.floor(q, out=q)
+    q += n // 2
+    np.maximum(q, 0, out=q)
+    np.minimum(q, n - 1, out=q)
+    q -= (n - 1) / 2.0
+    q *= step
+    return q.view(complex)[..., 0]
 
 
 def _variance(sigma_u2) -> float:
@@ -141,6 +144,11 @@ def _variance(sigma_u2) -> float:
     return v
 
 
+# closed forms memoized per (spec, variance); bounded, because optimal_step's
+# minimizer passes a fresh fixed-step spec at every evaluation
+_CONSTANTS_CACHE_SIZE = 64
+
+
 def bussgang_gain(spec: QuantizerSpec, sigma_u2: float) -> float:
     """Linear (Bussgang) gain of the quantizer for a CN(0, sigma_u2) input.
 
@@ -148,7 +156,11 @@ def bussgang_gain(spec: QuantizerSpec, sigma_u2: float) -> float:
     over the threshold indices l = 1 .. 2^B - 1.  A zero-variance input is
     assigned gain 1 (no signal, no distortion).
     """
-    v = _variance(sigma_u2)
+    return _bussgang_gain(spec, _variance(sigma_u2))
+
+
+@lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
+def _bussgang_gain(spec: QuantizerSpec, v: float) -> float:
     if v == 0:
         return 1.0
     d = spec.step_for(v / 2.0)
@@ -159,7 +171,11 @@ def bussgang_gain(spec: QuantizerSpec, sigma_u2: float) -> float:
 def quantized_power(spec: QuantizerSpec, sigma_u2: float) -> float:
     """E |Q(u)|^2 for a CN(0, sigma_u2) input (both components pooled); a
     zero variance gives 0."""
-    v = _variance(sigma_u2)
+    return _quantized_power(spec, _variance(sigma_u2))
+
+
+@lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
+def _quantized_power(spec: QuantizerSpec, v: float) -> float:
     if v == 0:
         return 0.0
     n = 2 ** spec.bits
@@ -315,4 +331,5 @@ def transmit(
         raise ValueError("transmit needs an auto-step quantizer spec")
     sigma_m2 = np.einsum("ij,ij->i", pout.P, pout.P.conj()).real
     x = quantize(x_lin, spec, input_variance=sigma_m2 / 2.0)
-    return x * np.sqrt(1.0 / quantized_power(spec, 1.0))
+    x *= np.sqrt(1.0 / quantized_power(spec, 1.0))
+    return x

@@ -578,6 +578,24 @@ def test_cli_flag_is_its_set_item_placed_last(command, flag, value, other, capsy
     assert plan(f"--{flag}", value, "--set", f"{flag}={other}") == flagged
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectra", "--bins", "1"],
+        ["spectra", "--set", "bins=-4"],
+        ["ber", "--set", "bins=3"],
+        ["estimate-eta", "--set", "bins=50"],
+    ],
+)
+def test_cli_dry_run_rejects_what_the_run_rejects(argv, tmp_path, capsys):
+    dry = _run_cli([*argv, "--dry-run"], capsys)
+    run = _run_cli([*argv, "--set", "trials=1", "--out", str(tmp_path / "o")], capsys)
+    assert dry[0] == run[0] == 2
+    assert dry[1] == "" and dry[2] == run[2]
+    assert "bins" in dry[2]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_flag_beats_set(capsys):
     code, out, _ = _run_cli(
         ["ber", "--dry-run", "--seed", "44", "--set", "seed=33"], capsys

@@ -102,6 +102,26 @@ def test_symbol_maps_match_the_written_out_maps(scheme, bps):
         assert np.array_equal(got, _reference_demodulate(symbols, scheme))
 
 
+@pytest.mark.parametrize("scheme", ["QPSK", "16QAM"])
+def test_demodulate_decides_each_axis_as_digitize(scheme):
+    levels, groups = linksim._GRAY_PAM[scheme]
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    rng = np.random.default_rng(57)
+    axes = np.concatenate(
+        (
+            rng.standard_normal(4000),
+            mids,
+            np.nextafter(mids, -np.inf),
+            np.nextafter(mids, np.inf),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300],
+        )
+    )
+    axes = np.append(axes, axes)  # every value on I once and on Q once
+    axes[axes.size // 2 :] = np.roll(axes[axes.size // 2 :], 1)
+    want = groups[np.digitize(axes, mids)].ravel()
+    assert np.array_equal(linksim.demodulate(axes.view(complex), scheme), want)
+
+
 def test_unknown_modulation_is_named():
     with pytest.raises(ValueError, match="'qpsk'"):
         linksim.modulate([0, 1], "qpsk")

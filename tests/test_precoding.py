@@ -164,6 +164,79 @@ def test_quantize_is_odd_off_thresholds(v):
     assert plus == -minus
 
 
+def _reference_quantize(x, bits, step):
+    """The two-pass quantizer: the real and the imaginary part, each alone."""
+    n = 2 ** bits
+
+    def one(v):
+        return step * (np.clip(np.floor(v / step) + n // 2, 0, n - 1) - (n - 1) / 2.0)
+
+    out = np.empty(np.shape(x), dtype=complex)
+    out.real = one(np.real(x))
+    out.imag = one(np.imag(x))
+    return out
+
+
+def _awkward_block(rng, rows, cols):
+    """Gaussian samples plus saturating values, zeros and -0.0 on either axis."""
+    x = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    x[:, :5] = [1e6 - 1e6j, -1e6 + 1e6j, 0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
+    return x
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 8])
+def test_quantize_matches_the_two_pass_reference_bit_for_bit(bits):
+    rng = np.random.default_rng(300 + bits)
+    spec = QuantizerSpec(bits)
+    variance = rng.uniform(0.1, 2.0, size=6)
+    variance[2] = 0.0  # a dead row: its step falls back to 1
+    steps = spec.step_for(variance)
+    steps[2] = 1.0
+    x = _awkward_block(rng, 6, 40)
+    cases = [
+        # 2-D input, one auto step per row
+        (x, variance, steps[:, None]),
+        # a non-contiguous slice of it, rows and columns strided
+        (x[::2, 1::3], variance[::2], steps[::2, None]),
+        (x.T[::-1], variance[3], steps[3]),
+        # 1-D input at one scalar variance
+        (x[0], variance[0], steps[0]),
+        (x[:, 7], variance[4], steps[4]),
+    ]
+    for block, var, step in cases:
+        before = block.copy()
+        got = precoding.quantize(block, spec, input_variance=var)
+        assert got.shape == block.shape
+        assert np.array_equal(got, _reference_quantize(block, bits, step))
+        # bytes, so that a -0.0 turned into 0.0 would show
+        assert before.tobytes() == block.tobytes()
+    # a fixed step, on a matrix and a strided vector
+    fixed = QuantizerSpec(bits, 0.37)
+    y = _awkward_block(rng, 5, 30)
+    for block in (y, y[1, ::-2]):
+        before = block.copy()
+        got = precoding.quantize(block, fixed)
+        assert np.array_equal(got, _reference_quantize(block, bits, 0.37))
+        assert before.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("bits", [1, 3, 5])
+def test_transmit_matches_the_two_pass_reference_bit_for_bit(bits):
+    users, antennas = 5, 24
+    spec = QuantizerSpec(bits)
+    out = precoding.wf_precode(_chan(users, antennas, 310 + bits), 0.1)
+    rng = np.random.default_rng(320 + bits)
+    block = rng.standard_normal((users, 33)) + 1j * rng.standard_normal((users, 33))
+    sigma_m2 = np.einsum("ij,ij->i", out.P, out.P.conj()).real
+    steps = spec.step_for(sigma_m2 / 2.0)
+    scale = np.sqrt(1.0 / precoding.quantized_power(spec, 1.0))
+    for s, step in ((block, steps[:, None]), (block[:, 3], steps)):
+        before = s.copy()
+        want = _reference_quantize(out.P @ s, bits, step) * scale
+        assert np.array_equal(precoding.transmit(out, s, spec), want)
+        assert before.tobytes() == s.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Bussgang gain and distortion
 
@@ -218,6 +291,35 @@ def test_bussgang_constants_take_only_a_scalar():
             fn(spec, np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             fn(spec, float("nan"))
+
+
+def test_bussgang_constants_are_memoized_per_spec_and_variance():
+    spec = QuantizerSpec(5)
+    for fn in (precoding.bussgang_gain, precoding.quantized_power):
+        first = fn(spec, 1.0)
+        # the same float object for an equal spec and an equal variance
+        assert fn(spec, 1.0) is first
+        assert fn(QuantizerSpec(5), np.float64(1.0)) is first
+        # validation still runs on every call, ahead of the cache
+        with pytest.raises(TypeError):
+            fn(spec, np.array([1.0]))
+        with pytest.raises(ValueError):
+            fn(spec, float("nan"))
+        with pytest.raises(ValueError):
+            fn(spec, -1.0)
+        assert fn(spec, 1.0) is first
+
+
+def test_constant_caches_stay_bounded_through_the_step_search():
+    steps = [precoding.optimal_step(bits) for bits in range(1, 13)]
+    precoding.optimal_step.cache_clear()
+    # each search evaluates the constants at a fresh fixed-step spec per step
+    assert [precoding.optimal_step(bits) for bits in range(1, 13)] == steps
+    for cached in (precoding._bussgang_gain, precoding._quantized_power):
+        info = cached.cache_info()
+        assert info.maxsize is not None
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("bits", range(1, 13))
