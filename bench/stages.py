@@ -1,0 +1,180 @@
+"""Per-stage and end-to-end timing of one link trial at the paper's sizes.
+
+    python3 bench/stages.py                           # 20x128, 30x256, 128x256
+    python3 bench/stages.py --sizes 4x16 --repeats 3 --out /tmp/bench
+
+Run it from a source checkout; it imports ``eiprecode`` from ``src/`` and
+the span tracer from ``perfbench/tracing.py``.  The setup is WFQ precoding
+on blind ``ei_cleaned`` CSI, QPSK, 4 bits, eta 0.3, SNR 0/4/8 dB and seed 7,
+with one BLAS thread.  Trials 0 .. repeats-1 each run as one
+``downlink_trial`` call over all SNR points, with the tracer wrapped round
+the stage functions the trial looks up: ``draw_observation``,
+``estimate_eta`` and ``clean_channel`` once per trial, ``precode``,
+``transmit`` and ``demodulate`` once per SNR point.  So the stage times come
+from the trial's own code path, and ``other`` is the rest of the trial
+(symbols, the MSEs, ``H @ x`` plus noise).  Trial 0 runs once more first,
+untraced, to fill caches.
+
+It writes ``BENCH_<short-commit>.json`` (``-dirty`` appended when the
+checkout has uncommitted changes) with, per size, the median and
+interquartile range of every stage in ms per call and its calls per trial,
+the same for the whole trial with its minor page faults per trial
+(``resource.getrusage``), and the environment.
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+if __name__ == "__main__":
+    # one BLAS thread, set before numpy loads, as the repository benchmark does
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+from tracing import Target, Tracer, self_times  # noqa: E402
+
+from eiprecode import linksim, precoding  # noqa: E402
+
+# stage -> the span name the tracer gives the function the trial looks up
+STAGES = {
+    "draw": "linksim.draw_observation",
+    "estimate": "eta.estimate_eta",
+    "clean": "rie.clean_channel",
+    "precode": "precoding.precode",
+    "transmit": "precoding.transmit",
+    "demodulate": "linksim.demodulate",
+}
+TRIAL = "linksim.downlink_trial"
+SETUP = {
+    "precoder": "WFQ",
+    "csi": "ei_cleaned",
+    "modulation": "QPSK",
+    "bits": 4,
+    "eta": (0.3,),
+    "snr_db": (0.0, 4.0, 8.0),
+    "seed": 7,
+}
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("--sizes", default="20x128,30x256,128x256", help="UxA,UxA,...")
+    p.add_argument("--repeats", type=int, default=30, help="timed trials per size")
+    p.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON")
+    args = p.parse_args(argv)
+    try:
+        args.sizes = [tuple(int(n) for n in s.split("x")) for s in args.sizes.split(",")]
+    except ValueError:
+        p.error(f"--sizes must look like 20x128,30x256, got {args.sizes!r}")
+    if args.repeats < 1 or any(len(s) != 2 for s in args.sizes):
+        p.error("--repeats must be >= 1 and every size must be UxA")
+    return args
+
+
+def trace_trials(cfg, repeats):
+    """The spans of trials 0 .. repeats-1, one ``downlink_trial`` call each,
+    and each trial's minor page faults."""
+    tracer = Tracer()
+    tracer.install(
+        [Target(linksim, "downlink_trial", trial="scope")]
+        + [Target(linksim, name) for name in ("draw_observation", "estimate_eta", "clean_channel")]
+        + [Target(precoding, "precode"), Target(precoding, "transmit")]
+        + [Target(linksim, "demodulate")]
+    )
+    faults = []
+    try:
+        for r in range(repeats):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            linksim.downlink_trial(cfg, r, snr_db=cfg.snr_db)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    finally:
+        tracer.uninstall()
+    return tracer.spans, faults
+
+
+def _summary(ms, repeats):
+    q25, q50, q75 = np.percentile(ms, [25, 50, 75])
+    return {
+        "median_ms": round(float(q50), 4),
+        "iqr_ms": round(float(q75 - q25), 4),
+        "samples": len(ms),
+        "calls_per_trial": round(len(ms) / repeats, 3),
+    }
+
+
+def measure_size(users, antennas, repeats):
+    cfg = linksim.SimConfig(users=users, antennas=antennas, threads=1, **SETUP)
+    linksim.downlink_trial(cfg, 0, snr_db=cfg.snr_db)
+    spans, faults = trace_trials(cfg, repeats)
+    ms = {}
+    for s in spans:
+        ms.setdefault(s.name, []).append(1e3 * (s.end - s.start))
+    missing = [stage for stage, name in STAGES.items() if name not in ms]
+    if missing:
+        raise RuntimeError(f"downlink_trial never called the stages {missing}")
+    selfs = self_times(spans)
+    other = [1e3 * selfs[s.sid] for s in spans if s.name == TRIAL]
+    stages = {stage: _summary(ms[name], repeats) for stage, name in STAGES.items()}
+    stages["other"] = _summary(other, repeats)
+    trial = _summary(ms[TRIAL], repeats)
+    trial["minor_faults_per_trial"] = round(float(np.mean(faults)), 2)
+    return {"repeats": repeats, "stages": stages, "trial": trial}
+
+
+def _git(*args):
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
+def environment():
+    commit = _git("rev-parse", "--short", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "commit": commit,
+        "dirty": bool(status),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    env = environment()
+    doc = {
+        "setup": {**SETUP, "units": "ms per call; calls_per_trial calls make one trial"},
+        "environment": env,
+        "sizes": {f"{u}x{a}": measure_size(u, a, args.repeats) for u, a in args.sizes},
+    }
+    name = f"BENCH_{env['commit'] or 'nogit'}{'-dirty' if env['dirty'] else ''}.json"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / name
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    for size, res in doc["sizes"].items():
+        row = ", ".join(f"{k} {v['median_ms']:.3f}" for k, v in res["stages"].items())
+        print(f"{size}: trial {res['trial']['median_ms']:.3f} ms; {row}", file=sys.stderr)
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -109,7 +109,11 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, input_variance=None) -> np.ndar
     step.  Saturating inputs clamp to the outermost labels; zero maps up.
     x is left unchanged: the result is a new array.
     """
-    x = np.asarray(x, dtype=complex)
+    return _quantize_in_place(np.array(x, dtype=complex), spec, input_variance)
+
+
+def _quantize_in_place(x: np.ndarray, spec: QuantizerSpec, input_variance) -> np.ndarray:
+    """:func:`quantize`, overwriting and returning the complex array x."""
     if spec.is_auto:
         if input_variance is None:
             raise ValueError("auto-step quantization needs input_variance")
@@ -123,15 +127,16 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, input_variance=None) -> np.ndar
         step = spec.step
     n = 2 ** spec.bits
     # (..., sample, I/Q): each sample's real and imaginary parts side by side,
-    # a view of x even when x is a strided slice; the divide makes the one copy
-    q = x[..., None].view(float) / step
+    # a view of x, so every operation below writes into x
+    q = x[..., None].view(float)
+    q /= step
     np.floor(q, out=q)
     q += n // 2
     np.maximum(q, 0, out=q)
     np.minimum(q, n - 1, out=q)
     q -= (n - 1) / 2.0
     q *= step
-    return q.view(complex)[..., 0]
+    return x
 
 
 def _variance(sigma_u2) -> float:
@@ -199,30 +204,40 @@ class PrecodeOutput:
     residuals: tuple = field(default=())
 
 
-def _normalize_power(P_raw: np.ndarray) -> np.ndarray:
+def _unit_power_scale(P_raw: np.ndarray) -> float:
+    """The c with tr(c P_raw (c P_raw)^H) = 1."""
     power = np.sum(np.abs(P_raw) ** 2)
     if power == 0:
         raise np.linalg.LinAlgError("zero precoding matrix")
-    return P_raw * np.sqrt(1.0 / power)
+    return np.sqrt(1.0 / power)
 
 
-def _regularized(H_csi: np.ndarray, theta: float) -> np.ndarray:
-    """H^H (H H^H + U theta I)^{-1}, scaled to tr(P P^H) = 1."""
+def _regularized(H_csi: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """P = c H^H R^{-1} with R = H H^H + U theta I, scaled to tr(P P^H) = 1,
+    and the U×U product H P = c H H^H R^{-H}.
+
+    Everything is built from the U×U Gram and its inverse, so the one
+    product with A columns is R^{-1} H; an exactly singular R raises
+    ``LinAlgError`` from the inverse's LU factorization.
+    """
     users = H_csi.shape[0]
-    gram = H_csi @ H_csi.conj().T + users * theta * np.eye(users)
-    return _normalize_power(np.linalg.solve(gram, H_csi).conj().T)
+    gram = H_csi @ H_csi.conj().T
+    inverse = np.linalg.inv(gram + users * theta * np.eye(users))
+    raw = inverse @ H_csi
+    c = _unit_power_scale(raw)
+    return raw.conj().T * c, c * (gram @ inverse.conj().T)
 
 
 def _receiver_beta(
-    H_csi: np.ndarray, P: np.ndarray, sigma2: float, gain: float = 1.0, sigma_d2: float = 0.0
+    H_csi: np.ndarray, HP: np.ndarray, sigma2: float, gain: float = 1.0, sigma_d2: float = 0.0
 ) -> float:
     """The beta minimizing E||s - beta(H F P s + H d + n)||^2 for the gain
-    F = gain I and the distortion covariance sigma_d2 I; the defaults are
-    ideal DACs."""
-    users = H_csi.shape[0]
-    HFP = gain * (H_csi @ P)
+    F = gain I and the distortion covariance sigma_d2 I, read off the U×U
+    product ``HP`` = H P; the defaults are ideal DACs."""
+    users = HP.shape[0]
+    HFP = gain * HP
     num = float(np.trace(HFP).real)
-    distortion = sigma_d2 * float(np.sum(np.abs(H_csi) ** 2))
+    distortion = sigma_d2 * float(np.vdot(H_csi, H_csi).real)
     den = float(np.sum(np.abs(HFP) ** 2)) + distortion + users * sigma2
     if den <= 0:
         return 1.0
@@ -233,9 +248,8 @@ def wf_precode(H_csi: np.ndarray, sigma2: float) -> PrecodeOutput:
     """Regularized (Wiener) precoder P ~ H^H (H H^H + U sigma^2 I)^{-1},
     scaled to tr(P P^H) = 1."""
     H_csi = np.asarray(H_csi)
-    P = _regularized(H_csi, sigma2)
-    beta = _receiver_beta(H_csi, P, sigma2)
-    return PrecodeOutput(P=P, beta=beta, kind="WF")
+    P, HP = _regularized(H_csi, sigma2)
+    return PrecodeOutput(P=P, beta=_receiver_beta(H_csi, HP, sigma2), kind="WF")
 
 
 def wfq_precode(
@@ -248,12 +262,12 @@ def wfq_precode(
     quantizer is scale-invariant: every antenna has the gain F_B whatever
     its power, and the distortion variance
     sigma_d2 = (1 - F_B)(U sigma^2 + 1), with U the row count of ``H_csi``,
-    which no choice of P can move.  So the precoder is one regularized solve
-    H^H (H H^H + U theta I)^{-1} at theta = sigma^2 + sigma_d2, and ``beta``
-    uses the same F_B and sigma_d2.  Every antenna counts as live: only CSI
-    with an all-zero column (a dead antenna, no input and no distortion),
-    which no CSI mode produces, would differ.  A fixed step breaks the scale
-    invariance and raises ``ValueError``.
+    which no choice of P can move.  So the precoder is the regularized
+    H^H (H H^H + U theta I)^{-1} at theta = sigma^2 + sigma_d2, from one
+    U×U inverse, and ``beta`` uses the same F_B and sigma_d2.  Every antenna
+    counts as live: only CSI with an all-zero column (a dead antenna, no
+    input and no distortion), which no CSI mode produces, would differ.  A
+    fixed step breaks the scale invariance and raises ``ValueError``.
     """
     if not spec.is_auto:
         raise ValueError("wfq_precode needs an auto-step quantizer spec")
@@ -261,8 +275,8 @@ def wfq_precode(
     users = H_csi.shape[0]
     gain = bussgang_gain(spec, 1.0)
     sigma_d2 = (1.0 - gain) * (users * sigma2 + 1.0)
-    P = _regularized(H_csi, sigma2 + sigma_d2)
-    beta = _receiver_beta(H_csi, P, sigma2, gain, sigma_d2)
+    P, HP = _regularized(H_csi, sigma2 + sigma_d2)
+    beta = _receiver_beta(H_csi, HP, sigma2, gain, sigma_d2)
     return PrecodeOutput(P=P, beta=beta, kind="WFQ"), gain
 
 
@@ -294,11 +308,11 @@ def precode(
         raise ValueError("QCE needs a quantizer spec for the phase sectors")
     H_csi = np.asarray(H_csi)
     if kind == "MRT":
-        P = _normalize_power(H_csi.conj().T)
+        c = _unit_power_scale(H_csi)
+        P, HP = H_csi.conj().T * c, c * (H_csi @ H_csi.conj().T)
     else:
-        P = _regularized(H_csi, 0.0 if kind == "ZF" else sigma2)
-    beta = _receiver_beta(H_csi, P, sigma2)
-    return PrecodeOutput(P=P, beta=beta, kind=kind)
+        P, HP = _regularized(H_csi, 0.0 if kind == "ZF" else sigma2)
+    return PrecodeOutput(P=P, beta=_receiver_beta(H_csi, HP, sigma2), kind=kind)
 
 
 def transmit(
@@ -330,6 +344,7 @@ def transmit(
     if not spec.is_auto:
         raise ValueError("transmit needs an auto-step quantizer spec")
     sigma_m2 = np.einsum("ij,ij->i", pout.P, pout.P.conj()).real
-    x = quantize(x_lin, spec, input_variance=sigma_m2 / 2.0)
+    # x_lin is this call's own block, so the DAC overwrites it
+    x = _quantize_in_place(x_lin, spec, sigma_m2 / 2.0)
     x *= np.sqrt(1.0 / quantized_power(spec, 1.0))
     return x

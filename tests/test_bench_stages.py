@@ -1,0 +1,63 @@
+"""The committed stage-timing script runs end to end and writes its JSON."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "stages.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("bench_stages", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stage_script_writes_every_stage_and_the_environment(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--sizes", "4x16,2x8", "--repeats", "2", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    path = Path(done.stdout.strip().splitlines()[-1])
+    assert path.parent == tmp_path and path.name.startswith("BENCH_") and path.suffix == ".json"
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"setup", "environment", "sizes"}
+    assert {"commit", "dirty", "python", "numpy", "cpu_count"} <= set(doc["environment"])
+    assert set(doc["sizes"]) == {"4x16", "2x8"}
+    keys = {"median_ms", "iqr_ms", "samples", "calls_per_trial"}
+    per_trial = {"draw": 1, "estimate": 1, "clean": 1, "other": 1}
+    for res in doc["sizes"].values():
+        assert res["repeats"] == 2
+        stages = ["draw", "estimate", "clean", "precode", "transmit", "demodulate", "other"]
+        assert list(res["stages"]) == stages
+        for name, stage in res["stages"].items():
+            assert set(stage) == keys, name
+            assert stage["median_ms"] > 0 and stage["iqr_ms"] >= 0
+            assert stage["samples"] == 2 * stage["calls_per_trial"]
+            assert stage["calls_per_trial"] == per_trial.get(name, 3)
+        assert set(res["trial"]) == keys | {"minor_faults_per_trial"}
+        assert res["trial"]["calls_per_trial"] == 1 and res["trial"]["minor_faults_per_trial"] >= 0
+
+
+def test_stage_times_are_spans_inside_each_downlink_trial():
+    # every stage is timed inside a real downlink_trial call, not in a copy of it
+    stages = _load_script()
+    cfg = stages.linksim.SimConfig(users=4, antennas=16, threads=1, **stages.SETUP)
+    original = stages.linksim.downlink_trial
+    spans, faults = stages.trace_trials(cfg, 3)
+    assert stages.linksim.downlink_trial is original
+    trials = {s.sid: s for s in spans if s.name == stages.TRIAL}
+    assert len(trials) == 3 and len(faults) == 3
+    by_name = {}
+    for s in spans:
+        if s.name != stages.TRIAL:
+            assert s.parent in trials, s.name
+            by_name.setdefault(s.name, []).append(s)
+    assert set(by_name) == set(stages.STAGES.values())
+    assert len(by_name["precoding.precode"]) == 3 * len(cfg.snr_db)

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,16 +509,19 @@ def test_wfq_power_normalization():
 
 
 def _baseline_reference(kind, h, sigma2):
-    # the MRT, ZF and QCE matrices and receiver scaling, written out
+    # the MRT, ZF and QCE matrices and receiver scaling, written out in U×U form:
+    # P = c raw^H and H P = c (H raw^H), with raw = H for MRT and
+    # R^{-1} H, R = H H^H + U theta I, for the regularized kinds
     users = h.shape[0]
+    gram = h @ h.conj().T
     if kind == "MRT":
-        raw = h.conj().T
+        raw, h_raw = h, gram
     else:
         theta = 0.0 if kind == "ZF" else sigma2
-        gram = h @ h.conj().T + users * theta * np.eye(users)
-        raw = np.linalg.solve(gram, h).conj().T
-    P = raw * np.sqrt(1.0 / np.sum(np.abs(raw) ** 2))
-    hp = h @ P
+        inverse = np.linalg.inv(gram + users * theta * np.eye(users))
+        raw, h_raw = inverse @ h, gram @ inverse.conj().T
+    c = np.sqrt(1.0 / np.sum(np.abs(raw) ** 2))
+    P, hp = raw.conj().T * c, c * h_raw
     beta = float(np.trace(hp).real) / (float(np.sum(np.abs(hp) ** 2)) + users * sigma2)
     return P, max(beta, np.finfo(float).tiny), kind
 
@@ -543,6 +547,39 @@ def test_precode_matches_each_precoder(kind, with_spec):
         want = (ref.P, ref.beta, ref.kind)
     assert np.array_equal(out.P, want[0])
     assert (out.beta, out.kind) == want[1:]
+
+
+def _a_column_reference(kind, h, sigma2, spec):
+    # each precoder with its A columns written out: MRT as h^H / ||h||_F, the
+    # regularized ones as A-column solves against H, and beta from the full
+    # product H P
+    users = h.shape[0]
+    gain, sigma_d2 = 1.0, 0.0
+    if kind == "WFQ":
+        gain = precoding.bussgang_gain(spec, 1.0)
+        sigma_d2 = (1.0 - gain) * (users * sigma2 + 1.0)
+    if kind == "MRT":
+        raw = h.conj().T
+    else:
+        theta = 0.0 if kind == "ZF" else sigma2 + sigma_d2
+        gram = h @ h.conj().T + users * theta * np.eye(users)
+        raw = np.linalg.solve(gram, h).conj().T
+    P = raw * np.sqrt(1.0 / np.sum(np.abs(raw) ** 2))
+    hfp = gain * (h @ P)
+    den = np.sum(np.abs(hfp) ** 2) + sigma_d2 * np.sum(np.abs(h) ** 2) + users * sigma2
+    return P, np.trace(hfp).real / den
+
+
+@pytest.mark.parametrize("dims", [(20, 128), (30, 256), (128, 256)], ids=lambda d: "x".join(map(str, d)))
+@pytest.mark.parametrize("kind", ["MRT", "ZF", "WF", "WFQ", "QCE"])
+def test_precoders_match_the_a_column_form(kind, dims):
+    h = np.sqrt(dims[1]) * _chan(*dims, 190 + dims[0])
+    spec = QuantizerSpec(3)
+    for sigma2 in (0.0, 1e-3, 0.1, 1.0):
+        out = precoding.precode(kind, h, sigma2, spec=spec)
+        P, beta = _a_column_reference(kind, h, sigma2, spec)
+        assert np.linalg.norm(out.P - P) <= 1e-12 * np.linalg.norm(P), sigma2
+        assert abs(out.beta - beta) <= 1e-12 * beta, sigma2
 
 
 @pytest.mark.parametrize("kind", PRECODERS)
@@ -611,6 +648,28 @@ def test_transmit_bypass_is_linear():
     s = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2.0)
     x = precoding.transmit(out, s, spec=None)
     assert np.array_equal(x, out.P @ s)
+
+
+def test_transmit_quantizes_its_own_block_in_place():
+    # the DAC overwrites transmit's own P s block, the one A×N block it makes;
+    # the rest of the peak is the A×U conjugate of P for the antenna variances
+    users, antennas, symbols = 30, 256, 100
+    spec = QuantizerSpec(3)
+    pout = precoding.precode("WFQ", np.sqrt(antennas) * _chan(users, antennas, 181), 0.1, spec=spec)
+    rng = np.random.default_rng(182)
+    s = rng.standard_normal((users, symbols)) + 1j * rng.standard_normal((users, symbols))
+    s_before, P_before = s.copy(), pout.P.copy()
+    precoding.transmit(pout, s, spec)  # fills the power-constant cache
+    tracemalloc.start()
+    try:
+        precoding.transmit(pout, s, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = antennas * symbols * np.dtype(complex).itemsize
+    assert peak <= 1.5 * block, peak / block
+    assert s.tobytes() == s_before.tobytes()
+    assert pout.P.tobytes() == P_before.tobytes()
 
 
 def test_transmit_zero_symbols_hit_half_step_corner():
