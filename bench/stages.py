@@ -95,7 +95,7 @@ def trace_trials(cfg, repeats):
     try:
         for r in range(repeats):
             f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            linksim.downlink_trial(cfg, r, snr_db=cfg.snr_db)
+            linksim.downlink_trial(cfg, r)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     finally:
         tracer.uninstall()
@@ -114,7 +114,7 @@ def _summary(ms, repeats):
 
 def measure_size(users, antennas, repeats):
     cfg = linksim.SimConfig(users=users, antennas=antennas, threads=1, **SETUP)
-    linksim.downlink_trial(cfg, 0, snr_db=cfg.snr_db)
+    linksim.downlink_trial(cfg, 0)
     spans, faults = trace_trials(cfg, repeats)
     ms = {}
     for s in spans:

@@ -131,7 +131,7 @@ def estimate_eta(H_obs: np.ndarray, cfg: EstimatorConfig | None = None) -> EtaEs
     eta_hat = float(etas[np.argmin(np.polyval(objective, xs))])
     theory = noisy_gram_cumulants_theory(eta_hat, q, mode=cfg.mode, c=cfg.c)
     diff = kappa_hat[:order] - theory[:order]
-    alpha_hat = float(np.sqrt(eta_hat * cfg.c / (1.0 - eta_hat)))
+    alpha_hat = CorruptionModel(eta_hat, cfg.data_mode, cfg.c).alpha()
     s_hat = 1.0 + alpha_hat ** 2
     # damped corruption with c = 1 leaves the observed scale at 1 in law, so
     # a fitted scale indistinguishable from 1 carries no eta information

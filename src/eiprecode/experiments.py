@@ -319,14 +319,14 @@ def _ber_sweep(cfg: SimConfig, axis: str):
 
     The SNR axis is one Monte-Carlo call, so each trial's observation and
     cleaned CSI serve every SNR point; the observation changes with eta, so
-    the eta axis makes one call per level."""
+    the eta axis makes one call per level, each at the one fixed SNR."""
     other, name = _BER_AXES[axis]
     fixed = getattr(cfg, other)[0]
     points = getattr(cfg, axis)
     if axis == "snr_db":
         aggregates = monte_carlo(cfg, eta=fixed, snr_db=points)
     else:
-        aggregates = [monte_carlo(cfg, eta=x, snr_db=fixed) for x in points]
+        aggregates = [monte_carlo(cfg, eta=x, snr_db=(fixed,))[0] for x in points]
     rows = []
     bers = []
     unresolved = []

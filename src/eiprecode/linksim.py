@@ -15,9 +15,10 @@ trial is recomputable in isolation.
 None of those draws depends on the SNR: the receiver noise is drawn at unit
 variance and scaled per SNR.  So one trial index serves every SNR point of
 a sweep: :func:`downlink_trial` and :func:`monte_carlo` take a tuple of
-SNRs, and a trial's channel, observation, eta-hat, cleaned CSI, symbols and
-unit noise are computed once for all of them.  Each point's metrics are
-bit-identical to a call at that SNR alone.
+SNRs (None for every configured one) and return one result per SNR, and a
+trial's channel, observation, eta-hat, cleaned CSI, symbols and unit noise
+are computed once for all of them.  Each point's metrics are bit-identical
+to a call with that SNR alone.
 """
 
 from __future__ import annotations
@@ -235,16 +236,11 @@ class Aggregate:
 
 
 class MonteCarloError(RuntimeError):
-    """A trial failed in the chunk starting at ``trial_index``.
+    """A trial failed in the chunk starting at ``trial_index``."""
 
-    ``partial`` is the aggregate of the chunks before it, or, for a call
-    with a tuple of SNRs, the tuple of per-SNR aggregates.
-    """
-
-    def __init__(self, message, trial_index, partial):
+    def __init__(self, message, trial_index):
         super().__init__(message)
         self.trial_index = trial_index
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +369,10 @@ def downlink_trial(
     cfg: SimConfig,
     trial_index: int,
     eta: float | None = None,
-    snr_db: float | tuple | None = None,
-) -> TrialMetrics | tuple[TrialMetrics, ...]:
-    """One seeded downlink realization, at one SNR or at a tuple of them.
+    snr_db: tuple[float, ...] | None = None,
+) -> tuple[TrialMetrics, ...]:
+    """One seeded downlink realization, one :class:`TrialMetrics` per SNR
+    of ``snr_db`` in order (None means every configured SNR).
 
     The true channel always carries the propagation; the configured CSI
     handling only decides what the precoder sees.  An all-zero CSI (the
@@ -383,15 +380,13 @@ def downlink_trial(
     direction: the trial transmits nothing, scores the bits as received
     with beta 1, and is flagged ``degenerate_csi``.
 
-    A scalar (or None, for the first configured) ``snr_db`` returns one
-    :class:`TrialMetrics`.  A tuple returns one per SNR, in order: the
-    observation, eta_hat, cleaned CSI, MSEs, symbols and unit-variance
+    The observation, eta_hat, cleaned CSI, MSEs, symbols and unit-variance
     receiver noise are computed once, and only the precoder, transmission
-    and detection run per SNR, so each entry equals the scalar call's.
+    and detection run per SNR, so each entry equals a call with that SNR
+    alone.
     """
     eta = cfg.eta[0] if eta is None else float(eta)
-    sweep = isinstance(snr_db, tuple)
-    snrs = snr_db if sweep else (cfg.snr_db[0] if snr_db is None else snr_db,)
+    snrs = cfg.snr_db if snr_db is None else snr_db
     dims = cfg.dims
 
     rng_noise = _trial_rng(cfg.seed, trial_index, 2)
@@ -439,7 +434,7 @@ def downlink_trial(
                 identifiable=identifiable,
             )
         )
-    return tuple(metrics) if sweep else metrics[0]
+    return tuple(metrics)
 
 
 def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
@@ -482,24 +477,22 @@ def trial_map(threads: int):
 
 
 def monte_carlo(
-    cfg: SimConfig, eta: float | None = None, snr_db: float | tuple | None = None
-) -> Aggregate | tuple[Aggregate, ...]:
-    """Run trials until the error budget is met, deterministically.
+    cfg: SimConfig, eta: float | None = None, snr_db: tuple[float, ...] | None = None
+) -> tuple[Aggregate, ...]:
+    """Run trials until the error budget is met, deterministically; one
+    :class:`Aggregate` per SNR of ``snr_db`` in order (None means every
+    configured SNR).
 
     Trials are consumed in fixed chunks of 8 in index order; the thread
-    width only parallelizes inside a chunk, so the aggregate is identical
-    for any ``threads`` setting.  Stops at the first chunk boundary where
-    bit errors >= min_errors or bits >= max_bits, or when ``trials`` is
-    exhausted; ``resolved`` records whether the error target was met.
-
-    A tuple ``snr_db`` returns one aggregate per SNR, in order.  Each trial
-    index runs once, through :func:`downlink_trial`'s tuple form, for every
-    SNR point still short of its budget; a point drops out at the chunk
-    boundary where it alone would stop, so each aggregate equals the
-    scalar call's.
+    width only parallelizes inside a chunk, so the aggregates are identical
+    for any ``threads`` setting.  Each trial index runs once, through
+    :func:`downlink_trial`, for every SNR point still short of its budget.
+    A point stops at the first chunk boundary where its bit errors >=
+    min_errors or bits >= max_bits, or when ``trials`` is exhausted, so
+    each aggregate equals a call with that SNR alone; ``resolved`` records
+    whether the error target was met.
     """
-    sweep = isinstance(snr_db, tuple)
-    snrs = snr_db if sweep else (cfg.snr_db[0] if snr_db is None else snr_db,)
+    snrs = cfg.snr_db if snr_db is None else snr_db
     metrics: list[list[TrialMetrics]] = [[] for _ in snrs]
     errors = [0] * len(snrs)
     bits = [0] * len(snrs)
@@ -512,11 +505,9 @@ def monte_carlo(
             try:
                 results = map_trials(lambda t: downlink_trial(cfg, t, eta, points), chunk)
             except Exception as exc:
-                partial = tuple(_aggregate(m, cfg) for m in metrics)
                 raise MonteCarloError(
-                    f"trial in chunk starting at {done} failed: {exc}",
+                    f"trial in chunk starting at {done} failed: {type(exc).__name__}: {exc}",
                     done,
-                    partial if sweep else partial[0],
                 ) from exc
             for i, per_trial in zip(live, zip(*results)):
                 metrics[i].extend(per_trial)
@@ -524,5 +515,4 @@ def monte_carlo(
                 bits[i] += sum(m.bits_sent for m in per_trial)
             done += len(chunk)
             live = [i for i in live if errors[i] < cfg.min_errors and bits[i] < cfg.max_bits]
-    aggregates = tuple(_aggregate(m, cfg) for m in metrics)
-    return aggregates if sweep else aggregates[0]
+    return tuple(_aggregate(m, cfg) for m in metrics)

@@ -214,9 +214,8 @@ def ber_curves():
     t0 = time.perf_counter()
     for name, kw in modes.items():
         cfg = _link_cfg(**kw)
-        curves[name] = [
-            monte_carlo(cfg, eta=0.3, snr_db=s).ber for s in _A4_SNRS
-        ]
+        # one sweep call per CSI mode: each trial serves all nine SNR points
+        curves[name] = [a.ber for a in monte_carlo(cfg, eta=0.3, snr_db=_A4_SNRS)]
     return {"curves": curves, "runtime": time.perf_counter() - t0}
 
 
@@ -269,7 +268,7 @@ def test_a4_iii_ber_monotone_in_resolution(acceptance):
             precoder="WFQ", csi="perfect", bits=b, trials=100,
             max_bits=400_000, seed=99,
         )
-        bers.append(monte_carlo(cfg, eta=0.3, snr_db=10.0).ber)
+        bers.append(monte_carlo(cfg, eta=0.3, snr_db=(10.0,))[0].ber)
     runtime = time.perf_counter() - t0
     ok = all(bers[i + 1] <= bers[i] for i in range(3)) and runtime < 1200.0
     detail = ", ".join(f"B={b}: {v:.2e}" for b, v in zip((1, 2, 3, 4), bers))
@@ -296,7 +295,7 @@ def eta_sweep():
             precoder="WFQ", csi=csi, bits=4, trials=100, max_bits=400_000,
             seed=9_050,
         )
-        bers[name] = [monte_carlo(cfg, eta=e, snr_db=5.0).ber for e in _A5_ETAS]
+        bers[name] = [monte_carlo(cfg, eta=e, snr_db=(5.0,))[0].ber for e in _A5_ETAS]
     return {"bers": bers, "runtime": time.perf_counter() - t0}
 
 
@@ -520,7 +519,7 @@ def test_a6_bit_exact_across_thread_widths(acceptance):
         precoder="WFQ", csi="ei_cleaned", bits=4, seed=9_070,
     )
     aggs = [
-        monte_carlo(SimConfig(threads=t, **base), eta=0.3, snr_db=5.0)
+        monte_carlo(SimConfig(threads=t, **base), eta=0.3, snr_db=(5.0,))[0]
         for t in (1, 2, 4)
     ]
     ok = aggs[0] == aggs[1] == aggs[2]

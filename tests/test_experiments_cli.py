@@ -224,7 +224,7 @@ def test_every_family_sees_the_link_trials_observation():
         users=8, antennas=32, eta=(0.4,), trials=1, seed=3200, csi="ei_cleaned",
         antennas_grid=(32,), precoder="WF", bits=None, symbols_per_trial=10,
     )
-    link = downlink_trial(cfg, 0)
+    link = downlink_trial(cfg, 0)[0]
     head = run_experiment("eta_cdf", cfg).summary["headline"]
     assert head["eta=0.4"]["mean_eta_hat"] == _round(link.eta_hat)
     row = run_experiment("mse_vs_antennas", cfg).rows[0]
@@ -721,6 +721,7 @@ def test_cli_numerical_failure_exits_1(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert "numerical failure" in err
+    assert "LinAlgError" in err
     assert "Singular matrix" in err
 
 

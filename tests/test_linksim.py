@@ -328,10 +328,10 @@ def test_downlink_trial_zero_eta_csi_modes_coincide():
 def test_downlink_trial_known_eta_reports_zero_delta():
     cfg = SimConfig(**_SMALL, precoder="WFQ", csi="ei_cleaned_known_eta", bits=3,
                     eta=0.3, snr_db=8.0, seed=21)
-    m = linksim.downlink_trial(cfg, 0)
+    m = linksim.downlink_trial(cfg, 0)[0]
     assert m.eta_hat == 0.3
     assert m.mse_csi is not None and m.mse_noisy is not None
-    raw = linksim.downlink_trial(replace(cfg, csi="noisy_raw"), 0)
+    raw = linksim.downlink_trial(replace(cfg, csi="noisy_raw"), 0)[0]
     assert raw.mse_csi is None
     assert raw.bits_sent == m.bits_sent
     assert raw.trial_index == m.trial_index
@@ -340,7 +340,7 @@ def test_downlink_trial_known_eta_reports_zero_delta():
 def test_downlink_trial_blind_estimates_eta():
     cfg = SimConfig(users=20, antennas=128, symbols_per_trial=20, precoder="WFQ",
                     csi="ei_cleaned", bits=4, eta=0.3, snr_db=8.0, seed=22)
-    m = linksim.downlink_trial(cfg, 0)
+    m = linksim.downlink_trial(cfg, 0)[0]
     assert m.eta_hat is not None
     assert abs(0.3 - m.eta_hat) < 0.15
 
@@ -367,13 +367,13 @@ def test_downlink_trial_snr_tuple_equals_the_scalar_calls(csi):
     cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi=csi, eta=0.3, seed=21)
     for t in (0, 5):
         sweep = linksim.downlink_trial(cfg, t, snr_db=_SWEEP)
-        assert sweep == tuple(linksim.downlink_trial(cfg, t, snr_db=s) for s in _SWEEP)
+        assert sweep == tuple(linksim.downlink_trial(cfg, t, snr_db=(s,))[0] for s in _SWEEP)
     # a zero CSI transmits nothing at every SNR (trial 2 of the zero-CSI test below)
     zero = SimConfig(users=2, antennas=64, symbols_per_trial=50, precoder="MRT",
                      csi="ei_cleaned_known_eta", eta=0.99, seed=34)
     sweep = linksim.downlink_trial(zero, 2, snr_db=_SWEEP)
     assert all(m.degenerate_csi for m in sweep)
-    assert sweep == tuple(linksim.downlink_trial(zero, 2, snr_db=s) for s in _SWEEP)
+    assert sweep == tuple(linksim.downlink_trial(zero, 2, snr_db=(s,))[0] for s in _SWEEP)
 
 
 def test_blind_cleaned_snr_sweep_draws_and_cleans_once_per_trial(count_calls):
@@ -401,19 +401,18 @@ def test_downlink_trial_zero_csi_transmits_nothing(monkeypatch):
     calls = []
     transmit = linksim.precoding.transmit
     monkeypatch.setattr(linksim.precoding, "transmit", lambda *a: calls.append(a) or transmit(*a))
-    m = linksim.downlink_trial(cfg, 2)
+    m = linksim.downlink_trial(cfg, 2)[0]
     assert m.degenerate_csi and not calls
     assert 0 < m.bit_errors < m.bits_sent
-    assert not linksim.downlink_trial(cfg, 0).degenerate_csi
+    assert not linksim.downlink_trial(cfg, 0)[0].degenerate_csi
     assert len(calls) == 1
-    assert linksim.monte_carlo(cfg).degenerate_csi_trials >= 1
+    assert linksim.monte_carlo(cfg)[0].degenerate_csi_trials >= 1
 
 
 def test_downlink_trial_eta_and_snr_overrides():
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect",
                     eta=0.3, snr_db=0.0, seed=23)
-    lo = linksim.downlink_trial(cfg, 1, snr_db=-5.0)
-    hi = linksim.downlink_trial(cfg, 1, snr_db=20.0)
+    lo, hi = linksim.downlink_trial(cfg, 1, snr_db=(-5.0, 20.0))
     assert lo.bit_errors > hi.bit_errors
 
 
@@ -443,10 +442,10 @@ def test_monte_carlo_opens_one_pool_per_call(monkeypatch):
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect", eta=0.0,
                     snr_db=10.0, seed=22, trials=20, threads=2,
                     min_errors=10**9, max_bits=10**9)
-    agg = linksim.monte_carlo(cfg)
+    agg = linksim.monte_carlo(cfg)[0]
     assert agg.trials_run == 20  # three chunks
     assert len(opened) == 1
-    assert agg == linksim.monte_carlo(replace(cfg, threads=1))
+    assert agg == linksim.monte_carlo(replace(cfg, threads=1))[0]
     # the experiment families that map trials themselves open one pool per
     # run too, not one per eta or per (eta, antennas) cell
     fam = SimConfig(users=4, antennas=32, antennas_grid=(16, 32), eta=(0.2, 0.5),
@@ -462,7 +461,7 @@ def test_monte_carlo_perfect_csi_link_is_clean():
     cfg = SimConfig(users=30, antennas=256, symbols_per_trial=50, precoder="WF",
                     bits=None, csi="perfect", eta=0.0, snr_db=10.0, seed=77,
                     trials=10, min_errors=10**9, max_bits=10**9)
-    agg = linksim.monte_carlo(cfg)
+    agg = linksim.monte_carlo(cfg)[0]
     assert agg.bits == 10 * 30 * 50 * 2
     assert agg.ber < 1e-4
     assert not agg.resolved
@@ -471,7 +470,7 @@ def test_monte_carlo_perfect_csi_link_is_clean():
 def test_monte_carlo_stops_at_chunk_after_min_errors():
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="noisy_raw",
                     eta=0.3, snr_db=0.0, seed=31, trials=64, min_errors=1)
-    agg = linksim.monte_carlo(cfg)
+    agg = linksim.monte_carlo(cfg)[0]
     assert agg.trials_run == 8
     assert agg.resolved
     assert agg.errors >= 1
@@ -481,7 +480,7 @@ def test_monte_carlo_stops_on_bit_budget():
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect",
                     eta=0.0, snr_db=30.0, seed=32, trials=64,
                     min_errors=10**9, max_bits=2000)
-    agg = linksim.monte_carlo(cfg)
+    agg = linksim.monte_carlo(cfg)[0]
     assert agg.trials_run == 8
     assert agg.bits >= 2000
     assert not agg.resolved
@@ -491,13 +490,13 @@ def test_monte_carlo_exhausts_short_trial_lists():
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect",
                     eta=0.0, snr_db=10.0, seed=33, trials=3,
                     min_errors=10**9, max_bits=10**9)
-    agg = linksim.monte_carlo(cfg)
+    agg = linksim.monte_carlo(cfg)[0]
     assert agg.trials_run == 3
 
 
 def test_monte_carlo_wraps_trial_failures(monkeypatch):
-    # a failing precoder must surface as an engine error with the partial
-    # aggregate attached
+    # a failing precoder must surface as an engine error that names the
+    # failing chunk and the trial's own error
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
@@ -506,13 +505,11 @@ def test_monte_carlo_wraps_trial_failures(monkeypatch):
     with pytest.raises(MonteCarloError) as info:
         linksim.monte_carlo(cfg)
     assert info.value.trial_index == 0
-    assert isinstance(info.value.partial, Aggregate)
-    assert info.value.partial.bits == 0
+    assert "LinAlgError: Singular matrix" in str(info.value)
 
 
 def test_monte_carlo_wraps_trial_failures_in_an_snr_sweep(monkeypatch):
-    # the second chunk fails: the error names its start and carries each
-    # point's aggregate of the first chunk
+    # the second chunk fails: the error names its start
     trial = linksim.downlink_trial
 
     def fail_from_8(cfg, t, *args):
@@ -526,12 +523,6 @@ def test_monte_carlo_wraps_trial_failures_in_an_snr_sweep(monkeypatch):
     with pytest.raises(MonteCarloError) as info:
         linksim.monte_carlo(cfg, snr_db=(0.0, 10.0))
     assert info.value.trial_index == 8
-    partial = info.value.partial
-    assert partial == (
-        linksim.monte_carlo(replace(cfg, trials=8), snr_db=0.0),
-        linksim.monte_carlo(replace(cfg, trials=8), snr_db=10.0),
-    )
-    assert all(isinstance(a, Aggregate) and a.trials_run == 8 for a in partial)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -542,8 +533,28 @@ def test_monte_carlo_snr_tuple_equals_the_per_snr_calls(csi, threads):
     cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi=csi, eta=0.3, seed=21,
                     trials=64, min_errors=400, threads=threads)
     sweep = linksim.monte_carlo(cfg, snr_db=_SWEEP)
-    assert sweep == tuple(linksim.monte_carlo(cfg, snr_db=s) for s in _SWEEP)
+    assert sweep == tuple(linksim.monte_carlo(cfg, snr_db=(s,))[0] for s in _SWEEP)
     assert len({a.trials_run for a in sweep}) == 3
+
+
+def test_default_snr_is_every_configured_snr():
+    # None means the config's whole SNR tuple, at its first eta
+    cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi="ei_cleaned", eta=(0.3, 0.5),
+                    snr_db=_SWEEP, seed=21, trials=16, min_errors=400)
+    assert linksim.downlink_trial(cfg, 3) == linksim.downlink_trial(cfg, 3, eta=0.3, snr_db=_SWEEP)
+    default = linksim.monte_carlo(cfg)
+    assert len(default) == 3
+    assert all(isinstance(a, Aggregate) for a in default)
+    assert default == linksim.monte_carlo(cfg, eta=cfg.eta[0], snr_db=cfg.snr_db)
+
+
+def test_a_scalar_snr_is_a_type_error():
+    # the SNRs are always a tuple; a bare number is not iterable
+    cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect", seed=21, trials=8)
+    with pytest.raises(TypeError):
+        linksim.downlink_trial(cfg, 0, snr_db=10.0)
+    with pytest.raises(TypeError):
+        linksim.monte_carlo(cfg, snr_db=10.0)
 
 
 def test_monte_carlo_interval_shrinks_with_budget():
@@ -551,7 +562,7 @@ def test_monte_carlo_interval_shrinks_with_budget():
                     eta=0.3, snr_db=2.0, seed=35, min_errors=10**9, max_bits=10**9)
     widths = []
     for trials in (8, 32, 128):
-        agg = linksim.monte_carlo(replace(cfg, trials=trials))
+        agg = linksim.monte_carlo(replace(cfg, trials=trials))[0]
         widths.append(agg.ber_hi - agg.ber_lo)
     for a, b in zip(widths, widths[1:]):
         assert 1.6 < a / b < 2.5, widths
@@ -562,7 +573,7 @@ def test_monte_carlo_ber_decreases_with_snr_for_reference_csi_modes():
                      bits=4, eta=0.3, seed=36, trials=10**6,
                      min_errors=100, max_bits=200_000)
     for csi in ("perfect", "noisy_raw"):
-        curve = [linksim.monte_carlo(replace(base, csi=csi), snr_db=s) for s in (-2.0, 6.0, 14.0)]
+        curve = linksim.monte_carlo(replace(base, csi=csi), snr_db=(-2.0, 6.0, 14.0))
         assert curve[0].ber >= curve[-1].ber, csi
         for lo_pt, hi_pt in zip(curve, curve[1:]):
             # no increase beyond confidence-interval overlap
@@ -573,7 +584,7 @@ def test_monte_carlo_ber_decreases_with_snr_for_cleaned_csi():
     base = SimConfig(users=20, antennas=128, symbols_per_trial=25, precoder="WFQ",
                      bits=4, eta=0.3, seed=36, trials=10**6,
                      min_errors=100, max_bits=200_000, csi="ei_cleaned_known_eta")
-    curve = [linksim.monte_carlo(base, snr_db=s) for s in (-2.0, 6.0, 14.0)]
+    curve = linksim.monte_carlo(base, snr_db=(-2.0, 6.0, 14.0))
     for lo_pt, hi_pt in zip(curve, curve[1:]):
         assert lo_pt.ber_hi >= hi_pt.ber_lo
 
@@ -582,6 +593,6 @@ def test_monte_carlo_cleaned_csi_beats_raw_at_mid_eta():
     base = SimConfig(users=20, antennas=128, symbols_per_trial=25, precoder="WFQ",
                      bits=4, eta=0.3, seed=37, trials=10**6,
                      min_errors=100, max_bits=200_000, snr_db=5.0)
-    ei = linksim.monte_carlo(replace(base, csi="ei_cleaned"))
-    raw = linksim.monte_carlo(replace(base, csi="noisy_raw"))
+    ei = linksim.monte_carlo(replace(base, csi="ei_cleaned"))[0]
+    raw = linksim.monte_carlo(replace(base, csi="noisy_raw"))[0]
     assert ei.ber <= raw.ber, (ei.ber, raw.ber)
