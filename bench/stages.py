@@ -12,7 +12,8 @@ the stage functions the trial looks up: ``draw_observation``,
 ``estimate_eta`` and ``clean_channel`` once per trial, ``precode``,
 ``transmit`` and ``demodulate`` once per SNR point.  So the stage times come
 from the trial's own code path, and ``other`` is the rest of the trial
-(symbols, the MSEs, ``H @ x`` plus noise).  Trial 0 runs once more first,
+(the one Gram decomposition in ``estimate_csi``, symbols, the MSEs,
+``H @ x`` plus noise).  Trial 0 runs once more first,
 untraced, to fill caches.
 
 It writes ``BENCH_<short-commit>.json`` (``-dirty`` appended when the

@@ -40,7 +40,7 @@ for eta in (0.1, 0.3, 0.5, 0.9):
         H = gen_channel(dims, np.random.default_rng((key, t, 0)))
         H_obs = corrupt(H, model, np.random.default_rng((key, t, 1)))
         eta_hat = estimate_eta(H_obs).eta_hat
-        H_hat = clean_channel(H_obs, eta_hat)
+        H_hat = clean_channel(H_obs, eta_hat).matrix
         m_c = mse(H, H_hat)
         raw.append(mse(H, H_obs))
         cleaned.append(m_c)
@@ -68,7 +68,7 @@ model = CorruptionModel(eta=eta, mode="additive", c=1.0)
 H = gen_channel(dims, np.random.default_rng(1001))
 H_obs = corrupt(H, model, np.random.default_rng(1002))
 eta_hat = estimate_eta(H_obs).eta_hat
-H_hat = clean_channel(H_obs, eta_hat)
+H_hat = clean_channel(H_obs, eta_hat).matrix
 sv_obs = np.linalg.svd(H_obs, compute_uv=False)
 sv_hat = np.linalg.svd(H_hat, compute_uv=False)
 ratio = sv_hat / sv_obs
@@ -85,7 +85,7 @@ top, mid, bottom = [], [], []
 for t in range(trials):
     H2 = gen_channel(dims2, np.random.default_rng((1003, t)))
     H2_obs = corrupt(H2, model2, np.random.default_rng((1004, t)))
-    H2_hat = clean_channel(H2_obs, estimate_eta(H2_obs).eta_hat)
+    H2_hat = clean_channel(H2_obs, estimate_eta(H2_obs).eta_hat).matrix
     U2, _, Vh2 = np.linalg.svd(H2_obs, full_matrices=False)
     oracle = np.real(np.einsum("ik,ij,kj->k", U2.conj(), H2, Vh2.conj()))
     cleaned = np.real(np.einsum("ik,ij,kj->k", U2.conj(), H2_hat, Vh2.conj()))

@@ -12,10 +12,12 @@ drivers (:mod:`eiprecode.experiments`) and the command-line front end
 
 from .channel import (
     CorruptionModel,
+    GramEig,
     SystemDims,
     build_bsca,
     corrupt,
     gen_channel,
+    gram_eig,
 )
 from .eta import (
     EstimatorConfig,

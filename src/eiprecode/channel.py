@@ -1,4 +1,5 @@
-"""Channel generation, Gauss-Markov corruption, and the BSCA embedding.
+"""Channel generation, Gauss-Markov corruption, the BSCA embedding, and the
+Gram eigendecomposition every spectral stage shares.
 
 The true channel H is U x A with i.i.d. CN(0, 1/A) entries (U users,
 A antennas, U < A).  Two corruption modes produce the observation:
@@ -21,6 +22,8 @@ import numpy as np
 __all__ = [
     "SystemDims",
     "CorruptionModel",
+    "GramEig",
+    "gram_eig",
     "gen_channel",
     "corrupt",
     "build_bsca",
@@ -78,6 +81,52 @@ class CorruptionModel:
         if self.eta == 0.0:
             return H_obs.copy()
         return H_obs / np.sqrt(1.0 - self.eta)
+
+    def additive_gram_eig(self, obs: GramEig) -> GramEig:
+        """:meth:`additive_form` of a decomposed observation, with no new
+        decomposition: dividing by sqrt(1 - eta) keeps the Gram's
+        eigenvectors and divides its eigenvalues by 1 - eta."""
+        if self.mode == "additive":
+            return obs
+        return GramEig(self.additive_form(obs.matrix), obs.values / (1.0 - self.eta), obs.vectors)
+
+
+@dataclass(frozen=True, eq=False)
+class GramEig:
+    """A finite U x A matrix with the eigenpairs of its U x U Gram:
+    ``matrix @ matrix^H = vectors @ diag(values) @ vectors^H``.
+
+    One per trial serves every spectral stage: the estimator's moments are
+    power sums of ``values``, the cleaner keeps ``vectors`` and returns the
+    cleaned channel's own GramEig, and every precoder is
+    diagonal in ``vectors``.  The value order is free (:func:`gram_eig`
+    gives eigh's ascending order); each value pairs with its column.
+    """
+
+    matrix: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def scaled(self, k: float) -> GramEig:
+        """The GramEig of ``k * matrix``, with no new decomposition."""
+        return GramEig(k * self.matrix, (k * k) * self.values, self.vectors)
+
+
+def gram_eig(X) -> GramEig:
+    """The GramEig of X: X itself if it is one, else one ``eigh`` of X X^H.
+
+    Raises ValueError on a matrix that is not 2-D or has non-finite entries,
+    before any decomposition.
+    """
+    if isinstance(X, GramEig):
+        return X
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("matrix has non-finite entries")
+    values, vectors = np.linalg.eigh(X @ X.conj().T)
+    return GramEig(X, values, vectors)
 
 
 def _cn_matrix(rows: int, cols: int, var: float, rng: np.random.Generator):

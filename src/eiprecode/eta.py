@@ -1,8 +1,10 @@
 """Blind estimation of the CSI error level from the noisy observation.
 
-The estimator computes the first Gram-spectrum moments of the observation,
-converts them to free cumulants, and fits the error level eta by least
-squares against the theoretical cumulant curves (see
+The estimator computes the first Gram-spectrum moments of the observation
+from the eigenvalues of its U x U Gram (the decomposition a link trial
+shares with the cleaner and the precoder), converts them to free
+cumulants, and fits the error level eta by least squares against the
+theoretical cumulant curves (see
 :func:`eiprecode.rmt.noisy_gram_cumulant_polys`).  Those curves are
 polynomials in one scalar x of eta, so the fit is closed form: the global
 minimum over the admissible eta range is at an end point or at a real root
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CorruptionModel
+from .channel import CorruptionModel, GramEig, gram_eig
 from .rmt import (
     free_cumulants,
     noisy_gram_cumulant_polys,
@@ -78,33 +80,33 @@ def default_order(users: int, antennas: int) -> int:
     return 1 if users * antennas < 10_000 else 3
 
 
-def empirical_moments(H_obs: np.ndarray) -> np.ndarray:
-    """First three Gram-spectrum moments m_k = (1/U) tr((H H^H)^k).
+def empirical_moments(H_obs: np.ndarray | GramEig) -> np.ndarray:
+    """First three Gram-spectrum moments m_k = (1/U) sum_j w_j^k.
 
-    Read as traces of the U x U Gram G: tr G, tr G^2 = <G, G> and
-    tr G^3 = <G, G G>, with G Hermitian; no decomposition is needed.
+    The w_j are the eigenvalues of the U x U Gram H H^H, read off a
+    :class:`~eiprecode.channel.GramEig` or, for a bare matrix, taken from
+    :func:`~eiprecode.channel.gram_eig`.
     """
-    H_obs = np.asarray(H_obs)
-    if H_obs.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    gram = H_obs @ H_obs.conj().T
-    traces = (np.trace(gram), np.vdot(gram, gram), np.vdot(gram, gram @ gram))
-    return np.array(traces).real / H_obs.shape[0]
+    w = gram_eig(H_obs).values
+    return np.array([np.sum(w ** k) for k in (1, 2, 3)]) / w.size
 
 
-def estimate_eta(H_obs: np.ndarray, cfg: EstimatorConfig | None = None) -> EtaEstimate:
-    """Fit the CSI error level by cumulant matching on the Gram spectrum (q = U/A)."""
+def estimate_eta(H_obs: np.ndarray | GramEig, cfg: EstimatorConfig | None = None) -> EtaEstimate:
+    """Fit the CSI error level by cumulant matching on the Gram spectrum (q = U/A).
+
+    ``H_obs`` is the observation or its :class:`~eiprecode.channel.GramEig`;
+    a bare matrix is decomposed once.  A non-finite or all-zero observation
+    raises ValueError.
+    """
     if cfg is None:
         cfg = EstimatorConfig()
-    H_obs = np.asarray(H_obs)
-    u, a = H_obs.shape
+    obs = gram_eig(H_obs)
+    u, a = obs.matrix.shape
     q = u / a
-    if not np.isfinite(H_obs).all():
-        raise ValueError("observation has non-finite entries")
-    if not np.any(H_obs):
+    if not np.any(obs.matrix):
         raise ValueError("observation is identically zero")
     order = cfg.order if cfg.order is not None else default_order(u, a)
-    kappa_hat = free_cumulants(empirical_moments(H_obs))
+    kappa_hat = free_cumulants(empirical_moments(obs))
 
     # least-squares objective sum_k (kappa_hat_k - kappa_k(x))^2 as one
     # polynomial in x, highest power first, each square added at the

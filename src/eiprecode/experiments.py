@@ -225,7 +225,7 @@ def _mse_vs_antennas(cfg: SimConfig):
 
     def one(dims, eta: float, t: int):
         H, H_obs = draw_observation(cfg, dims, eta, t)
-        H_hat = estimate_csi(cfg, eta, H, H_obs)[0]
+        H_hat = estimate_csi(cfg, eta, H, H_obs)[0].matrix
         return (
             mse(H, H_hat),
             mse(H, H_obs),

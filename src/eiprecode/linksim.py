@@ -19,6 +19,12 @@ SNRs (None for every configured one) and return one result per SNR, and a
 trial's channel, observation, eta-hat, cleaned CSI, symbols and unit noise
 are computed once for all of them.  Each point's metrics are bit-identical
 to a call with that SNR alone.
+
+One eigendecomposition of a U x U Gram per trial serves every spectral
+stage: the observation's :class:`~eiprecode.channel.GramEig` feeds eta-hat
+and the cleaner, which returns the cleaned CSI with its own, and in the
+``perfect`` and ``noisy_raw`` modes the CSI's GramEig serves every SNR
+point's precoder.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import precoding
-from .channel import CorruptionModel, SystemDims, corrupt, gen_channel
+from .channel import CorruptionModel, GramEig, SystemDims, corrupt, gen_channel, gram_eig
 from .eta import EstimatorConfig, estimate_eta
 from .rie import clean_channel, mse
 
@@ -341,28 +347,41 @@ def draw_observation(
 
 def estimate_csi(
     cfg: SimConfig, eta: float, H: np.ndarray, H_obs: np.ndarray
-) -> tuple[np.ndarray, float | None, bool | None]:
-    """The CSI the configured ``csi`` mode hands the precoder, eta_hat, and
-    whether eta_hat is identifiable.
+) -> tuple[GramEig, float | None, bool | None]:
+    """The CSI the configured ``csi`` mode hands the precoder, as its
+    :class:`~eiprecode.channel.GramEig`, eta_hat, and whether eta_hat is
+    identifiable.
 
-    ``perfect`` and ``noisy_raw`` return H and H_obs as they are, with
-    eta_hat None; the cleaned modes estimate eta blindly
-    (``ei_cleaned``) or take the true ``eta`` (``ei_cleaned_known_eta``)
-    and clean H_obs at it.  The flag is :class:`EtaEstimate`'s
-    ``identifiable`` for ``ei_cleaned`` and None where nothing is estimated.
+    ``perfect`` and ``noisy_raw`` decompose H and H_obs as they are, with
+    eta_hat None; the cleaned modes decompose H_obs once, estimate eta from
+    that blindly (``ei_cleaned``) or take the true ``eta``
+    (``ei_cleaned_known_eta``), and clean it at eta_hat.  The flag is
+    :class:`EtaEstimate`'s ``identifiable`` for ``ei_cleaned`` and None
+    where nothing is estimated.
     """
     if cfg.csi == "perfect":
-        return H, None, None
+        return gram_eig(H), None, None
+    obs = gram_eig(H_obs)
     if cfg.csi == "noisy_raw":
-        return H_obs, None, None
+        return obs, None, None
     identifiable = None
     if cfg.csi == "ei_cleaned":
-        est = estimate_eta(H_obs, cfg.estimator)
+        est = estimate_eta(obs, cfg.estimator)
         eta_hat, identifiable = est.eta_hat, est.identifiable
     else:
         eta_hat = eta
-    csi = clean_channel(H_obs, eta_hat, mode=cfg.corruption_mode, c=cfg.c)
+    csi = clean_channel(obs, eta_hat, mode=cfg.corruption_mode, c=cfg.c)
     return csi, eta_hat, identifiable
+
+
+def _snr_points(cfg: SimConfig, snr_db) -> tuple:
+    """The SNRs of a call: ``snr_db``, or every configured one for None; a
+    bare number raises TypeError before any work."""
+    if snr_db is None:
+        return cfg.snr_db
+    if np.ndim(snr_db) != 1:
+        raise TypeError(f"snr_db must be a tuple of SNRs in dB or None, got {snr_db!r}")
+    return snr_db
 
 
 def downlink_trial(
@@ -372,7 +391,8 @@ def downlink_trial(
     snr_db: tuple[float, ...] | None = None,
 ) -> tuple[TrialMetrics, ...]:
     """One seeded downlink realization, one :class:`TrialMetrics` per SNR
-    of ``snr_db`` in order (None means every configured SNR).
+    of ``snr_db`` in order (None means every configured SNR; a bare number
+    raises TypeError before anything is drawn).
 
     The true channel always carries the propagation; the configured CSI
     handling only decides what the precoder sees.  An all-zero CSI (the
@@ -386,7 +406,7 @@ def downlink_trial(
     alone.
     """
     eta = cfg.eta[0] if eta is None else float(eta)
-    snrs = cfg.snr_db if snr_db is None else snr_db
+    snrs = _snr_points(cfg, snr_db)
     dims = cfg.dims
 
     rng_noise = _trial_rng(cfg.seed, trial_index, 2)
@@ -396,14 +416,14 @@ def downlink_trial(
     csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
     mse_csi = mse_noisy = None
     if eta_hat is not None:
-        mse_csi = mse(H, csi)
+        mse_csi = mse(H, csi.matrix)
         mse_noisy = mse(H, H_obs)
 
     # link-layer scale: unit-variance channel entries
     root_a = np.sqrt(dims.antennas)
     H_link = root_a * H
-    csi_link = root_a * csi
-    degenerate = not np.any(csi)
+    csi_link = csi.scaled(root_a)
+    degenerate = not np.any(csi.matrix)
 
     bps = _bits_per_symbol(cfg.modulation)
     n_bits = dims.users * cfg.symbols_per_trial * bps
@@ -481,7 +501,7 @@ def monte_carlo(
 ) -> tuple[Aggregate, ...]:
     """Run trials until the error budget is met, deterministically; one
     :class:`Aggregate` per SNR of ``snr_db`` in order (None means every
-    configured SNR).
+    configured SNR; a bare number raises TypeError).
 
     Trials are consumed in fixed chunks of 8 in index order; the thread
     width only parallelizes inside a chunk, so the aggregates are identical
@@ -492,7 +512,7 @@ def monte_carlo(
     each aggregate equals a call with that SNR alone; ``resolved`` records
     whether the error target was met.
     """
-    snrs = cfg.snr_db if snr_db is None else snr_db
+    snrs = _snr_points(cfg, snr_db)
     metrics: list[list[TrialMetrics]] = [[] for _ in snrs]
     errors = [0] * len(snrs)
     bits = [0] * len(snrs)

@@ -17,9 +17,11 @@ constants of the bit depth: WFQ's regularizer and receiver scaling use F_B,
 and transmit's renormalization uses P_B.
 
 The total transmit power is fixed at 1, the unit the SNR is defined in:
-precoders return a matrix P with tr(P P^H) = 1 exactly and a receiver
-scaling beta minimizing the linearized symbol error
-E||s - beta(H F P s + H d + n)||^2 in closed form.
+precoders return a matrix P with tr(P P^H) = 1 and a receiver scaling beta
+minimizing the linearized symbol error E||s - beta(H F P s + H d + n)||^2
+in closed form.  Every precoder is diagonal in the eigenbasis of the CSI
+Gram H H^H = E diag(lam) E^H, so it runs on the CSI's
+:class:`~eiprecode.channel.GramEig`, one per trial for every SNR point.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize
 from scipy.special import erf
+
+from .channel import GramEig, gram_eig
 
 __all__ = [
     "PRECODERS",
@@ -131,10 +135,9 @@ def _quantize_in_place(x: np.ndarray, spec: QuantizerSpec, input_variance) -> np
     q = x[..., None].view(float)
     q /= step
     np.floor(q, out=q)
-    q += n // 2
-    np.maximum(q, 0, out=q)
-    np.minimum(q, n - 1, out=q)
-    q -= (n - 1) / 2.0
+    # cell index k in [-n/2, n/2 - 1], whose label is (k + 1/2) steps
+    np.clip(q, -(n // 2), n // 2 - 1, out=q)
+    q += 0.5
     q *= step
     return x
 
@@ -204,56 +207,69 @@ class PrecodeOutput:
     residuals: tuple = field(default=())
 
 
-def _unit_power_scale(P_raw: np.ndarray) -> float:
-    """The c with tr(c P_raw (c P_raw)^H) = 1."""
-    power = np.sum(np.abs(P_raw) ** 2)
-    if power == 0:
-        raise np.linalg.LinAlgError("zero precoding matrix")
-    return np.sqrt(1.0 / power)
+# a regularized Gram whose smallest eigenvalue is at most U eps times its
+# largest is singular to working precision (numpy's matrix_rank rule)
+_EPS = np.finfo(float).eps
 
 
-def _regularized(H_csi: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """P = c H^H R^{-1} with R = H H^H + U theta I, scaled to tr(P P^H) = 1,
-    and the U×U product H P = c H H^H R^{-H}.
+def _spectral(csi: GramEig, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = c H^H E diag(d) E^H for H H^H = E diag(lam) E^H, scaled to
+    tr(P P^H) = c^2 sum lam d^2 = 1, and the eigenvalues c lam d of the
+    Hermitian U×U product H P = E diag(c lam d) E^H.
 
-    Everything is built from the U×U Gram and its inverse, so the one
-    product with A columns is R^{-1} H; an exactly singular R raises
-    ``LinAlgError`` from the inverse's LU factorization.
+    P is (E diag(c d) E^H H)^H, so the one product over the A antennas is
+    U×U by U×A, and nothing A-sized outlives the call.  A zero P raises
+    ``LinAlgError``.
     """
-    users = H_csi.shape[0]
-    gram = H_csi @ H_csi.conj().T
-    inverse = np.linalg.inv(gram + users * theta * np.eye(users))
-    raw = inverse @ H_csi
-    c = _unit_power_scale(raw)
-    return raw.conj().T * c, c * (gram @ inverse.conj().T)
+    power = float(np.dot(csi.values, d * d))
+    if not power > 0:
+        raise np.linalg.LinAlgError("zero precoding matrix")
+    cd = d * np.sqrt(1.0 / power)
+    E = csi.vectors
+    return (((E * cd) @ E.conj().T) @ csi.matrix).conj().T, csi.values * cd
+
+
+def _regularized(csi: GramEig, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_spectral` at d = 1/(lam + U theta): P = c H^H R^{-1} with
+    R = H H^H + U theta I = E diag(lam + U theta) E^H.
+
+    An R singular to working precision, its smallest eigenvalue at most
+    U eps times its largest (as for ZF on rank-deficient or all-zero CSI),
+    raises ``LinAlgError``.
+    """
+    shifted = csi.values + csi.values.size * theta
+    if shifted.min() <= shifted.size * _EPS * shifted.max():
+        raise np.linalg.LinAlgError("singular regularized Gram")
+    return _spectral(csi, 1.0 / shifted)
 
 
 def _receiver_beta(
-    H_csi: np.ndarray, HP: np.ndarray, sigma2: float, gain: float = 1.0, sigma_d2: float = 0.0
+    csi: GramEig, hp: np.ndarray, sigma2: float, gain: float = 1.0, sigma_d2: float = 0.0
 ) -> float:
     """The beta minimizing E||s - beta(H F P s + H d + n)||^2 for the gain
-    F = gain I and the distortion covariance sigma_d2 I, read off the U×U
-    product ``HP`` = H P; the defaults are ideal DACs."""
-    users = HP.shape[0]
-    HFP = gain * HP
-    num = float(np.trace(HFP).real)
-    distortion = sigma_d2 * float(np.vdot(H_csi, H_csi).real)
-    den = float(np.sum(np.abs(HFP) ** 2)) + distortion + users * sigma2
+    F = gain I and the distortion covariance sigma_d2 I, from the
+    eigenvalues ``hp`` of the Hermitian H P, whose trace and squared norm
+    are sum hp and sum hp^2, and ||H||_F^2 = sum lam; the defaults are
+    ideal DACs."""
+    hfp = gain * hp
+    num = float(np.sum(hfp))
+    distortion = sigma_d2 * float(np.sum(csi.values))
+    den = float(np.dot(hfp, hfp)) + distortion + hp.size * sigma2
     if den <= 0:
         return 1.0
     return max(num / den, np.finfo(float).tiny)
 
 
-def wf_precode(H_csi: np.ndarray, sigma2: float) -> PrecodeOutput:
+def wf_precode(H_csi: np.ndarray | GramEig, sigma2: float) -> PrecodeOutput:
     """Regularized (Wiener) precoder P ~ H^H (H H^H + U sigma^2 I)^{-1},
-    scaled to tr(P P^H) = 1."""
-    H_csi = np.asarray(H_csi)
-    P, HP = _regularized(H_csi, sigma2)
-    return PrecodeOutput(P=P, beta=_receiver_beta(H_csi, HP, sigma2), kind="WF")
+    scaled to tr(P P^H) = 1; ``H_csi`` is the CSI or its GramEig."""
+    csi = gram_eig(H_csi)
+    P, hp = _regularized(csi, sigma2)
+    return PrecodeOutput(P=P, beta=_receiver_beta(csi, hp, sigma2), kind="WF")
 
 
 def wfq_precode(
-    H_csi: np.ndarray, sigma2: float, *, spec: QuantizerSpec
+    H_csi: np.ndarray | GramEig, sigma2: float, *, spec: QuantizerSpec
 ) -> tuple[PrecodeOutput, float]:
     """Quantization-aware regularized precoder, in closed form; returns the
     output and the gain F_B = bussgang_gain(spec, 1).
@@ -261,58 +277,60 @@ def wfq_precode(
     An auto step scales with each antenna's input deviation, so the
     quantizer is scale-invariant: every antenna has the gain F_B whatever
     its power, and the distortion variance
-    sigma_d2 = (1 - F_B)(U sigma^2 + 1), with U the row count of ``H_csi``,
+    sigma_d2 = (1 - F_B)(U sigma^2 + 1), with U the row count of the CSI,
     which no choice of P can move.  So the precoder is the regularized
-    H^H (H H^H + U theta I)^{-1} at theta = sigma^2 + sigma_d2, from one
-    U×U inverse, and ``beta`` uses the same F_B and sigma_d2.  Every antenna
-    counts as live: only CSI with an all-zero column (a dead antenna, no
-    input and no distortion), which no CSI mode produces, would differ.  A
-    fixed step breaks the scale invariance and raises ``ValueError``.
+    H^H (H H^H + U theta I)^{-1} at theta = sigma^2 + sigma_d2, a diagonal
+    rescale in the eigenbasis of the CSI Gram (``H_csi`` is the CSI or its
+    GramEig; a bare matrix is decomposed once), and ``beta`` uses the same
+    F_B and sigma_d2.  Every antenna counts as live: only CSI with an
+    all-zero column (a dead antenna, no input and no distortion), which no
+    CSI mode produces, would differ.  A fixed step breaks the scale
+    invariance and raises ``ValueError``.
     """
     if not spec.is_auto:
         raise ValueError("wfq_precode needs an auto-step quantizer spec")
-    H_csi = np.asarray(H_csi)
-    users = H_csi.shape[0]
+    csi = gram_eig(H_csi)
+    users = csi.values.size
     gain = bussgang_gain(spec, 1.0)
     sigma_d2 = (1.0 - gain) * (users * sigma2 + 1.0)
-    P, HP = _regularized(H_csi, sigma2 + sigma_d2)
-    beta = _receiver_beta(H_csi, HP, sigma2, gain, sigma_d2)
+    P, hp = _regularized(csi, sigma2 + sigma_d2)
+    beta = _receiver_beta(csi, hp, sigma2, gain, sigma_d2)
     return PrecodeOutput(P=P, beta=beta, kind="WFQ"), gain
 
 
 def precode(
     kind: str,
-    H_csi: np.ndarray,
+    H_csi: np.ndarray | GramEig,
     sigma2: float,
     *,
     spec: QuantizerSpec | None = None,
 ) -> PrecodeOutput:
     """The precoder ``kind``, one of :data:`PRECODERS`, power-normalized.
 
-    WF and WFQ are :func:`wf_precode` and :func:`wfq_precode`; WFQ with
-    ``spec=None`` (ideal DACs) is WF.  MRT is the matched filter and ZF the
-    zero-noise regularized precoder.  QCE stores the (normalized) regularized
-    matrix that supplies the phases; the constant-envelope mapping itself
-    happens in :func:`transmit`, where each antenna sample becomes
-    sqrt(1/A) * exp(i * quantized phase), so per-symbol radiated power is
-    exactly 1.
+    ``H_csi`` is the CSI or its :class:`~eiprecode.channel.GramEig`; a bare
+    matrix is decomposed once here.  WF and WFQ are :func:`wf_precode` and
+    :func:`wfq_precode`; WFQ with ``spec=None`` (ideal DACs) is WF.  MRT is
+    the matched filter and ZF the zero-noise regularized precoder.  QCE
+    stores the (normalized) regularized matrix that supplies the phases;
+    the constant-envelope mapping itself happens in :func:`transmit`, where
+    each antenna sample becomes sqrt(1/A) * exp(i * quantized phase), so
+    per-symbol radiated power is exactly 1.
     """
     if kind not in PRECODERS:
         raise ValueError(f"precoder must be one of {PRECODERS}, got {kind!r}")
-    # WF and WFQ are looked up at call time, so a wrapper set on this module sees them
-    if kind == "WF" or (kind == "WFQ" and spec is None):
-        return wf_precode(H_csi, sigma2)
-    if kind == "WFQ":
-        return wfq_precode(H_csi, sigma2, spec=spec)[0]
     if kind == "QCE" and spec is None:
         raise ValueError("QCE needs a quantizer spec for the phase sectors")
-    H_csi = np.asarray(H_csi)
+    csi = gram_eig(H_csi)
+    # WF and WFQ are looked up at call time, so a wrapper set on this module sees them
+    if kind == "WF" or (kind == "WFQ" and spec is None):
+        return wf_precode(csi, sigma2)
+    if kind == "WFQ":
+        return wfq_precode(csi, sigma2, spec=spec)[0]
     if kind == "MRT":
-        c = _unit_power_scale(H_csi)
-        P, HP = H_csi.conj().T * c, c * (H_csi @ H_csi.conj().T)
+        P, hp = _spectral(csi, np.ones_like(csi.values))
     else:
-        P, HP = _regularized(H_csi, 0.0 if kind == "ZF" else sigma2)
-    return PrecodeOutput(P=P, beta=_receiver_beta(H_csi, HP, sigma2), kind=kind)
+        P, hp = _regularized(csi, 0.0 if kind == "ZF" else sigma2)
+    return PrecodeOutput(P=P, beta=_receiver_beta(csi, hp, sigma2), kind=kind)
 
 
 def transmit(

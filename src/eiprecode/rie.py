@@ -14,7 +14,10 @@ with q = U/A and h the leave-one-out Hilbert transform of the symmetrized
 singular values {+/-s_j} (the nonzero BSCA spectrum), all k in one array
 pass.  V is never needed, because U diag(xi) V^H = U diag(xi/s) U^H X, so
 the cleaner takes the thin SVD's left half, U and s, from the U x U Gram
-X X^H = U diag(s^2) U^H with one Hermitian eigendecomposition.
+X X^H = U diag(s^2) U^H with one Hermitian eigendecomposition, the
+:class:`~eiprecode.channel.GramEig` a link trial shares with the estimator.
+The cleaned channel's Gram is U diag(xi^2) U^H, so the cleaner hands the
+precoder that decomposition with the channel.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 # build_bsca, eig_bsca and reconstruct are unused here; perfbench's traced run
 # looks them up on this module
-from .channel import CorruptionModel, SystemDims, build_bsca  # noqa: F401
+from .channel import CorruptionModel, GramEig, SystemDims, build_bsca, gram_eig  # noqa: F401
 from .rmt import default_epsilon, empirical_stieltjes
 
 __all__ = [
@@ -107,19 +110,20 @@ def reconstruct(u: np.ndarray, xi, vh: np.ndarray) -> np.ndarray:
 
 
 def clean_channel(
-    H_obs: np.ndarray,
+    H_obs: np.ndarray | GramEig,
     eta_hat: float,
     mode: str = "additive",
     c: float = 1.0,
-) -> np.ndarray:
+) -> GramEig:
     """Full cleaning pipeline: normalize, Gram eigendecomposition, clean
     singular values, reconstruct.
 
-    The observation X in additive form gives its left singular vectors U
-    and singular values s = sqrt(w) from ``eigh(X X^H)``, in descending
-    order.  All kept s go through the rule of :func:`shrink_eigenvalue` in
-    one array pass, with q = U/A from the shape of ``H_obs``,
-    alpha^2 = eta_hat c / (1 - eta_hat) from
+    ``H_obs`` is the observation or its :class:`~eiprecode.channel.GramEig`;
+    a bare matrix is decomposed once.  The observation X in additive form
+    has left singular vectors U, the Gram's eigenvectors, and singular
+    values s = sqrt(w) from its Gram eigenvalues w.  All kept s go through
+    the rule of :func:`shrink_eigenvalue` in one array pass, with q = U/A
+    from the shape of ``H_obs``, alpha^2 = eta_hat c / (1 - eta_hat) from
     :class:`~eiprecode.channel.CorruptionModel` (which owns the eta, mode
     and c rules) and h = -Re :func:`local_stieltjes` of the nonzero BSCA
     spectrum {+/-s_j} at every s in one call, at the bandwidth
@@ -128,31 +132,31 @@ def clean_channel(
     values at or below 1e-7 times the largest, the resolution of the Gram,
     are left out of that spectrum and map to 0.
 
-    ``mode`` declares the corruption form of the observation, which
-    :meth:`~eiprecode.channel.CorruptionModel.additive_form` maps to additive
-    form first (damped observations are divided by sqrt(1 - eta_hat)), so
-    the estimand is the true channel.  Non-finite input raises ValueError;
-    an all-zero input comes back as zeros.
+    Returns the cleaned channel as the GramEig (channel, xi^2, U), its Gram
+    U diag(xi^2) U^H exactly, with no second decomposition.  ``mode``
+    declares the corruption form of the observation, which
+    :meth:`~eiprecode.channel.CorruptionModel.additive_gram_eig` maps to
+    additive form first (damped observations are divided by
+    sqrt(1 - eta_hat)), so the estimand is the true channel.  Non-finite
+    input raises ValueError; an all-zero input comes back as zeros.
     """
-    H_obs = np.asarray(H_obs, dtype=complex)
-    u, a = H_obs.shape
+    obs = gram_eig(H_obs)
+    u, a = obs.matrix.shape
     q = SystemDims(u, a).q  # validates 0 < U < A
     model = CorruptionModel(eta_hat, mode, c)
     alpha = model.alpha()
-    X = model.additive_form(H_obs)
-    if not np.isfinite(X).all():
-        raise ValueError("observation has non-finite entries")
-    w, left = np.linalg.eigh(X @ X.conj().T)
-    sv = np.sqrt(np.maximum(w[::-1], 0.0))
-    left = left[:, ::-1]
-    kept = sv[sv > _NULL_TOL * sv[0]]
+    x = model.additive_gram_eig(obs)
+    sv = np.sqrt(np.maximum(x.values, 0.0))
+    kept = sv > _NULL_TOL * sv.max()
+    s = sv[kept]
+    xi = np.zeros_like(sv)
     ratio = np.zeros_like(sv)
-    if kept.size:
-        spectrum = np.concatenate([kept, -kept])
-        h = -local_stieltjes(spectrum, kept, default_epsilon(u + a))[0]
-        xi = np.clip(kept - alpha * alpha * ((1.0 - q) / kept + 2.0 * q * h), 0.0, kept)
-        ratio[: kept.size] = xi / kept
-    return ((left * ratio) @ left.conj().T) @ X
+    if s.size:
+        h = -local_stieltjes(np.concatenate([s, -s]), s, default_epsilon(u + a))[0]
+        xi[kept] = np.clip(s - alpha * alpha * ((1.0 - q) / s + 2.0 * q * h), 0.0, s)
+        ratio[kept] = xi[kept] / s
+    left = x.vectors
+    return GramEig(((left * ratio) @ left.conj().T) @ x.matrix, xi * xi, left)
 
 
 def linear_mmse_baseline(

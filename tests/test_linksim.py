@@ -346,9 +346,8 @@ def test_downlink_trial_blind_estimates_eta():
 
 
 def test_blind_cleaned_trial_decomposes_once_and_demodulates_once(count_calls):
-    # the estimator reads Gram traces, so the cleaner's decomposition is the
-    # trial's one, of whatever kind, and the errors are counted against the
-    # sent bits
+    # the estimator and the cleaner share the trial's one decomposition, of
+    # whatever kind, and the errors are counted against the sent bits
     cfg = SimConfig(users=20, antennas=128, symbols_per_trial=20, precoder="WFQ",
                     csi="ei_cleaned", bits=4, eta=0.3, snr_db=8.0, seed=22)
     decompositions = count_calls(np.linalg, "svd", "eigh", "eigvalsh")
@@ -360,6 +359,19 @@ def test_blind_cleaned_trial_decomposes_once_and_demodulates_once(count_calls):
 
 _CSI_MODES = ("perfect", "noisy_raw", "ei_cleaned", "ei_cleaned_known_eta")
 _SWEEP = (-4.0, 2.0, 8.0)
+
+
+@pytest.mark.parametrize("csi", _CSI_MODES)
+def test_every_csi_mode_decomposes_once_per_trial_index(csi, count_calls):
+    # one Gram eigendecomposition serves eta-hat, the cleaner and all three
+    # SNR points' precoders, whatever the CSI mode
+    cfg = SimConfig(users=20, antennas=128, symbols_per_trial=20, precoder="WFQ",
+                    csi=csi, bits=4, eta=0.3, seed=22)
+    decompositions = count_calls(np.linalg, "svd", "eigh", "eigvalsh")
+    precodes = count_calls(linksim.precoding, "precode")
+    linksim.downlink_trial(cfg, 0, snr_db=_SWEEP)
+    assert sum(decompositions.values()) == 1, decompositions
+    assert precodes == {"precode": 3}
 
 
 @pytest.mark.parametrize("csi", _CSI_MODES)
@@ -548,13 +560,16 @@ def test_default_snr_is_every_configured_snr():
     assert default == linksim.monte_carlo(cfg, eta=cfg.eta[0], snr_db=cfg.snr_db)
 
 
-def test_a_scalar_snr_is_a_type_error():
-    # the SNRs are always a tuple; a bare number is not iterable
+def test_a_scalar_snr_is_a_type_error(count_calls):
+    # the SNRs are always a tuple; a bare number fails by name before the
+    # trial draws anything
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect", seed=21, trials=8)
-    with pytest.raises(TypeError):
+    draws = count_calls(linksim, "draw_observation")
+    with pytest.raises(TypeError, match="snr_db"):
         linksim.downlink_trial(cfg, 0, snr_db=10.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="snr_db"):
         linksim.monte_carlo(cfg, snr_db=10.0)
+    assert draws == {"draw_observation": 0}
 
 
 def test_monte_carlo_interval_shrinks_with_budget():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from eiprecode import channel, precoding
+from eiprecode import channel, precoding, rie
 from eiprecode.precoding import PRECODERS, QuantizerSpec
 
 _SPEC_HALF = QuantizerSpec(3, 0.5)
@@ -236,6 +236,27 @@ def test_transmit_matches_the_two_pass_reference_bit_for_bit(bits):
         want = _reference_quantize(out.P @ s, bits, step) * scale
         assert np.array_equal(precoding.transmit(out, s, spec), want)
         assert before.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("bits", [1, 3, 4, 8])
+def test_quantize_clips_the_cell_index_as_the_offset_sequence_did(bits):
+    # the DAC clips the cell index to [-n/2, n/2 - 1] and adds 1/2; the
+    # sequence it replaced offset by n/2, clipped to [0, n - 1] and took
+    # (n - 1)/2 off, and the two agree to the bit on every pair of these
+    # values on I and Q, non-finite, signed-zero and saturating ones too
+    n, step = 2 ** bits, 0.25
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300, 0.3, -0.3, -2.5])
+    x = np.empty((values.size, values.size), dtype=complex)
+    x.real, x.imag = values[:, None], values[None, :]
+    with np.errstate(invalid="ignore"):
+        q = np.floor(x[..., None].view(float) / step)
+        q += n // 2
+        np.maximum(q, 0, out=q)
+        np.minimum(q, n - 1, out=q)
+        q -= (n - 1) / 2.0
+        q *= step
+        got = precoding.quantize(x, QuantizerSpec(bits, step))
+    assert got.tobytes() == q.view(complex)[..., 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +530,20 @@ def test_wfq_power_normalization():
 
 
 def _baseline_reference(kind, h, sigma2):
-    # the MRT, ZF and QCE matrices and receiver scaling, written out in U×U form:
-    # P = c raw^H and H P = c (H raw^H), with raw = H for MRT and
-    # R^{-1} H, R = H H^H + U theta I, for the regularized kinds
+    # the MRT, ZF and QCE matrices and receiver scaling, written out in the
+    # eigenbasis of the Gram h h^H = E diag(lam) E^H: P = (E diag(c d) E^H h)^H
+    # with d = 1 for MRT and d = 1/(lam + U theta) for the regularized kinds,
+    # c = (sum lam d^2)^(-1/2), and H P = E diag(c lam d) E^H
     users = h.shape[0]
-    gram = h @ h.conj().T
+    lam, E = np.linalg.eigh(h @ h.conj().T)
     if kind == "MRT":
-        raw, h_raw = h, gram
+        d = np.ones(users)
     else:
         theta = 0.0 if kind == "ZF" else sigma2
-        inverse = np.linalg.inv(gram + users * theta * np.eye(users))
-        raw, h_raw = inverse @ h, gram @ inverse.conj().T
-    c = np.sqrt(1.0 / np.sum(np.abs(raw) ** 2))
-    P, hp = raw.conj().T * c, c * h_raw
-    beta = float(np.trace(hp).real) / (float(np.sum(np.abs(hp) ** 2)) + users * sigma2)
+        d = 1.0 / (lam + users * theta)
+    cd = d * np.sqrt(1.0 / np.dot(lam, d * d))
+    P, hp = (((E * cd) @ E.conj().T) @ h).conj().T, lam * cd
+    beta = float(np.sum(hp)) / (float(np.dot(hp, hp)) + users * sigma2)
     return P, max(beta, np.finfo(float).tiny), kind
 
 
@@ -578,6 +599,30 @@ def test_precoders_match_the_a_column_form(kind, dims):
     for sigma2 in (0.0, 1e-3, 0.1, 1.0):
         out = precoding.precode(kind, h, sigma2, spec=spec)
         P, beta = _a_column_reference(kind, h, sigma2, spec)
+        assert np.linalg.norm(out.P - P) <= 1e-12 * np.linalg.norm(P), sigma2
+        assert abs(out.beta - beta) <= 1e-12 * beta, sigma2
+
+
+@pytest.mark.parametrize("kind", ["WF", "WFQ", "QCE", "ZF"])
+def test_precoders_match_the_a_column_form_on_rank_deficient_cleaned_csi(kind):
+    # cleaning at eta 0.9 zeroes 5 of this 20x128 observation's singular
+    # values, so the cleaned CSI's Gram eigenvalues hold exact zeros; at
+    # theta > 0 the spectral precoders still match the A-column solve, and
+    # ZF, on the cleaned GramEig or on the bare matrix, finds R singular
+    dims = channel.SystemDims(20, 128)
+    h = channel.gen_channel(dims, np.random.default_rng(0))
+    y = channel.corrupt(h, channel.CorruptionModel(0.9), np.random.default_rng(100))
+    csi = rie.clean_channel(y, 0.9).scaled(np.sqrt(dims.antennas))
+    assert np.count_nonzero(csi.values == 0.0) == 5
+    spec = QuantizerSpec(3)
+    if kind == "ZF":
+        for given in (csi, csi.matrix):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                precoding.precode(kind, given, 0.1, spec=spec)
+        return
+    for sigma2 in (1e-3, 0.1, 1.0):
+        out = precoding.precode(kind, csi, sigma2, spec=spec)
+        P, beta = _a_column_reference(kind, csi.matrix, sigma2, spec)
         assert np.linalg.norm(out.P - P) <= 1e-12 * np.linalg.norm(P), sigma2
         assert abs(out.beta - beta) <= 1e-12 * beta, sigma2
 

@@ -245,7 +245,7 @@ def test_shrunk_gram_eigenvalues_beat_raw_ones():
         h, y = _draw(30, 256, 0.5, 8_300 + d, 8_700 + d)
         true_e = np.sort(np.linalg.eigvalsh(h @ h.conj().T))
         noisy_e = np.sort(np.linalg.eigvalsh(y @ y.conj().T))
-        hc = rie.clean_channel(y, 0.5)
+        hc = rie.clean_channel(y, 0.5).matrix
         clean_e = np.sort(np.linalg.eigvalsh(hc @ hc.conj().T))
         dev_shrunk.append(np.mean((clean_e - true_e) ** 2))
         dev_raw.append(np.mean((noisy_e - true_e) ** 2))
@@ -284,7 +284,7 @@ def test_reconstruct_scales_each_singular_direction():
 
 def test_clean_channel_zero_eta_is_identity():
     h, _ = _draw(12, 64, 0.0, 113, 0)
-    out = rie.clean_channel(h, 0.0)
+    out = rie.clean_channel(h, 0.0).matrix
     assert np.max(np.abs(out - h)) < 1e-10
 
 
@@ -315,7 +315,7 @@ def test_clean_channel_rejects_non_finite(mode, bad):
 @settings(max_examples=60, deadline=None)
 @given(_observations(), _ETA_HAT)
 def test_clean_channel_never_grows_the_spectral_norm(y, eta_hat):
-    hc = rie.clean_channel(y, eta_hat)
+    hc = rie.clean_channel(y, eta_hat).matrix
     assert np.linalg.norm(hc, 2) <= np.linalg.norm(y, 2) * (1.0 + 1e-12)
 
 
@@ -323,7 +323,7 @@ def test_clean_channel_never_grows_the_spectral_norm(y, eta_hat):
 @given(_observations(), _ETA_HAT)
 def test_clean_channel_preserves_kept_eigenvectors(y, eta_hat):
     left, s, vh = np.linalg.svd(y, full_matrices=False)
-    hc = rie.clean_channel(y, eta_hat)
+    hc = rie.clean_channel(y, eta_hat).matrix
     # in the observed singular bases the cleaned channel is diagonal, real
     # and nonnegative, so it is sum_k xi_k u_k v_k^H with the same u_k, v_k:
     # the BSCA eigenvectors [u_k; +/-v_k] / sqrt(2) are kept
@@ -338,7 +338,7 @@ def test_clean_channel_preserves_kept_eigenvectors(y, eta_hat):
 @given(_observations(), _ETA_HAT, st.sampled_from(["additive", "damped"]))
 def test_clean_channel_matches_the_bsca_reference(y, eta_hat, mode):
     x = CorruptionModel(eta_hat, mode).additive_form(y)
-    hc = rie.clean_channel(y, eta_hat, mode=mode)
+    hc = rie.clean_channel(y, eta_hat, mode=mode).matrix
     assert np.max(np.abs(hc - _reference_clean(x, eta_hat))) < 1e-10
 
 
@@ -350,7 +350,7 @@ def test_clean_channel_matches_the_bsca_reference_at_paper_sizes(dims, mode):
     for eta in (0.1, 0.3, 0.5, 0.9):
         _, y = _draw(*dims, eta, 131, 132)
         x = CorruptionModel(eta, mode).additive_form(y)
-        hc = rie.clean_channel(y, eta, mode=mode)
+        hc = rie.clean_channel(y, eta, mode=mode).matrix
         ref = _reference_clean(x, eta)
         assert np.max(np.abs(hc - ref)) < 1e-10, eta
         assert np.linalg.norm(hc - ref) <= 1e-12 * np.linalg.norm(ref), eta
@@ -362,10 +362,10 @@ def test_clean_channel_matches_the_bsca_reference_on_rank_deficient_inputs():
     rank_two[2:] = rng.standard_normal((2, 2)) @ rank_two[:2]
     for x in (_RANK_ONE, rank_two, np.zeros((2, 5), dtype=complex)):
         for eta_hat in (0.0, 0.3, 0.9):
-            hc = rie.clean_channel(x, eta_hat)
+            hc = rie.clean_channel(x, eta_hat).matrix
             assert np.max(np.abs(hc - _reference_clean(x, eta_hat))) < 1e-10
     # the null directions of the rank-two input map to 0
-    s = np.linalg.svd(rie.clean_channel(rank_two, 0.3), compute_uv=False)
+    s = np.linalg.svd(rie.clean_channel(rank_two, 0.3).matrix, compute_uv=False)
     assert np.max(s[2:]) < 1e-12
 
 
@@ -384,10 +384,10 @@ def test_clean_channel_null_tolerance_is_1e_7_of_the_largest_singular_value():
     # the Gram resolves singular values to about 1.5e-8 of the largest, so a
     # 1e-8 direction is a null direction and maps to 0 even at eta 0, while a
     # 1e-6 direction is kept as it is
-    null = rie.clean_channel(_rotated([1.0, 1e-8], 6, 133), 0.0)
+    null = rie.clean_channel(_rotated([1.0, 1e-8], 6, 133), 0.0).matrix
     assert np.linalg.svd(null, compute_uv=False)[1] < 1e-12
     x = _rotated([1.0, 1e-6], 6, 134)
-    kept = rie.clean_channel(x, 0.0)
+    kept = rie.clean_channel(x, 0.0).matrix
     assert np.max(np.abs(kept - x)) < 1e-12
     assert np.linalg.svd(kept, compute_uv=False)[1] == pytest.approx(1e-6, rel=1e-6)
 
@@ -396,7 +396,7 @@ def test_clean_channel_wins_at_mid_error_level():
     wins = 0
     for d in range(20):
         h, y = _draw(20, 256, 0.5, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.5)
+        hc = rie.clean_channel(y, 0.5).matrix
         wins += rie.mse(h, hc) <= rie.mse(h, y)
     assert wins == 20, wins
 
@@ -405,7 +405,7 @@ def test_clean_channel_wins_at_low_error_level():
     wins = 0
     for d in range(20):
         h, y = _draw(20, 256, 0.1, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.1)
+        hc = rie.clean_channel(y, 0.1).matrix
         wins += rie.mse(h, hc) <= rie.mse(h, y)
     assert wins >= 10, wins
 
@@ -414,7 +414,7 @@ def test_clean_channel_reaches_oracle_floor_factor():
     ratios = []
     for d in range(20):
         h, y = _draw(20, 256, 0.5, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.5)
+        hc = rie.clean_channel(y, 0.5).matrix
         ratios.append(rie.mse(h, hc) / (0.5 / 256))
     assert np.mean(ratios) <= 1.5, np.mean(ratios)
 
