@@ -24,6 +24,7 @@ the same for the whole trial with its minor page faults per trial
 """
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -41,7 +42,6 @@ if __name__ == "__main__":
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 from tracing import Target, Tracer, self_times  # noqa: E402
 
 from eiprecode import linksim, precoding  # noqa: E402
@@ -140,6 +140,14 @@ def _git(*args):
     return done.stdout.strip()
 
 
+def _version(package):
+    """The installed version of ``package``, or None when it is not installed."""
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def environment():
     commit = _git("rev-parse", "--short", "HEAD")
     status = _git("status", "--porcelain", "--untracked-files=no")
@@ -148,7 +156,7 @@ def environment():
         "dirty": bool(status),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _version("scipy"),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, special, stats
 
 from eiprecode import channel, precoding, rie
 from eiprecode.precoding import PRECODERS, QuantizerSpec
@@ -126,6 +126,18 @@ def test_optimal_step_minimizes_the_integrated_gaussian_distortion(bits):
     at_best = _bussgang_distortion(bits, best)
     for step in (best * (1.0 - 1e-3), best * (1.0 + 1e-3)):
         assert _bussgang_distortion(bits, step) >= at_best
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_optimal_step_matches_the_bounded_scalar_minimizer(bits):
+    # the reference: a bounded Brent search of the same objective on the same bracket
+    ref = optimize.minimize_scalar(
+        lambda step: _bussgang_distortion(bits, step),
+        bounds=(1e-4, 3.0), method="bounded", options={"xatol": 1e-8},
+    ).x
+    best = precoding.optimal_step(bits)
+    assert best == pytest.approx(ref, rel=1e-5, abs=0.0)
+    assert _bussgang_distortion(bits, best) <= _bussgang_distortion(bits, ref) + 1e-14
 
 
 def test_four_bit_distortion_under_one_percent():
@@ -303,6 +315,17 @@ def test_quantized_power():
         precoding.quantized_power(QuantizerSpec(3), -1.0)
     qp = precoding.quantized_power(QuantizerSpec(8), 1.7)
     assert abs(qp - 1.7) / 1.7 < 0.01
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_fixed_step_quantized_power_matches_the_vectorized_erf_form(bits):
+    spec = QuantizerSpec(bits, precoding.optimal_step(bits))
+    for v in (0.5, 2.0, 8.0):
+        # the Gaussian CDF at every threshold, the outer cells running to -inf and +inf
+        cdf = 0.5 * (1.0 + special.erf(_thresholds(spec) / np.sqrt(v)))
+        mass = np.diff(cdf, prepend=0.0, append=1.0)
+        want = 2.0 * np.sum(_labels(spec) ** 2 * mass)
+        assert precoding.quantized_power(spec, v) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_bussgang_constants_take_only_a_scalar():

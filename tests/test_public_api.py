@@ -1,7 +1,12 @@
-"""Every exported name resolves to a real object."""
+"""Every exported name resolves to a real object, and importing the package
+loads no scipy module."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +47,20 @@ def test_package_reexports_only_module_all_entries():
         if n not in importlib.import_module(obj.__module__).__all__
     ]
     assert not strays, strays
+
+
+def test_the_package_and_its_cli_load_no_scipy_module():
+    code = (
+        "import sys, eiprecode, eiprecode.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
