@@ -13,17 +13,20 @@ the stage functions the trial looks up: ``draw_observation``,
 ``transmit`` and ``demodulate`` once per SNR point.  So the stage times come
 from the trial's own code path, and ``other`` is the rest of the trial
 (the one Gram decomposition in ``estimate_csi``, symbols, the MSEs,
-``H @ x`` plus noise).  Trial 0 runs once more first,
+noise plus ``H @ x``).  Trial 0 runs once more first,
 untraced, to fill caches.
 
 It writes ``BENCH_<short-commit>.json`` (``-dirty`` appended when the
 checkout has uncommitted changes) with, per size, the median and
-interquartile range of every stage in ms per call and its calls per trial,
-the same for the whole trial with its minor page faults per trial
-(``resource.getrusage``), and the environment.
+interquartile range of every stage in ms per call, its calls per trial and
+its mean minor page faults per call, the same for the whole trial with its
+minor page faults per trial, and the environment.  Faults are
+``resource.getrusage`` deltas round each call; ``other`` has a trial's
+faults less those of its stage calls.
 """
 
 import argparse
+import functools
 import importlib.metadata
 import json
 import os
@@ -55,6 +58,15 @@ STAGES = {
     "transmit": "precoding.transmit",
     "demodulate": "linksim.demodulate",
 }
+# stage -> the module the trial looks its function up on, and the name there
+LOOKUPS = {
+    "draw": (linksim, "draw_observation"),
+    "estimate": (linksim, "estimate_eta"),
+    "clean": (linksim, "clean_channel"),
+    "precode": (precoding, "precode"),
+    "transmit": (precoding, "transmit"),
+    "demodulate": (linksim, "demodulate"),
+}
 TRIAL = "linksim.downlink_trial"
 SETUP = {
     "precoder": "WFQ",
@@ -82,34 +94,59 @@ def parse_args(argv):
     return args
 
 
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _counting(fn, faults):
+    """``fn``, appending each call's minor page faults to ``faults``."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        f0 = _minflt()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            faults.append(_minflt() - f0)
+
+    return wrapper
+
+
 def trace_trials(cfg, repeats):
     """The spans of trials 0 .. repeats-1, one ``downlink_trial`` call each,
-    and each trial's minor page faults."""
+    and the minor page faults of every stage call and of each trial
+    (``"trial"``)."""
+    faults = {stage: [] for stage in [*STAGES, "trial"]}
+    originals = {stage: getattr(owner, attr) for stage, (owner, attr) in LOOKUPS.items()}
     tracer = Tracer()
-    tracer.install(
-        [Target(linksim, "downlink_trial", trial="scope")]
-        + [Target(linksim, name) for name in ("draw_observation", "estimate_eta", "clean_channel")]
-        + [Target(precoding, "precode"), Target(precoding, "transmit")]
-        + [Target(linksim, "demodulate")]
-    )
-    faults = []
     try:
+        # each counter sits inside its tracer wrapper, so a span holds its count
+        for stage, (owner, attr) in LOOKUPS.items():
+            setattr(owner, attr, _counting(originals[stage], faults[stage]))
+        tracer.install(
+            [Target(linksim, "downlink_trial", trial="scope")]
+            + [Target(owner, attr) for owner, attr in LOOKUPS.values()]
+        )
         for r in range(repeats):
-            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            f0 = _minflt()
             linksim.downlink_trial(cfg, r)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+            faults["trial"].append(_minflt() - f0)
     finally:
         tracer.uninstall()
+        for stage, (owner, attr) in LOOKUPS.items():
+            setattr(owner, attr, originals[stage])
     return tracer.spans, faults
 
 
-def _summary(ms, repeats):
+def _summary(ms, repeats, faults):
+    """``faults`` is the summed minor page faults of the ``ms`` calls."""
     q25, q50, q75 = np.percentile(ms, [25, 50, 75])
     return {
         "median_ms": round(float(q50), 4),
         "iqr_ms": round(float(q75 - q25), 4),
         "samples": len(ms),
         "calls_per_trial": round(len(ms) / repeats, 3),
+        "minor_faults_per_call": round(faults / len(ms), 2),
     }
 
 
@@ -125,10 +162,11 @@ def measure_size(users, antennas, repeats):
         raise RuntimeError(f"downlink_trial never called the stages {missing}")
     selfs = self_times(spans)
     other = [1e3 * selfs[s.sid] for s in spans if s.name == TRIAL]
-    stages = {stage: _summary(ms[name], repeats) for stage, name in STAGES.items()}
-    stages["other"] = _summary(other, repeats)
-    trial = _summary(ms[TRIAL], repeats)
-    trial["minor_faults_per_trial"] = round(float(np.mean(faults)), 2)
+    total = {stage: sum(f) for stage, f in faults.items()}
+    stages = {stage: _summary(ms[name], repeats, total[stage]) for stage, name in STAGES.items()}
+    stages["other"] = _summary(other, repeats, total["trial"] - sum(total[s] for s in STAGES))
+    trial = _summary(ms[TRIAL], repeats, total["trial"])
+    trial["minor_faults_per_trial"] = trial.pop("minor_faults_per_call")
     return {"repeats": repeats, "stages": stages, "trial": trial}
 
 

@@ -70,16 +70,14 @@ class CorruptionModel:
         """The observation in additive form, whose estimand is the true channel.
 
         An additive observation is already in that form and comes back as
-        it is.  A damped one is divided by sqrt(1 - eta), or copied at
-        eta 0; its non-finite entries raise ValueError before the divide
+        it is.  A damped one is divided by sqrt(1 - eta), a new array even
+        at eta 0; its non-finite entries raise ValueError before the divide
         touches them.
         """
         if self.mode == "additive":
             return H_obs
         if not np.isfinite(H_obs).all():
             raise ValueError("observation has non-finite entries")
-        if self.eta == 0.0:
-            return H_obs.copy()
         return H_obs / np.sqrt(1.0 - self.eta)
 
     def additive_gram_eig(self, obs: GramEig) -> GramEig:
@@ -120,13 +118,19 @@ def gram_eig(X) -> GramEig:
     """
     if isinstance(X, GramEig):
         return X
+    X = _finite_matrix(X)
+    values, vectors = np.linalg.eigh(X @ X.conj().T)
+    return GramEig(X, values, vectors)
+
+
+def _finite_matrix(X) -> np.ndarray:
+    """X as an array; ValueError unless it is 2-D with finite entries."""
     X = np.asarray(X)
     if X.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     if not np.isfinite(X).all():
         raise ValueError("matrix has non-finite entries")
-    values, vectors = np.linalg.eigh(X @ X.conj().T)
-    return GramEig(X, values, vectors)
+    return X
 
 
 def _cn_matrix(rows: int, cols: int, var: float, rng: np.random.Generator):
@@ -157,9 +161,8 @@ def corrupt(
 
 
 def build_bsca(X: np.ndarray) -> np.ndarray:
-    """Hermitian block augmentation [[0, X], [X^H, 0]] of a U x A matrix."""
-    if X.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
+    """Hermitian block augmentation [[0, X], [X^H, 0]] of a finite U x A matrix."""
+    X = _finite_matrix(X)
     u, a = X.shape
     if not u < a:
         raise ValueError(f"expected more columns than rows, got {u}x{a}")

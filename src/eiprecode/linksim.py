@@ -309,10 +309,11 @@ def demodulate(symbols, scheme: str = "QPSK") -> np.ndarray:
     return groups.take(level, axis=0).ravel()
 
 
-def wilson_interval(errors: int, bits: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(errors: int, bits: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate."""
     if bits <= 0:
         return (0.0, 1.0)
+    z = 1.959964
     p = errors / bits
     denom = 1.0 + z * z / bits
     center = (p + z * z / (2.0 * bits)) / denom
@@ -434,14 +435,13 @@ def downlink_trial(
     metrics = []
     for snr in snrs:
         sigma2 = 10.0 ** (-float(snr) / 10.0)
-        if degenerate:
-            x, beta = np.zeros((dims.antennas, cfg.symbols_per_trial), dtype=complex), 1.0
-        else:
-            spec = cfg.quantizer
-            pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=spec)
-            x, beta = precoding.transmit(pout, s, spec), pout.beta
-        y = H_link @ x + unit_noise * np.sqrt(sigma2 / 2.0)
-        rx_bits = demodulate((beta * y).reshape(-1), cfg.modulation)
+        y, beta = unit_noise * np.sqrt(sigma2 / 2.0), 1.0
+        if not degenerate:
+            pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer)
+            y += H_link @ precoding.transmit(pout, s, cfg.quantizer)
+            beta = pout.beta
+        y *= beta
+        rx_bits = demodulate(y.reshape(-1), cfg.modulation)
         metrics.append(
             TrialMetrics(
                 trial_index=trial_index,

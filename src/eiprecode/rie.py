@@ -26,8 +26,8 @@ import numpy as np
 
 # build_bsca, eig_bsca and reconstruct are unused here; perfbench's traced run
 # looks them up on this module
-from .channel import CorruptionModel, GramEig, SystemDims, build_bsca, gram_eig  # noqa: F401
-from .rmt import default_epsilon, empirical_stieltjes
+from .channel import CorruptionModel, GramEig, SystemDims, _finite_matrix, build_bsca, gram_eig  # noqa: F401
+from .rmt import _scalar_or_array, default_epsilon, empirical_stieltjes
 
 __all__ = [
     "eig_bsca",
@@ -51,12 +51,7 @@ def eig_bsca(X: np.ndarray):
     [u[:, k]; +/-vh[k].conj()] / sqrt(2).  Raises ValueError on a matrix that
     is not 2-D or has non-finite entries.
     """
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if not np.isfinite(X).all():
-        raise ValueError("observation has non-finite entries")
-    return np.linalg.svd(X, full_matrices=False)
+    return np.linalg.svd(_finite_matrix(X), full_matrices=False)
 
 
 def local_stieltjes(spectrum, x, epsilon: float):
@@ -79,9 +74,7 @@ def local_stieltjes(spectrum, x, epsilon: float):
     drop = lam[np.argmin(np.abs(lam - x[..., None]), axis=-1)]
     # a one-entry spectrum leaves nothing: n g - 1/(lam_drop - z) is exactly 0
     g = (lam.size * g - 1.0 / (drop - z)) / max(lam.size - 1, 1)
-    if g.ndim == 0:
-        return (float(g.real), float(g.imag))
-    return g.real, g.imag
+    return _scalar_or_array(g.real), _scalar_or_array(g.imag)
 
 
 def shrink_eigenvalue(y: float, h: float, q: float, alpha: float) -> float:

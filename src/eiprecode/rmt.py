@@ -79,6 +79,11 @@ def _offaxis(z, eps):
     return z
 
 
+def _scalar_or_array(out):
+    """A 0-d result as its Python scalar, any other result as it is."""
+    return out.item() if out.ndim == 0 else out
+
+
 def mp_stieltjes(z, q: float, eps: float | None = None):
     """Stieltjes transform of the Marchenko-Pastur law with ratio q.
 
@@ -113,9 +118,7 @@ def mp_stieltjes(z, q: float, eps: float | None = None):
     out = np.where(
         np.abs(n_minus) > np.abs(n_plus), 2.0 / n_minus, n_plus / (2.0 * q * z)
     )
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def bsca_support(q: float) -> tuple[float, float, float]:
@@ -145,9 +148,7 @@ def bsca_density(x, q: float):
     out[inside] = np.sqrt((b * b - xs * xs) * (xs * xs - a * a)) / (
         (q + 1.0) * np.pi * xs
     )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def stieltjes_D_from_gram(g_gram, z, q: float):
@@ -164,9 +165,7 @@ def stieltjes_D_from_gram(g_gram, z, q: float):
     out = (2.0 * q / (q + 1.0)) * np.asarray(g_gram, dtype=complex) + (
         (q - 1.0) / (q + 1.0)
     ) / z
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def stieltjes_B_from_D(g_D_at_z2, z):
@@ -174,10 +173,7 @@ def stieltjes_B_from_D(g_D_at_z2, z):
 
     ``g_D_at_z2`` must already be evaluated at z**2.
     """
-    out = np.asarray(z, dtype=complex) * np.asarray(g_D_at_z2, dtype=complex)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _scalar_or_array(np.asarray(z, dtype=complex) * np.asarray(g_D_at_z2, dtype=complex))
 
 
 def bsca_stieltjes(z, q: float, eps: float | None = None):
@@ -194,8 +190,7 @@ def empirical_stieltjes(eigs, z, eps: float | None = None):
     if eigs.size == 0:
         raise ValueError("empty eigenvalue list")
     z = _offaxis(z, eps)
-    g = np.mean(1.0 / (eigs - z[..., None]), axis=-1)
-    return complex(g) if g.ndim == 0 else g
+    return _scalar_or_array(np.mean(1.0 / (eigs - z[..., None]), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +217,7 @@ def r_transform_aux(w, q: float, variance: float = 1.0):
     w2 = w * w
     rad = 1.0 + v * w2 * (4.0 - 2.0 * q) + (q * v * w2) ** 2
     out = (-1.0 + q * v * w2 + np.sqrt(rad)) / (2.0 * w)
-    if out.ndim == 0:
-        return out.item()
-    return out
+    return _scalar_or_array(out)
 
 
 def r_transform_noisy_aux(w, q: float, alpha: float):

@@ -30,7 +30,7 @@ def test_stage_script_writes_every_stage_and_the_environment(tmp_path):
     assert set(doc) == {"setup", "environment", "sizes"}
     assert {"commit", "dirty", "python", "numpy", "cpu_count"} <= set(doc["environment"])
     assert set(doc["sizes"]) == {"4x16", "2x8"}
-    keys = {"median_ms", "iqr_ms", "samples", "calls_per_trial"}
+    keys = {"median_ms", "iqr_ms", "samples", "calls_per_trial", "minor_faults_per_call"}
     per_trial = {"draw": 1, "estimate": 1, "clean": 1, "other": 1}
     for res in doc["sizes"].values():
         assert res["repeats"] == 2
@@ -41,7 +41,8 @@ def test_stage_script_writes_every_stage_and_the_environment(tmp_path):
             assert stage["median_ms"] > 0 and stage["iqr_ms"] >= 0
             assert stage["samples"] == 2 * stage["calls_per_trial"]
             assert stage["calls_per_trial"] == per_trial.get(name, 3)
-        assert set(res["trial"]) == keys | {"minor_faults_per_trial"}
+            assert stage["minor_faults_per_call"] >= 0, name
+        assert set(res["trial"]) == keys - {"minor_faults_per_call"} | {"minor_faults_per_trial"}
         assert res["trial"]["calls_per_trial"] == 1 and res["trial"]["minor_faults_per_trial"] >= 0
 
 
@@ -50,10 +51,13 @@ def test_stage_times_are_spans_inside_each_downlink_trial():
     stages = _load_script()
     cfg = stages.linksim.SimConfig(users=4, antennas=16, threads=1, **stages.SETUP)
     original = stages.linksim.downlink_trial
+    looked_up = {stage: getattr(owner, attr) for stage, (owner, attr) in stages.LOOKUPS.items()}
     spans, faults = stages.trace_trials(cfg, 3)
     assert stages.linksim.downlink_trial is original
+    for stage, (owner, attr) in stages.LOOKUPS.items():
+        assert getattr(owner, attr) is looked_up[stage], stage
     trials = {s.sid: s for s in spans if s.name == stages.TRIAL}
-    assert len(trials) == 3 and len(faults) == 3
+    assert len(trials) == 3 and len(faults["trial"]) == 3
     by_name = {}
     for s in spans:
         if s.name != stages.TRIAL:
@@ -61,3 +65,8 @@ def test_stage_times_are_spans_inside_each_downlink_trial():
             by_name.setdefault(s.name, []).append(s)
     assert set(by_name) == set(stages.STAGES.values())
     assert len(by_name["precoding.precode"]) == 3 * len(cfg.snr_db)
+    # one fault count per stage call, never more than its trial's
+    for stage, name in stages.STAGES.items():
+        assert len(faults[stage]) == len(by_name[name]), stage
+        assert all(f >= 0 for f in faults[stage]), stage
+    assert sum(sum(faults[stage]) for stage in stages.STAGES) <= sum(faults["trial"])

@@ -383,6 +383,11 @@ def test_parse_set_item_rejects_malformed():
         parse_set_item("=7")
 
 
+def test_parse_set_item_rejects_an_unparseable_value():
+    with pytest.raises(ConfigError, match="'eta': unparseable value"):
+        parse_set_item("eta=[0.1")
+
+
 def test_parse_config_defaults():
     cfg, extras = parse_config()
     assert cfg == SimConfig()
@@ -405,6 +410,16 @@ def test_parse_config_layers_and_precedence(tmp_path):
     # nothing above the environment touches threads
     assert cfg.threads == 3
     assert extras == {"bins": 12}
+
+
+def test_parse_config_file_must_be_valid_yaml_and_may_be_empty(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("users: [20\n")
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        parse_config(path=bad, env={})
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    assert parse_config(path=empty, env={}) == (SimConfig(), {})
 
 
 def test_parse_config_env_layer():

@@ -261,6 +261,12 @@ def test_sim_config_validation():
             SimConfig(**bad)
 
 
+@pytest.mark.parametrize("field", ["trials", "symbols_per_trial"])
+def test_sim_config_rejects_a_zero_count(field):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        SimConfig(**{field: 0})
+
+
 def test_sim_config_casts_values_to_the_annotated_types():
     cfg = SimConfig(bits=4.0)
     assert cfg.bits == 4 and type(cfg.bits) is int

@@ -92,6 +92,12 @@ def test_step_for_scales_optimal_step():
     assert QuantizerSpec(3, 0.7).step_for(9.0) == 0.7
 
 
+@pytest.mark.parametrize("bits", [0, 13])
+def test_optimal_step_rejects_a_bit_depth_out_of_range(bits):
+    with pytest.raises(ValueError, match=r"bits must lie in \[1, 12\]"):
+        precoding.optimal_step(bits)
+
+
 def test_optimal_step_frozen_values():
     # distortion-minimizing uniform steps for a unit-variance Gaussian
     for bits, want in ((1, 1.596), (2, 0.996), (3, 0.586), (4, 0.335)):
@@ -665,6 +671,12 @@ def test_precode_takes_no_power_argument():
     for fn in (precoding.precode, precoding.wf_precode, precoding.wfq_precode):
         assert "p_total" not in inspect.signature(fn).parameters
     assert "p_total" not in {f.name for f in dataclasses.fields(precoding.PrecodeOutput)}
+
+
+def test_precode_rejects_a_zero_channel():
+    # no direction to send in: the power normalization has nothing to scale
+    with pytest.raises(np.linalg.LinAlgError, match="zero precoding matrix"):
+        precoding.precode("MRT", np.zeros((4, 16)), 0.1)
 
 
 def test_precode_rejects_an_unknown_kind():

@@ -232,6 +232,11 @@ def test_shrink_clamps_at_zero():
             assert 0.0 <= xi <= y
 
 
+def test_shrink_maps_a_zero_singular_value_to_zero():
+    # y = 0 is a null direction; the rule's (1 - q) / y term is never formed
+    assert rie.shrink_eigenvalue(0.0, 0.5, 0.5, 1.0) == 0.0
+
+
 def test_shrink_validation():
     with pytest.raises(ValueError):
         rie.shrink_eigenvalue(1.0, 0.1, 0.5, -0.5)

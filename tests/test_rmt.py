@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from eiprecode import channel, rmt
+from eiprecode import channel, rie, rmt
 
 
 def _chan(u, a, seed):
@@ -315,6 +315,41 @@ def test_empirical_stieltjes_real_argument_needs_epsilon():
 def test_empirical_stieltjes_is_herglotz(eigs, x, y):
     g = rmt.empirical_stieltjes(np.array(eigs), complex(x, y))
     assert g.imag > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Return convention: a scalar in gives a Python scalar out, an array an array
+
+_Z = [0.5 + 0.1j, 1.5 + 0.2j, 3.0 + 1.0j]
+_X = [0.2, 1.0, 1.4]
+_SCALAR_RULE = {
+    "mp_stieltjes": (lambda z: rmt.mp_stieltjes(z, 0.25), _Z, complex),
+    "bsca_density": (lambda x: rmt.bsca_density(x, 0.25), _X, float),
+    "stieltjes_D_from_gram": (lambda z: rmt.stieltjes_D_from_gram(1.0 / z, z, 0.25), _Z, complex),
+    "stieltjes_B_from_D": (lambda z: rmt.stieltjes_B_from_D(z * z, z), _Z, complex),
+    "empirical_stieltjes": (lambda z: rmt.empirical_stieltjes([0.5, 1.0, 2.0], z), _Z, complex),
+    "r_transform_aux": (lambda w: rmt.r_transform_aux(w, 0.25), [0.3, 0.7, 1.1], float),
+    "local_stieltjes": (lambda x: rie.local_stieltjes([-1.0, 0.5, 2.0], x, 0.1), _X, float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_RULE))
+def test_scalar_argument_returns_a_python_scalar_and_an_array_an_array(name):
+    fn, points, kind = _SCALAR_RULE[name]
+
+    def parts(result):  # local_stieltjes returns (real part, imaginary part)
+        return result if isinstance(result, tuple) else (result,)
+
+    arrays = parts(fn(np.array(points)))
+    for arr in arrays:
+        assert isinstance(arr, np.ndarray) and arr.shape == (len(points),)
+    for i, p in enumerate(points):
+        got = parts(fn(p))
+        assert len(got) == len(arrays)
+        for value, arr in zip(got, arrays):
+            assert type(value) is kind
+            # numpy's vector loops may round the last bit apart from a 0-d call
+            assert value == pytest.approx(arr[i], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
