@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     flags = [f"{k}={getattr(args, k)}" for k in _FLAGS if getattr(args, k, None) is not None]
     try:
         cfg, extras = parse_config(path=args.config, overrides=args.sets + flags)
-        experiment_options(kind, **extras)
+        experiment_options(kind, cfg, **extras)
     except (ConfigError, ExperimentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -107,9 +107,6 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(kind, cfg, **extras)
         csv_path, json_path = result.write(args.out)
-    except ExperimentError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,6 @@ else.
 from __future__ import annotations
 
 import json
-import statistics
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -69,6 +68,18 @@ def _fmt(v) -> str:
 def _round(v: float) -> float:
     # keeps JSON floats in the same precision regime as the CSV
     return float(format(float(v), ".10g"))
+
+
+def _rounded(v):
+    """``v`` with every float in it through :func:`_round`; lists, tuples
+    and dicts are walked, and anything else is returned as it is."""
+    if isinstance(v, (float, np.floating)):
+        return _round(v)
+    if isinstance(v, (list, tuple)):
+        return type(v)(_rounded(x) for x in v)
+    if isinstance(v, dict):
+        return {k: _rounded(x) for k, x in v.items()}
+    return v
 
 
 @dataclass(frozen=True)
@@ -162,19 +173,16 @@ def _spectrum_check(cfg: SimConfig, bins: int = 50):
     analytic = bsca_density(centers, cfg.dims.q)
     l1 = float(np.sum(np.abs(density - analytic)) * width)
 
-    rows = tuple(
-        (_round(c), _round(d), _round(an))
-        for c, d, an in zip(centers, density, analytic)
-    )
+    rows = tuple(zip(centers, density, analytic))
     expected_zeros = dims.antennas - dims.users
     summary = {
         "headline": {
-            "l1_distance": _round(l1),
+            "l1_distance": l1,
             "zero_eigenvalues_per_draw": zero_counts[0] if len(set(zero_counts)) == 1 else zero_counts,
             "expected_zero_eigenvalues": expected_zeros,
             "zeros_ok": all(z == expected_zeros for z in zero_counts),
-            "support": [_round(a_edge), _round(b_edge)],
-            "zero_mass": _round(atom),
+            "support": [a_edge, b_edge],
+            "zero_mass": atom,
             "draws": cfg.trials,
             "bins": bins,
         },
@@ -197,15 +205,13 @@ def _eta_cdf(cfg: SimConfig):
     for eta, results in zip(cfg.eta, per_eta):
         deltas = np.sort(np.array([r[0] for r in results]))
         cdf = np.arange(1, len(deltas) + 1) / len(deltas)
-        rows.extend(
-            (_round(eta), _round(d), _round(p)) for d, p in zip(deltas, cdf)
-        )
+        rows.extend((eta, d, p) for d, p in zip(deltas, cdf))
         headline[f"eta={_fmt(eta)}"] = {
-            "p95_delta_eta": _round(np.quantile(deltas, 0.95)),
-            "prob_delta_below_0.05": _round(np.mean(deltas < 0.05)),
-            "median_delta_eta": _round(np.median(deltas)),
-            "mean_eta_hat": _round(np.mean([r[1] for r in results])),
-            "identifiable_fraction": _round(np.mean([r[2] for r in results])),
+            "p95_delta_eta": np.quantile(deltas, 0.95),
+            "prob_delta_below_0.05": np.mean(deltas < 0.05),
+            "median_delta_eta": np.median(deltas),
+            "mean_eta_hat": np.mean([r[1] for r in results]),
+            "identifiable_fraction": np.mean([r[2] for r in results]),
         }
     order = cfg.estimator.order
     headline["estimator_order"] = order if order is not None else "auto"
@@ -214,12 +220,6 @@ def _eta_cdf(cfg: SimConfig):
 
 
 def _mse_vs_antennas(cfg: SimConfig):
-    if cfg.antennas_grid is None:
-        raise ExperimentError("mse_vs_antennas requires config field 'antennas_grid'")
-    if cfg.csi not in ("ei_cleaned", "ei_cleaned_known_eta"):
-        raise ExperimentError(
-            "mse_vs_antennas requires csi of 'ei_cleaned' or 'ei_cleaned_known_eta'"
-        )
     rows = []
     headline = {}
 
@@ -238,29 +238,19 @@ def _mse_vs_antennas(cfg: SimConfig):
             for dims in cfg.grid_dims:
                 results = np.array(map_trials(partial(one, dims, eta), range(cfg.trials)))
                 m_clean, m_noisy, m_scalar = results.mean(axis=0)
-                win = float(np.mean(results[:, 0] <= results[:, 1]))
-                floor = eta / dims.antennas
+                win = np.mean(results[:, 0] <= results[:, 1])
+                # the error of the conditional mean E[H | H_obs], in either corruption mode
+                floor = eta * cfg.c / ((1 - eta) + eta * cfg.c) / dims.antennas
                 means.append(m_clean)
-                rows.append(
-                    (
-                        _round(eta),
-                        dims.antennas,
-                        _round(m_clean),
-                        _round(m_noisy),
-                        _round(m_scalar),
-                        _round(floor),
-                        _round(win),
-                        cfg.trials,
-                        cfg.seed,
-                    )
-                )
+                rows.append((eta, dims.antennas, m_clean, m_noisy, m_scalar, floor, win,
+                             cfg.trials, cfg.seed))
             headline[f"eta={_fmt(eta)}"] = {
                 "nonincreasing_in_antennas": bool(
                     all(means[i + 1] <= means[i] for i in range(len(means) - 1))
                 ),
-                "mse_cleaned_by_antennas": [_round(v) for v in means],
+                "mse_cleaned_by_antennas": means,
                 # floor is the last grid point's; at eta = 0 it is 0, and JSON has no Infinity
-                "ratio_to_floor_last": _round(means[-1] / floor) if floor > 0 else None,
+                "ratio_to_floor_last": means[-1] / floor if floor > 0 else None,
             }
     headline["csi"] = cfg.csi
     header = (
@@ -294,23 +284,15 @@ _BER_HEADER = (
 _BER_AXES = {"snr_db": ("eta", "snr"), "eta": ("snr_db", "eta")}
 
 
-def _csi_diagnostics(axis: str, x: float, agg) -> dict:
-    """The cleaned-CSI numbers of one BER point; null where the CSI mode
-    estimates and cleans nothing (``perfect``, ``noisy_raw``).  The
-    identifiable fraction is null also where eta is known, not estimated."""
-    etas = agg.eta_hat_values
-    values = (None,) * 4
-    if etas:
-        # pstdev is exact, so a constant eta_hat gives exactly 0
-        stats = (statistics.fmean(etas), statistics.pstdev(etas), agg.mse_mean, agg.mse_noisy_mean)
-        values = tuple(_round(v) for v in stats)
-    keys = ("eta_hat_mean", "eta_hat_std", "mse_cleaned_mean", "mse_raw_mean")
-    frac = agg.identifiable_fraction
-    return {
-        axis: _round(x),
-        **dict(zip(keys, values)),
-        "identifiable_fraction": None if frac is None else _round(frac),
-    }
+# diagnostics key -> the BER point's Aggregate field (see there for where each
+# is null); an entry starts with the point's own key, which the CLI reads
+_CSI_DIAGNOSTICS = {
+    "eta_hat_mean": "eta_hat_mean",
+    "eta_hat_std": "eta_hat_std",
+    "mse_cleaned_mean": "mse_mean",
+    "mse_raw_mean": "mse_noisy_mean",
+    "identifiable_fraction": "identifiable_fraction",
+}
 
 
 def _ber_sweep(cfg: SimConfig, axis: str):
@@ -332,31 +314,23 @@ def _ber_sweep(cfg: SimConfig, axis: str):
     unresolved = []
     diagnostics = []
     degenerate = 0
+    bits = cfg.bits if cfg.bits is not None else "bypass"
     for x, agg in zip(points, aggregates):
         eta, snr = (fixed, x) if axis == "snr_db" else (x, fixed)
         bers.append(agg.ber)
-        diagnostics.append(_csi_diagnostics(axis, x, agg))
+        diagnostics.append({axis: x, **{k: getattr(agg, f) for k, f in _CSI_DIAGNOSTICS.items()}})
         degenerate += agg.degenerate_csi_trials
         if not agg.resolved:
-            unresolved.append(_round(x))
-        row = (
-            _round(snr),
-            cfg.precoder,
-            cfg.csi,
-            cfg.bits if cfg.bits is not None else "bypass",
-            _round(agg.ber),
-            _round(agg.ber_lo),
-            _round(agg.ber_hi),
-            agg.trials_run,
-            cfg.seed,
-        )
-        rows.append(row if axis == "snr_db" else (_round(eta),) + row)
+            unresolved.append(x)
+        row = (snr, cfg.precoder, cfg.csi, bits, agg.ber, agg.ber_lo, agg.ber_hi,
+               agg.trials_run, cfg.seed)
+        rows.append(row if axis == "snr_db" else (eta,) + row)
     crossing = threshold_crossing(points, bers, 1e-3)
     summary = {
         "diagnostics": diagnostics,
         "headline": {
-            other: _round(fixed),
-            f"{name}_at_ber_1e-3": None if crossing is None else _round(crossing),
+            other: fixed,
+            f"{name}_at_ber_1e-3": crossing,
             f"unresolved_{axis}": unresolved,
             # trials whose CSI was all zero and transmitted nothing
             "degenerate_csi_trials": degenerate,
@@ -366,8 +340,8 @@ def _ber_sweep(cfg: SimConfig, axis: str):
     return header, rows, summary
 
 
-# kind -> family; a family returns (header, rows, summary) and takes the
-# config plus its own options (only spectrum_check has one, ``bins``)
+# kind -> family; a family returns (header, rows, summary) in raw numbers and
+# takes the config plus its own options (only spectrum_check has one, ``bins``)
 _FAMILIES = {
     "spectrum_check": _spectrum_check,
     "eta_cdf": _eta_cdf,
@@ -378,35 +352,45 @@ _FAMILIES = {
 EXPERIMENT_KINDS = tuple(_FAMILIES)
 
 
-def experiment_options(kind: str, bins: int | None = None) -> dict:
-    """The keyword options of the family ``kind``, checked.
+def experiment_options(kind: str, cfg: SimConfig, bins: int | None = None) -> dict:
+    """The keyword options of the family ``kind``, with ``cfg`` checked
+    against the family's own rules.
 
     ``kind`` is one of :data:`EXPERIMENT_KINDS`.  ``bins`` is the histogram
     size of ``spectrum_check``, at least 2 (None means 50), and an error for
-    any other kind.  Raises :class:`ExperimentError`; a dry run checks its
-    plan here, so it fails where the run would.
+    any other kind.  ``mse_vs_antennas`` requires ``cfg.antennas_grid`` and
+    a cleaning ``cfg.csi``.  Raises :class:`ExperimentError`.  These are
+    every rule that a run checks before its first trial, and a dry run
+    checks them here too, so it fails where the run would.
     """
     if kind not in _FAMILIES:
         raise ExperimentError(
             f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}"
         )
-    if bins is None:
-        return {}
-    if kind != "spectrum_check":
+    if bins is not None and kind != "spectrum_check":
         raise ExperimentError(f"config field 'bins' applies to spectrum_check only, not {kind}")
-    if bins < 2:
+    if bins is not None and bins < 2:
         raise ExperimentError("spectrum_check requires config field 'bins' >= 2")
-    return {"bins": bins}
+    if kind == "mse_vs_antennas":
+        if cfg.antennas_grid is None:
+            raise ExperimentError("mse_vs_antennas requires config field 'antennas_grid'")
+        if cfg.csi not in ("ei_cleaned", "ei_cleaned_known_eta"):
+            raise ExperimentError(
+                "mse_vs_antennas requires csi of 'ei_cleaned' or 'ei_cleaned_known_eta'"
+            )
+    return {} if bins is None else {"bins": bins}
 
 
 def run_experiment(kind: str, cfg: SimConfig, bins: int | None = None) -> ExperimentResult:
     """Run one experiment family and return its tables and summary.
 
-    ``kind`` and ``bins`` are checked by :func:`experiment_options`.  The
-    result carries ``kind`` and the summary's ``wall_time_s``.
+    ``kind``, ``cfg`` and ``bins`` are checked by :func:`experiment_options`.
+    Every float of the rows and the summary is rounded by :func:`_round`,
+    so the JSON and the CSV carry the same numbers.  The result carries
+    ``kind`` and the summary's ``wall_time_s``.
     """
-    options = experiment_options(kind, bins)
+    options = experiment_options(kind, cfg, bins)
     t0 = time.perf_counter()
-    header, rows, summary = _FAMILIES[kind](cfg, **options)
+    header, rows, summary = _rounded(_FAMILIES[kind](cfg, **options))
     summary["wall_time_s"] = round(time.perf_counter() - t0, 3)
     return ExperimentResult(kind, header, tuple(rows), summary, cfg)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import statistics
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -234,9 +235,12 @@ class Aggregate:
     ber_hi: float
     trials_run: int
     resolved: bool
+    # the per-point CSI statistics are over the trials that clean the CSI,
+    # and None where the CSI mode cleans nothing (perfect, noisy_raw)
     mse_mean: float | None
     mse_noisy_mean: float | None
-    eta_hat_values: tuple
+    eta_hat_mean: float | None
+    eta_hat_std: float | None  # population spread; a constant eta_hat gives exactly 0
     degenerate_csi_trials: int
     identifiable_fraction: float | None  # over the trials that estimate eta
 
@@ -464,6 +468,7 @@ def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
     lo, hi = wilson_interval(errors, bits)
     mses = [m.mse_csi for m in metrics if m.mse_csi is not None]
     mses_noisy = [m.mse_noisy for m in metrics if m.mse_noisy is not None]
+    etas = [m.eta_hat for m in metrics if m.eta_hat is not None]
     flags = [m.identifiable for m in metrics if m.identifiable is not None]
     return Aggregate(
         bits=bits,
@@ -475,7 +480,8 @@ def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:
         resolved=errors >= cfg.min_errors,
         mse_mean=float(np.mean(mses)) if mses else None,
         mse_noisy_mean=float(np.mean(mses_noisy)) if mses_noisy else None,
-        eta_hat_values=tuple(m.eta_hat for m in metrics if m.eta_hat is not None),
+        eta_hat_mean=statistics.fmean(etas) if etas else None,
+        eta_hat_std=statistics.pstdev(etas) if etas else None,
         degenerate_csi_trials=sum(m.degenerate_csi for m in metrics),
         identifiable_fraction=float(np.mean(flags)) if flags else None,
     )

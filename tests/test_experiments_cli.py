@@ -218,6 +218,23 @@ def test_mse_vs_antennas_scalar_column_is_the_conditional_mean():
     assert row[4] == pytest.approx(eta * c / (1 - eta + eta * c) / antennas, rel=0.03)
 
 
+@pytest.mark.parametrize("mode", ["damped", "additive"])
+@pytest.mark.parametrize("c", [2.0, 0.5])
+def test_mse_vs_antennas_floor_is_the_conditional_means_error(mode, c):
+    # the floor is the scalar column's expectation, eta c / (1-eta+eta c) / A
+    # in either mode, not eta/A: a cleaner at the floor reads a ratio near 1
+    eta, antennas = 0.4, 128
+    cfg = SimConfig(
+        users=20, trials=20, eta=eta, c=c, corruption_mode=mode, seed=3300,
+        csi="ei_cleaned_known_eta", antennas_grid=(antennas,),
+    )
+    res = run_experiment("mse_vs_antennas", cfg)
+    row = res.rows[0]
+    assert row[5] == pytest.approx(eta * c / (1 - eta + eta * c) / antennas, rel=1e-9)
+    assert row[4] == pytest.approx(row[5], rel=0.03)
+    assert 0.95 < res.summary["headline"]["eta=0.4"]["ratio_to_floor_last"] < 1.1
+
+
 def test_every_family_sees_the_link_trials_observation():
     # one (seed, trial) draws one (H, H_obs), whichever family asks for it
     cfg = SimConfig(
@@ -326,6 +343,31 @@ def test_unknown_experiment_kind():
     with pytest.raises(ExperimentError) as ei:
         run_experiment("spectra", SimConfig())
     assert "unknown experiment kind" in str(ei.value)
+
+
+def _floats(v):
+    if isinstance(v, (float, np.floating)):
+        yield v
+    elif isinstance(v, (list, tuple)):
+        for x in v:
+            yield from _floats(x)
+    elif isinstance(v, dict):
+        for x in v.values():
+            yield from _floats(x)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_float_of_a_result_is_rounded(kind):
+    # the families return raw numbers and run_experiment rounds them once,
+    # so a family that bypassed the boundary would leave 17-digit floats
+    cfg = SimConfig(
+        csi="ei_cleaned", eta=(0.2, 0.4), snr_db=(2.0, 6.0), antennas_grid=(32,),
+        seed=5100, **_FAST_LINK,
+    )
+    res = run_experiment(kind, cfg)
+    floats = list(_floats([res.rows, res.summary]))
+    assert len(floats) > 3
+    assert all(v == _round(v) for v in floats)
 
 
 # -------------------------------------------------------------- file outputs
@@ -498,8 +540,10 @@ def _run_cli(argv, capsys):
     ],
 )
 def test_cli_subcommands_map_to_experiments(command, kind, capsys):
-    code, out, _ = _run_cli([command, "--dry-run"], capsys)
-    assert code == 0
+    # clean-csi has no antennas_grid by default, and a dry run rejects that
+    grid = ["--set", "antennas_grid=[32, 64]"] if command == "clean-csi" else []
+    code, out, err = _run_cli([command, "--dry-run", *grid], capsys)
+    assert code == 0, err
     assert json.loads(out)["experiment"] == kind
     assert tuple(k for k, _ in _SUBCOMMANDS.values()) == EXPERIMENT_KINDS
 
@@ -593,21 +637,26 @@ def test_cli_flag_is_its_set_item_placed_last(command, flag, value, other, capsy
     assert plan(f"--{flag}", value, "--set", f"{flag}={other}") == flagged
 
 
+# (argv, the config key its error names)
+_REJECTED_PLANS = [
+    (["spectra", "--bins", "1"], "bins"),
+    (["spectra", "--set", "bins=-4"], "bins"),
+    (["ber", "--set", "bins=3"], "bins"),
+    (["estimate-eta", "--set", "bins=50"], "bins"),
+    (["clean-csi"], "antennas_grid"),
+    (["clean-csi", "--set", "csi=perfect", "--set", "antennas_grid=[32, 64]"], "csi"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["spectra", "--bins", "1"],
-        ["spectra", "--set", "bins=-4"],
-        ["ber", "--set", "bins=3"],
-        ["estimate-eta", "--set", "bins=50"],
-    ],
+    "argv,key", _REJECTED_PLANS, ids=[f"argv{i}" for i in range(len(_REJECTED_PLANS))]
 )
-def test_cli_dry_run_rejects_what_the_run_rejects(argv, tmp_path, capsys):
+def test_cli_dry_run_rejects_what_the_run_rejects(argv, key, tmp_path, capsys):
     dry = _run_cli([*argv, "--dry-run"], capsys)
     run = _run_cli([*argv, "--set", "trials=1", "--out", str(tmp_path / "o")], capsys)
     assert dry[0] == run[0] == 2
     assert dry[1] == "" and dry[2] == run[2]
-    assert "bins" in dry[2]
+    assert key in dry[2]
     assert not (tmp_path / "o").exists()
 
 

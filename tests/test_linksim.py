@@ -1,5 +1,6 @@
 """Modulation, link trials, and the Monte-Carlo engine."""
 
+import statistics
 from dataclasses import replace
 
 import numpy as np
@@ -564,6 +565,24 @@ def test_default_snr_is_every_configured_snr():
     assert len(default) == 3
     assert all(isinstance(a, Aggregate) for a in default)
     assert default == linksim.monte_carlo(cfg, eta=cfg.eta[0], snr_db=cfg.snr_db)
+
+
+def test_monte_carlo_reports_each_points_eta_hat_statistics():
+    # min_errors 400 stops the three points after different trial counts;
+    # each point's mean and population spread are over its own trials'
+    # eta-hats, and nothing is estimated under perfect or raw CSI
+    cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi="ei_cleaned", eta=0.3, seed=21,
+                    trials=64, min_errors=400)
+    sweep = linksim.monte_carlo(cfg, snr_db=_SWEEP)
+    assert len({a.trials_run for a in sweep}) == 3
+    for agg in sweep:
+        etas = [linksim.downlink_trial(cfg, t, snr_db=(0.0,))[0].eta_hat
+                for t in range(agg.trials_run)]
+        assert agg.eta_hat_mean == statistics.fmean(etas)
+        assert agg.eta_hat_std == statistics.pstdev(etas) > 0
+    for csi in ("perfect", "noisy_raw"):
+        for agg in linksim.monte_carlo(replace(cfg, csi=csi), snr_db=_SWEEP):
+            assert agg.eta_hat_mean is None and agg.eta_hat_std is None
 
 
 def test_a_scalar_snr_is_a_type_error(count_calls):
