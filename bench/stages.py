@@ -2,6 +2,7 @@
 
     python3 bench/stages.py                           # 20x128, 30x256, 128x256
     python3 bench/stages.py --sizes 4x16 --repeats 3 --out /tmp/bench
+    python3 bench/stages.py --against HEAD~1 --rounds 5   # before/after pairs
 
 Run it from a source checkout; it imports ``eiprecode`` from ``src/`` and
 the span tracer from ``perfbench/tracing.py``.  The setup is WFQ precoding
@@ -9,12 +10,12 @@ on blind ``ei_cleaned`` CSI, QPSK, 4 bits, eta 0.3, SNR 0/4/8 dB and seed 7,
 with one BLAS thread.  Trials 0 .. repeats-1 each run as one
 ``downlink_trial`` call over all SNR points, with the tracer wrapped round
 the stage functions the trial looks up: ``draw_observation``,
-``estimate_eta`` and ``clean_channel`` once per trial, ``precode``,
-``transmit`` and ``demodulate`` once per SNR point.  So the stage times come
-from the trial's own code path, and ``other`` is the rest of the trial
-(the one Gram decomposition in ``estimate_csi``, symbols, the MSEs,
-noise plus ``H @ x``).  Trial 0 runs once more first,
-untraced, to fill caches.
+``estimate_eta`` and ``clean_channel`` once per trial, ``precode`` and
+``transmit`` once per SNR point, and ``demodulate`` once per trial for
+every SNR point together.  So the stage times come from the trial's own
+code path, and ``other`` is the rest of the trial (the one Gram
+decomposition in ``estimate_csi``, symbols, the MSEs, ``H @ x`` and the
+noise).  Trial 0 runs once more first, untraced, to fill caches.
 
 It writes ``BENCH_<short-commit>.json`` (``-dirty`` appended when the
 checkout has uncommitted changes) with, per size, the median and
@@ -23,6 +24,16 @@ its mean minor page faults per call, the same for the whole trial with its
 minor page faults per trial, and the environment.  Faults are
 ``resource.getrusage`` deltas round each call; ``other`` has a trial's
 faults less those of its stage calls.
+
+``--against REF`` compares this checkout with the commit REF, checked out
+with ``git worktree`` under a temporary directory that is removed
+afterwards.  Each round runs every size once in each tree, in a fresh
+subprocess per run and in alternating order, so that both sides of a pair
+see the same host state.  The JSON (``BENCH_<commit>-vs-<ref>.json``)
+holds, per size and side (``tree`` and ``ref``), the median over rounds of
+each stage's median ms and of its minor faults per call (per trial for
+``trial``), and under ``wins`` the rounds in which this checkout was faster
+than REF, stage by stage.
 """
 
 import argparse
@@ -34,15 +45,21 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the checkout whose package is measured: this one, or the ``--tree`` that
+# an ``--against`` run hands each of its subprocesses
+TREE = ROOT
 if __name__ == "__main__":
     # one BLAS thread, set before numpy loads, as the repository benchmark does
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    if "--tree" in sys.argv[:-1]:
+        TREE = Path(sys.argv[sys.argv.index("--tree") + 1]).resolve()
+sys.path[:0] = [str(TREE / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 from tracing import Target, Tracer, self_times  # noqa: E402
@@ -84,13 +101,16 @@ def parse_args(argv):
     p.add_argument("--sizes", default="20x128,30x256,128x256", help="UxA,UxA,...")
     p.add_argument("--repeats", type=int, default=30, help="timed trials per size")
     p.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON")
+    p.add_argument("--against", metavar="REF", help="git commit to compare this checkout with")
+    p.add_argument("--rounds", type=int, default=5, help="alternated pairs per size (--against)")
+    p.add_argument("--tree", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     try:
         args.sizes = [tuple(int(n) for n in s.split("x")) for s in args.sizes.split(",")]
     except ValueError:
         p.error(f"--sizes must look like 20x128,30x256, got {args.sizes!r}")
-    if args.repeats < 1 or any(len(s) != 2 for s in args.sizes):
-        p.error("--repeats must be >= 1 and every size must be UxA")
+    if args.repeats < 1 or args.rounds < 1 or any(len(s) != 2 for s in args.sizes):
+        p.error("--repeats and --rounds must be >= 1 and every size must be UxA")
     return args
 
 
@@ -170,9 +190,11 @@ def measure_size(users, antennas, repeats):
     return {"repeats": repeats, "stages": stages, "trial": trial}
 
 
-def _git(*args):
+def _git(*args, cwd=None):
     try:
-        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+        done = subprocess.run(
+            ["git", *args], cwd=cwd or TREE, capture_output=True, text=True, check=True
+        )
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
@@ -204,21 +226,107 @@ def environment():
     }
 
 
+def _size_name(size):
+    return "x".join(map(str, size))
+
+
+def _run_tree(tree, size, repeats, out):
+    """One subprocess measuring ``size`` on the package of ``tree``; its
+    document."""
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--tree", str(tree),
+         "--sizes", _size_name(size), "--repeats", str(repeats), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    if done.returncode:
+        raise SystemExit(f"--against: the run on {tree} failed:\n{done.stderr}")
+    path = Path(done.stdout.strip().splitlines()[-1])
+    doc = json.loads(path.read_text())
+    path.unlink()
+    return doc
+
+
+def _parts(run):
+    """A run's stages and its whole trial, each with its ``faults`` count."""
+    parts = {k: {**v, "faults": v["minor_faults_per_call"]} for k, v in run["stages"].items()}
+    parts["trial"] = {**run["trial"], "faults": run["trial"]["minor_faults_per_trial"]}
+    return parts
+
+
+def _medians(runs):
+    """Per stage (and ``trial``), the median over runs of the run medians
+    and of the minor faults per call (per trial for ``trial``)."""
+    parts = [_parts(r) for r in runs]
+    return {
+        name: {
+            key: round(float(np.median([p[name][key] for p in parts])), 4)
+            for key in ("median_ms", "faults")
+        }
+        for name in parts[0]
+    }
+
+
+def compare(ref, sizes, repeats, rounds):
+    """This checkout against commit ``ref``: per size, both sides' medians
+    over ``rounds`` alternated subprocess pairs and this side's wins."""
+    commit = _git("rev-parse", "--short", ref, cwd=ROOT)
+    if commit is None:
+        raise SystemExit(f"--against: {ref!r} is not a commit of this checkout")
+    runs = {size: {"tree": [], "ref": []} for size in sizes}
+    with tempfile.TemporaryDirectory(prefix="eiprecode-bench-") as tmp:
+        worktree = Path(tmp) / "ref"
+        if _git("worktree", "add", "--detach", str(worktree), commit, cwd=ROOT) is None:
+            raise SystemExit(f"--against: git worktree add failed for {ref!r}")
+        try:
+            for r in range(rounds):
+                for size in sizes:
+                    sides = [("tree", ROOT), ("ref", worktree)]
+                    for side, tree in sides if r % 2 == 0 else sides[::-1]:
+                        doc = _run_tree(tree, size, repeats, tmp)
+                        runs[size][side].append(doc["sizes"][_size_name(size)])
+        finally:
+            _git("worktree", "remove", "--force", str(worktree), cwd=ROOT)
+    result = {}
+    for size, sides in runs.items():
+        row = {"repeats": repeats, "rounds": rounds}
+        row.update({side: _medians(r) for side, r in sides.items()})
+        pairs = [(_parts(a), _parts(b)) for a, b in zip(sides["tree"], sides["ref"])]
+        row["wins"] = {
+            name: sum(a[name]["median_ms"] < b[name]["median_ms"] for a, b in pairs)
+            for name in row["tree"]
+        }
+        result[_size_name(size)] = row
+    return {"ref": ref, "commit": commit, "rounds": rounds}, result
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     env = environment()
-    doc = {
-        "setup": {**SETUP, "units": "ms per call; calls_per_trial calls make one trial"},
-        "environment": env,
-        "sizes": {f"{u}x{a}": measure_size(u, a, args.repeats) for u, a in args.sizes},
-    }
-    name = f"BENCH_{env['commit'] or 'nogit'}{'-dirty' if env['dirty'] else ''}.json"
+    setup = {**SETUP, "units": "ms per call; calls_per_trial calls make one trial"}
+    if args.against is not None:
+        against, sizes = compare(args.against, args.sizes, args.repeats, args.rounds)
+        doc = {"setup": setup, "environment": env, "against": against, "sizes": sizes}
+        suffix = f"-vs-{against['commit']}"
+    else:
+        sizes = {_size_name(s): measure_size(*s, args.repeats) for s in args.sizes}
+        doc = {"setup": setup, "environment": env, "sizes": sizes}
+        suffix = ""
+    name = f"BENCH_{env['commit'] or 'nogit'}{'-dirty' if env['dirty'] else ''}{suffix}.json"
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / name
     path.write_text(json.dumps(doc, indent=2) + "\n")
     for size, res in doc["sizes"].items():
-        row = ", ".join(f"{k} {v['median_ms']:.3f}" for k, v in res["stages"].items())
-        print(f"{size}: trial {res['trial']['median_ms']:.3f} ms; {row}", file=sys.stderr)
+        if args.against is None:
+            row = ", ".join(f"{k} {v['median_ms']:.3f}" for k, v in res["stages"].items())
+            print(f"{size}: trial {res['trial']['median_ms']:.3f} ms; {row}", file=sys.stderr)
+        else:
+            tree, ref = res["tree"]["trial"], res["ref"]["trial"]
+            print(
+                f"{size}: trial {tree['median_ms']:.3f} ms against {ref['median_ms']:.3f} ms, "
+                f"faster in {res['wins']['trial']} of {res['rounds']} rounds; minor faults "
+                f"per trial {tree['faults']} against {ref['faults']}",
+                file=sys.stderr,
+            )
     print(path)
     return 0
 

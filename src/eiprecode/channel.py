@@ -16,6 +16,7 @@ is blindly unidentifiable in that corner (see eta estimator docs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +98,8 @@ class GramEig:
     One per trial serves every spectral stage: the estimator's moments are
     power sums of ``values``, the cleaner keeps ``vectors`` and returns the
     cleaned channel's own GramEig, and every precoder is
-    diagonal in ``vectors``.  The value order is free (:func:`gram_eig`
+    diagonal in ``vectors`` and transmits through
+    :attr:`antenna_vectors`.  The value order is free (:func:`gram_eig`
     gives eigh's ascending order); each value pairs with its column.
     """
 
@@ -108,6 +110,21 @@ class GramEig:
     def scaled(self, k: float) -> GramEig:
         """The GramEig of ``k * matrix``, with no new decomposition."""
         return GramEig(k * self.matrix, (k * k) * self.values, self.vectors)
+
+    @cached_property
+    def antenna_vectors(self) -> np.ndarray:
+        """W^H = matrix^H vectors (A x U): each eigendirection seen from the
+        antennas.  Made on first use and kept, so every precoder built on
+        this GramEig transmits through one copy."""
+        w = self.vectors.conj().T @ self.matrix
+        return np.conjugate(w, out=w).T
+
+    @cached_property
+    def antenna_weights(self) -> np.ndarray:
+        """|W^H|^2, entry by entry (A x U, real): an antenna's power is its
+        row times the squared per-direction gains."""
+        w = self.antenna_vectors
+        return w.real * w.real + w.imag * w.imag
 
 
 def gram_eig(X) -> GramEig:

@@ -12,6 +12,7 @@ at a precedence below explicit flags and --set pairs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -83,8 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing never changes it, so every
+    :func:`main` call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     kind = _SUBCOMMANDS[args.command][0]
     flags = [f"{k}={getattr(args, k)}" for k in _FLAGS if getattr(args, k, None) is not None]
     try:

@@ -25,6 +25,14 @@ stage: the observation's :class:`~eiprecode.channel.GramEig` feeds eta-hat
 and the cleaner, which returns the cleaned CSI with its own, and in the
 ``perfect`` and ``noisy_raw`` modes the CSI's GramEig serves every SNR
 point's precoder.
+
+Every SNR point of a trial, in every CSI mode and for every precoder, is
+sent the same way: :func:`~eiprecode.precoding.transmit` forms the samples
+from the CSI eigenbasis into one (A, N) DAC block per thread, made on
+first use and remade only when the shape changes, and ``H x`` goes into
+the point's row of one (S, U, N) receive block, which takes the point's
+scaled unit noise and beta in place.  One :func:`demodulate` and one error
+count then serve all S points.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import math
 import numbers
 import statistics
 import sys
+import threading
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -259,12 +268,13 @@ class MonteCarloError(RuntimeError):
 
 # Gray-PAM per axis: scheme -> (levels, bit group of each level); the groups
 # of adjacent levels differ in one bit, and a symbol carries one group on I
-# and one on Q
+# and one on Q.  Bits are bytes: a trial detects every SNR point's block in
+# one call, whose output would be 8 times larger as int64.
 _GRAY_PAM = {
-    "QPSK": (np.array([-1.0, 1.0]) / np.sqrt(2.0), np.array([[1], [0]])),
+    "QPSK": (np.array([-1.0, 1.0]) / np.sqrt(2.0), np.array([[1], [0]], dtype=np.uint8)),
     "16QAM": (
         np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0),
-        np.array([[0, 0], [0, 1], [1, 1], [1, 0]]),
+        np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8),
     ),
 }
 
@@ -302,7 +312,7 @@ def modulate(bits, scheme: str = "QPSK") -> np.ndarray:
 
 
 def demodulate(symbols, scheme: str = "QPSK") -> np.ndarray:
-    """Minimum-distance demodulation back to a flat 0/1 array."""
+    """Minimum-distance demodulation back to a flat 0/1 array of uint8."""
     levels, groups = _gray_pam(scheme)
     axes = np.asarray(symbols, dtype=complex).ravel().view(float)  # I, Q, I, Q, ...
     # the level index is the count of midpoints at or below the value, as
@@ -406,8 +416,9 @@ def downlink_trial(
     with beta 1, and is flagged ``degenerate_csi``.
 
     The observation, eta_hat, cleaned CSI, MSEs, symbols and unit-variance
-    receiver noise are computed once, and only the precoder, transmission
-    and detection run per SNR, so each entry equals a call with that SNR
+    receiver noise are computed once, and only the precoder and the
+    transmission run per SNR; detection runs once for every point's
+    received block together.  So each entry equals a call with that SNR
     alone.
     """
     eta = cfg.eta[0] if eta is None else float(eta)
@@ -436,29 +447,49 @@ def downlink_trial(
     s = modulate(tx_bits, cfg.modulation).reshape(dims.users, cfg.symbols_per_trial)
     unit_noise = rng_noise.standard_normal(s.shape) + 1j * rng_noise.standard_normal(s.shape)
 
-    metrics = []
-    for snr in snrs:
+    # one received block per SNR point: H x (zero when nothing is sent),
+    # plus the scaled unit noise, times beta
+    y = np.empty((len(snrs), *s.shape), dtype=complex)
+    block = _dac_block((dims.antennas, cfg.symbols_per_trial))
+    for y_i, snr in zip(y, snrs):
         sigma2 = 10.0 ** (-float(snr) / 10.0)
-        y, beta = unit_noise * np.sqrt(sigma2 / 2.0), 1.0
-        if not degenerate:
+        beta = 1.0
+        if degenerate:
+            y_i[...] = 0.0
+        else:
             pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer)
-            y += H_link @ precoding.transmit(pout, s, cfg.quantizer)
+            np.matmul(H_link, precoding.transmit(pout, s, cfg.quantizer, out=block), out=y_i)
             beta = pout.beta
-        y *= beta
-        rx_bits = demodulate(y.reshape(-1), cfg.modulation)
-        metrics.append(
-            TrialMetrics(
-                trial_index=trial_index,
-                bits_sent=n_bits,
-                bit_errors=int(np.count_nonzero(rx_bits != tx_bits)),
-                mse_csi=mse_csi,
-                mse_noisy=mse_noisy,
-                eta_hat=eta_hat,
-                degenerate_csi=degenerate,
-                identifiable=identifiable,
-            )
+        y_i += unit_noise * np.sqrt(sigma2 / 2.0)
+        y_i *= beta
+    rx_bits = demodulate(y.reshape(-1), cfg.modulation).reshape(len(snrs), n_bits)
+    bit_errors = np.count_nonzero(rx_bits != tx_bits, axis=1)
+    return tuple(
+        TrialMetrics(
+            trial_index=trial_index,
+            bits_sent=n_bits,
+            bit_errors=int(errors),
+            mse_csi=mse_csi,
+            mse_noisy=mse_noisy,
+            eta_hat=eta_hat,
+            degenerate_csi=degenerate,
+            identifiable=identifiable,
         )
-    return tuple(metrics)
+        for errors in bit_errors
+    )
+
+
+_thread_state = threading.local()
+
+
+def _dac_block(shape: tuple[int, int]) -> np.ndarray:
+    """This thread's (A, N) transmit block, reused by every trial and SNR
+    point the thread runs; it is made on first use and remade only when the
+    shape changes."""
+    block = getattr(_thread_state, "dac_block", None)
+    if block is None or block.shape != shape:
+        block = _thread_state.dac_block = np.empty(shape, dtype=complex)
+    return block
 
 
 def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:

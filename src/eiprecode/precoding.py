@@ -20,8 +20,12 @@ The total transmit power is fixed at 1, the unit the SNR is defined in:
 precoders return a matrix P with tr(P P^H) = 1 and a receiver scaling beta
 minimizing the linearized symbol error E||s - beta(H F P s + H d + n)||^2
 in closed form.  Every precoder is diagonal in the eigenbasis of the CSI
-Gram H H^H = E diag(lam) E^H, so it runs on the CSI's
-:class:`~eiprecode.channel.GramEig`, one per trial for every SNR point.
+Gram H H^H = E diag(lam) E^H: P = W^H diag(g) E^H with W^H = H^H E and
+per-direction gains g.  So it runs on the CSI's
+:class:`~eiprecode.channel.GramEig`, one per trial for every SNR point, and
+is kept in that form: :func:`precode` makes only the U gains, and
+:func:`transmit` sends W^H (g * E^H s) through the DACs, with the antenna
+variances |W^H|^2 g^2, from the two A x U products the GramEig makes once.
 """
 
 from __future__ import annotations
@@ -203,14 +207,25 @@ def _quantized_power(spec: QuantizerSpec, v: float) -> float:
 
 @dataclass(frozen=True)
 class PrecodeOutput:
-    """Power-normalized precoding matrix plus receiver scaling."""
+    """A power-normalized precoder in the eigenbasis of its CSI Gram, plus
+    the receiver scaling: P = W^H diag(gains) E^H for the CSI's
+    ``csi.vectors`` E and ``csi.antenna_vectors`` W^H."""
 
-    P: np.ndarray
+    csi: GramEig
+    gains: np.ndarray
     beta: float
     kind: str
     # read only by perfbench's wfq_precode observer; every precoder is closed form
     converged: bool = True
     residuals: tuple = field(default=())
+
+    @property
+    def P(self) -> np.ndarray:
+        """The A x U precoding matrix, made afresh on each read:
+        (E diag(gains) E^H H)^H, one product over the A antennas, U×U by
+        U×A."""
+        E = self.csi.vectors
+        return (((E * self.gains) @ E.conj().T) @ self.csi.matrix).conj().T
 
 
 # a regularized Gram whose smallest eigenvalue is at most U eps times its
@@ -219,20 +234,17 @@ _EPS = np.finfo(float).eps
 
 
 def _spectral(csi: GramEig, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P = c H^H E diag(d) E^H for H H^H = E diag(lam) E^H, scaled to
-    tr(P P^H) = c^2 sum lam d^2 = 1, and the eigenvalues c lam d of the
-    Hermitian U×U product H P = E diag(c lam d) E^H.
+    """The gains c d of P = c H^H E diag(d) E^H for H H^H = E diag(lam) E^H,
+    scaled to tr(P P^H) = c^2 sum lam d^2 = 1, and the eigenvalues c lam d
+    of the Hermitian U×U product H P = E diag(c lam d) E^H.
 
-    P is (E diag(c d) E^H H)^H, so the one product over the A antennas is
-    U×U by U×A, and nothing A-sized outlives the call.  A zero P raises
-    ``LinAlgError``.
+    Nothing A-sized is made.  A zero P raises ``LinAlgError``.
     """
     power = float(np.dot(csi.values, d * d))
     if not power > 0:
         raise np.linalg.LinAlgError("zero precoding matrix")
     cd = d * np.sqrt(1.0 / power)
-    E = csi.vectors
-    return (((E * cd) @ E.conj().T) @ csi.matrix).conj().T, csi.values * cd
+    return cd, csi.values * cd
 
 
 def _regularized(csi: GramEig, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +282,8 @@ def wf_precode(H_csi: np.ndarray | GramEig, sigma2: float) -> PrecodeOutput:
     """Regularized (Wiener) precoder P ~ H^H (H H^H + U sigma^2 I)^{-1},
     scaled to tr(P P^H) = 1; ``H_csi`` is the CSI or its GramEig."""
     csi = gram_eig(H_csi)
-    P, hp = _regularized(csi, sigma2)
-    return PrecodeOutput(P=P, beta=_receiver_beta(csi, hp, sigma2), kind="WF")
+    gains, hp = _regularized(csi, sigma2)
+    return PrecodeOutput(csi, gains, beta=_receiver_beta(csi, hp, sigma2), kind="WF")
 
 
 def wfq_precode(
@@ -299,9 +311,9 @@ def wfq_precode(
     users = csi.values.size
     gain = bussgang_gain(spec, 1.0)
     sigma_d2 = (1.0 - gain) * (users * sigma2 + 1.0)
-    P, hp = _regularized(csi, sigma2 + sigma_d2)
+    gains, hp = _regularized(csi, sigma2 + sigma_d2)
     beta = _receiver_beta(csi, hp, sigma2, gain, sigma_d2)
-    return PrecodeOutput(P=P, beta=beta, kind="WFQ"), gain
+    return PrecodeOutput(csi, gains, beta=beta, kind="WFQ"), gain
 
 
 def precode(
@@ -333,42 +345,55 @@ def precode(
     if kind == "WFQ":
         return wfq_precode(csi, sigma2, spec=spec)[0]
     if kind == "MRT":
-        P, hp = _spectral(csi, np.ones_like(csi.values))
+        gains, hp = _spectral(csi, np.ones_like(csi.values))
     else:
-        P, hp = _regularized(csi, 0.0 if kind == "ZF" else sigma2)
-    return PrecodeOutput(P=P, beta=_receiver_beta(csi, hp, sigma2), kind=kind)
+        gains, hp = _regularized(csi, 0.0 if kind == "ZF" else sigma2)
+    return PrecodeOutput(csi, gains, beta=_receiver_beta(csi, hp, sigma2), kind=kind)
 
 
 def transmit(
-    pout: PrecodeOutput, s: np.ndarray, spec: QuantizerSpec | None = None
+    pout: PrecodeOutput,
+    s: np.ndarray,
+    spec: QuantizerSpec | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Map symbol vectors to antenna samples through the configured DACs.
 
-    ``spec=None`` bypasses quantization (ideal DACs).  For QCE outputs the
-    antenna samples are constant-envelope with the phase rounded to one of
-    2^B sectors.  Otherwise the precoded samples are quantized per antenna,
-    at auto steps from diag(P P^H), and scaled so the expected radiated
-    power is 1.  An auto step makes E|Q(u)|^2 = P_B sigma_m2 on every
-    antenna, with P_B = quantized_power(spec, 1), so the power is
-    P_B tr(P P^H) = P_B and the scale is the constant sqrt(1 / P_B).  A
-    fixed step breaks that and raises ``ValueError``.
+    The precoded samples are P s = W^H (g * E^H s), formed in the CSI
+    eigenbasis with the gains g of ``pout``.  ``spec=None`` bypasses
+    quantization (ideal DACs).  For QCE outputs the antenna samples are
+    constant-envelope with the phase rounded to one of 2^B sectors.
+    Otherwise the precoded samples are quantized per antenna, at auto steps
+    from the antenna variances diag(P P^H) = |W^H|^2 g^2, and scaled so the
+    expected radiated power is 1.  An auto step makes
+    E|Q(u)|^2 = P_B sigma_m2 on every antenna, with
+    P_B = quantized_power(spec, 1), so the power is P_B tr(P P^H) = P_B and
+    the scale is the constant sqrt(1 / P_B).  A fixed step breaks that and
+    raises ``ValueError``.
+
+    The samples are written into ``out``, a C-contiguous complex array of
+    the result's shape, which is returned; without it they go into a new
+    array.  Either way the DAC works in place on that one block.
     """
-    s = np.asarray(s, dtype=complex)
-    x_lin = pout.P @ s
+    if pout.kind == "QCE" and spec is None:
+        raise ValueError("QCE transmit needs a quantizer spec")
+    if pout.kind != "QCE" and spec is not None and not spec.is_auto:
+        raise ValueError("transmit needs an auto-step quantizer spec")
+    csi, g = pout.csi, pout.gains
+    v = csi.vectors.conj().T @ np.asarray(s, dtype=complex)
+    np.multiply(v.T, g, out=v.T)  # E^H s, each direction times its gain
+    x = np.matmul(csi.antenna_vectors, v, out=out)
     if pout.kind == "QCE":
-        if spec is None:
-            raise ValueError("QCE transmit needs a quantizer spec")
         sectors = 2 ** spec.bits
         width = 2.0 * np.pi / sectors
-        phase = np.round(np.angle(x_lin) / width) * width
-        amp = np.sqrt(1.0 / pout.P.shape[0])
-        return amp * np.exp(1j * phase)
+        phase = np.round(np.angle(x) / width) * width
+        np.multiply(phase, 1j, out=x)
+        np.exp(x, out=x)
+        x *= np.sqrt(1.0 / x.shape[0])
+        return x
     if spec is None:
-        return x_lin
-    if not spec.is_auto:
-        raise ValueError("transmit needs an auto-step quantizer spec")
-    sigma_m2 = np.einsum("ij,ij->i", pout.P, pout.P.conj()).real
-    # x_lin is this call's own block, so the DAC overwrites it
-    x = _quantize_in_place(x_lin, spec, sigma_m2 / 2.0)
+        return x
+    sigma_m2 = csi.antenna_weights @ (g * g)
+    _quantize_in_place(x, spec, sigma_m2 / 2.0)
     x *= np.sqrt(1.0 / quantized_power(spec, 1.0))
     return x

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "stages.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "bench" / "stages.py"
+STAGES = ["draw", "estimate", "clean", "precode", "transmit", "demodulate", "other"]
 
 
 def _load_script():
@@ -31,11 +35,11 @@ def test_stage_script_writes_every_stage_and_the_environment(tmp_path):
     assert {"commit", "dirty", "python", "numpy", "cpu_count"} <= set(doc["environment"])
     assert set(doc["sizes"]) == {"4x16", "2x8"}
     keys = {"median_ms", "iqr_ms", "samples", "calls_per_trial", "minor_faults_per_call"}
-    per_trial = {"draw": 1, "estimate": 1, "clean": 1, "other": 1}
+    # precode and transmit run once per SNR point, the rest once per trial
+    per_trial = {"draw": 1, "estimate": 1, "clean": 1, "demodulate": 1, "other": 1}
     for res in doc["sizes"].values():
         assert res["repeats"] == 2
-        stages = ["draw", "estimate", "clean", "precode", "transmit", "demodulate", "other"]
-        assert list(res["stages"]) == stages
+        assert list(res["stages"]) == STAGES
         for name, stage in res["stages"].items():
             assert set(stage) == keys, name
             assert stage["median_ms"] > 0 and stage["iqr_ms"] >= 0
@@ -70,3 +74,37 @@ def test_stage_times_are_spans_inside_each_downlink_trial():
         assert len(faults[stage]) == len(by_name[name]), stage
         assert all(f >= 0 for f in faults[stage]), stage
     assert sum(sum(faults[stage]) for stage in stages.STAGES) <= sum(faults["trial"])
+
+
+def _git(*args):
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def test_against_pairs_this_checkout_with_a_commit_and_removes_its_worktree(tmp_path):
+    commit = _git("rev-parse", "--short", "HEAD")
+    if commit is None:
+        pytest.skip("needs a git checkout with a commit")
+    worktrees = _git("worktree", "list", "--porcelain")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--against", "HEAD", "--sizes", "2x8", "--repeats", "2",
+         "--rounds", "2", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    path = Path(done.stdout.strip().splitlines()[-1])
+    assert path.parent == tmp_path and path.name.endswith(f"-vs-{commit}.json")
+    doc = json.loads(path.read_text())
+    assert doc["against"] == {"ref": "HEAD", "commit": commit, "rounds": 2}
+    row = doc["sizes"]["2x8"]
+    assert set(row) == {"repeats", "rounds", "tree", "ref", "wins"}
+    for side in ("tree", "ref"):
+        assert list(row[side]) == [*STAGES, "trial"]
+        for part in row[side].values():
+            assert set(part) == {"median_ms", "faults"} and part["median_ms"] > 0
+    assert list(row["wins"]) == [*STAGES, "trial"]
+    assert all(0 <= wins <= 2 for wins in row["wins"].values())
+    # the temporary checkout is gone again
+    assert _git("worktree", "list", "--porcelain") == worktrees

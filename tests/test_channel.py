@@ -82,6 +82,26 @@ def test_gen_channel_gram_matches_mp_histogram():
 
 
 # ---------------------------------------------------------------------------
+# Gram eigendecomposition
+
+
+def test_gram_eig_antenna_products_are_made_once_and_kept():
+    h = _chan(6, 40, 9)
+    csi = channel.gram_eig(h)
+    w = csi.antenna_vectors
+    assert w.shape == (40, 6)
+    want = h.conj().T @ csi.vectors
+    assert np.max(np.abs(w - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(csi.antenna_weights, w.real ** 2 + w.imag ** 2)
+    assert csi.antenna_weights.dtype == float
+    # cached: every precoder on this GramEig transmits through one copy
+    assert csi.antenna_vectors is w and csi.antenna_weights is csi.antenna_weights
+    # a rescaled GramEig makes its own
+    scaled = csi.scaled(2.0)
+    assert np.max(np.abs(scaled.antenna_vectors - 2.0 * w)) <= 1e-14 * np.max(np.abs(w))
+
+
+# ---------------------------------------------------------------------------
 # corruption
 
 

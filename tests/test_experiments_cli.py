@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -418,6 +419,22 @@ def test_parse_set_item_yaml_scalars():
     assert parse_set_item("c=1.5") == ("c", 1.5)
 
 
+@pytest.mark.parametrize(
+    "raw", ["0.3", "1e-3", "bypass", "null", "yes", "0x10", ".inf", "[1, 2]", "012", "~"]
+)
+def test_parse_set_item_reads_a_value_as_yaml_safe_load_does(raw):
+    # YAML 1.1 scalars: 1e-3 is a string, yes is True, 012 is octal
+    assert parse_set_item(f"c={raw}") == ("c", yaml.safe_load(raw))
+
+
+@pytest.mark.parametrize("raw", ["[1, 2", "!!python/object/apply:os.getcwd []", "\t"])
+def test_parse_set_item_rejects_what_yaml_safe_load_rejects(raw):
+    with pytest.raises(yaml.YAMLError):
+        yaml.safe_load(raw)
+    with pytest.raises(ConfigError, match="unparseable value"):
+        parse_set_item(f"c={raw}")
+
+
 def test_parse_set_item_rejects_malformed():
     with pytest.raises(ConfigError):
         parse_set_item("seed")
@@ -658,6 +675,27 @@ def test_cli_dry_run_rejects_what_the_run_rejects(argv, key, tmp_path, capsys):
     assert dry[1] == "" and dry[2] == run[2]
     assert key in dry[2]
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_calls_in_one_process_each_get_their_own_config(capsys):
+    # the parser is built once per process; no --set list or flag value of
+    # one call may reach the next
+    def plan(*argv):
+        code, out, err = _run_cli(["ber", "--dry-run", *argv], capsys)
+        assert code == 0, err
+        return json.loads(out)["config"]
+
+    first = ("--set", "trials=3", "--set", "eta=[0.2]", "--seed", "5", "--bits", "2")
+    second = ("--set", "snr_db=[1.0]", "--threads", "2")
+    alone = {
+        argv: asdict(parse_config(overrides=items)[0])
+        for argv, items in (
+            (first, ["trials=3", "eta=[0.2]", "seed=5", "bits=2"]),
+            (second, ["snr_db=[1.0]", "threads=2"]),
+        )
+    }
+    for argv in (first, second, first, second):
+        assert plan(*argv) == json.loads(json.dumps(alone[argv])), argv
 
 
 def test_cli_flag_beats_set(capsys):

@@ -246,12 +246,14 @@ def test_transmit_matches_the_two_pass_reference_bit_for_bit(bits):
     out = precoding.wf_precode(_chan(users, antennas, 310 + bits), 0.1)
     rng = np.random.default_rng(320 + bits)
     block = rng.standard_normal((users, 33)) + 1j * rng.standard_normal((users, 33))
-    sigma_m2 = np.einsum("ij,ij->i", out.P, out.P.conj()).real
+    # P s = W^H (g * E^H s) and diag(P P^H) = |W^H|^2 g^2 in the CSI eigenbasis
+    W, E, g = out.csi.antenna_vectors, out.csi.vectors, out.gains
+    sigma_m2 = (W.real ** 2 + W.imag ** 2) @ g ** 2
     steps = spec.step_for(sigma_m2 / 2.0)
     scale = np.sqrt(1.0 / precoding.quantized_power(spec, 1.0))
-    for s, step in ((block, steps[:, None]), (block[:, 3], steps)):
+    for s, step, gain in ((block, steps[:, None], g[:, None]), (block[:, 3], steps, g)):
         before = s.copy()
-        want = _reference_quantize(out.P @ s, bits, step) * scale
+        want = _reference_quantize(W @ (gain * (E.conj().T @ s)), bits, step) * scale
         assert np.array_equal(precoding.transmit(out, s, spec), want)
         assert before.tobytes() == s.tobytes()
 
@@ -727,12 +729,14 @@ def test_transmit_bypass_is_linear():
     rng = np.random.default_rng(162)
     s = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2.0)
     x = precoding.transmit(out, s, spec=None)
-    assert np.array_equal(x, out.P @ s)
+    W, E = out.csi.antenna_vectors, out.csi.vectors
+    assert np.array_equal(x, W @ (out.gains * (E.conj().T @ s)))
+    assert np.linalg.norm(x - out.P @ s) <= 1e-13 * np.linalg.norm(x)
 
 
 def test_transmit_quantizes_its_own_block_in_place():
     # the DAC overwrites transmit's own P s block, the one A×N block it makes;
-    # the rest of the peak is the A×U conjugate of P for the antenna variances
+    # the antenna products of the CSI are made by the first call and kept
     users, antennas, symbols = 30, 256, 100
     spec = QuantizerSpec(3)
     pout = precoding.precode("WFQ", np.sqrt(antennas) * _chan(users, antennas, 181), 0.1, spec=spec)
@@ -750,6 +754,50 @@ def test_transmit_quantizes_its_own_block_in_place():
     assert peak <= 1.5 * block, peak / block
     assert s.tobytes() == s_before.tobytes()
     assert pout.P.tobytes() == P_before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [("WFQ", QuantizerSpec(3)), ("WF", None), ("MRT", QuantizerSpec(2)), ("QCE", QuantizerSpec(3))],
+)
+def test_transmit_into_out_returns_it_with_the_fresh_bits(kind, spec):
+    users, antennas, symbols = 5, 24, 17
+    pout = precoding.precode(kind, np.sqrt(antennas) * _chan(users, antennas, 187), 0.1, spec=spec)
+    rng = np.random.default_rng(188)
+    s = rng.standard_normal((users, symbols)) + 1j * rng.standard_normal((users, symbols))
+    fresh = precoding.transmit(pout, s, spec)
+    buf = np.full((antennas, symbols), np.nan, dtype=complex)
+    assert precoding.transmit(pout, s, spec, out=buf) is buf
+    assert buf.tobytes() == fresh.tobytes()
+    # without out every call gets its own block, never a shared one
+    again = precoding.transmit(pout, s, spec)
+    assert not np.shares_memory(again, fresh) and not np.shares_memory(again, buf)
+    assert again.tobytes() == fresh.tobytes()
+
+
+def test_precode_and_transmit_into_out_make_nothing_antenna_sized():
+    # precode forms only the U gains; transmit into out makes no A×N block
+    users, antennas, symbols = 30, 256, 100
+    spec = QuantizerSpec(3)
+    csi = channel.gram_eig(np.sqrt(antennas) * _chan(users, antennas, 189))
+    rng = np.random.default_rng(190)
+    s = rng.standard_normal((users, symbols)) + 1j * rng.standard_normal((users, symbols))
+    buf = np.empty((antennas, symbols), dtype=complex)
+    precoding.transmit(precoding.precode("WFQ", csi, 0.1, spec=spec), s, spec, out=buf)
+    tracemalloc.start()
+    try:
+        pout = precoding.precode("WFQ", csi, 0.2, spec=spec)
+        precode_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        precoding.transmit(pout, s, spec, out=buf)
+        transmit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = antennas * np.dtype(complex).itemsize
+    assert precode_peak < column, precode_peak
+    # E^H s (U×N), a few per-antenna vectors and numpy's broadcast buffers:
+    # less than half an A×N block
+    assert transmit_peak < 0.5 * column * symbols, transmit_peak / (column * symbols)
 
 
 def test_transmit_zero_symbols_hit_half_step_corner():
