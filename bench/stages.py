@@ -2,7 +2,7 @@
 
     python3 bench/stages.py                           # 20x128, 30x256, 128x256
     python3 bench/stages.py --sizes 4x16 --repeats 3 --out /tmp/bench
-    python3 bench/stages.py --against HEAD~1 --rounds 5   # before/after pairs
+    python3 bench/stages.py --against HEAD~1          # before/after pairs
 
 Run it from a source checkout; it imports ``eiprecode`` from ``src/`` and
 the span tracer from ``perfbench/tracing.py``.  The setup is WFQ precoding
@@ -10,9 +10,8 @@ on blind ``ei_cleaned`` CSI, QPSK, 4 bits, eta 0.3, SNR 0/4/8 dB and seed 7,
 with one BLAS thread.  Trials 0 .. repeats-1 each run as one
 ``downlink_trial`` call over all SNR points, with the tracer wrapped round
 the stage functions the trial looks up: ``draw_observation``,
-``estimate_eta`` and ``clean_channel`` once per trial, ``precode`` and
-``transmit`` once per SNR point, and ``demodulate`` once per trial for
-every SNR point together.  So the stage times come from the trial's own
+``estimate_eta`` and ``clean_channel`` once per trial, and ``precode``,
+``transmit`` and ``demodulate`` once per SNR point.  So the stage times come from the trial's own
 code path, and ``other`` is the rest of the trial (the one Gram
 decomposition in ``estimate_csi``, symbols, the MSEs, ``H @ x`` and the
 noise).  Trial 0 runs once more first, untraced, to fill caches.
@@ -27,7 +26,7 @@ faults less those of its stage calls.
 
 ``--against REF`` compares this checkout with the commit REF, checked out
 with ``git worktree`` under a temporary directory that is removed
-afterwards.  Each round runs every size once in each tree, in a fresh
+afterwards.  Each of ``ROUNDS`` rounds runs every size once in each tree, in a fresh
 subprocess per run and in alternating order, so that both sides of a pair
 see the same host state.  The JSON (``BENCH_<commit>-vs-<ref>.json``)
 holds, per size and side (``tree`` and ``ref``), the median over rounds of
@@ -94,6 +93,8 @@ SETUP = {
     "snr_db": (0.0, 4.0, 8.0),
     "seed": 7,
 }
+# alternated pairs of subprocess runs per size in an ``--against`` comparison
+ROUNDS = 5
 
 
 def parse_args(argv):
@@ -102,15 +103,14 @@ def parse_args(argv):
     p.add_argument("--repeats", type=int, default=30, help="timed trials per size")
     p.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON")
     p.add_argument("--against", metavar="REF", help="git commit to compare this checkout with")
-    p.add_argument("--rounds", type=int, default=5, help="alternated pairs per size (--against)")
     p.add_argument("--tree", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     try:
         args.sizes = [tuple(int(n) for n in s.split("x")) for s in args.sizes.split(",")]
     except ValueError:
         p.error(f"--sizes must look like 20x128,30x256, got {args.sizes!r}")
-    if args.repeats < 1 or args.rounds < 1 or any(len(s) != 2 for s in args.sizes):
-        p.error("--repeats and --rounds must be >= 1 and every size must be UxA")
+    if args.repeats < 1 or any(len(s) != 2 for s in args.sizes):
+        p.error("--repeats must be >= 1 and every size must be UxA")
     return args
 
 
@@ -266,9 +266,9 @@ def _medians(runs):
     }
 
 
-def compare(ref, sizes, repeats, rounds):
+def compare(ref, sizes, repeats):
     """This checkout against commit ``ref``: per size, both sides' medians
-    over ``rounds`` alternated subprocess pairs and this side's wins."""
+    over ``ROUNDS`` alternated subprocess pairs and this side's wins."""
     commit = _git("rev-parse", "--short", ref, cwd=ROOT)
     if commit is None:
         raise SystemExit(f"--against: {ref!r} is not a commit of this checkout")
@@ -278,7 +278,7 @@ def compare(ref, sizes, repeats, rounds):
         if _git("worktree", "add", "--detach", str(worktree), commit, cwd=ROOT) is None:
             raise SystemExit(f"--against: git worktree add failed for {ref!r}")
         try:
-            for r in range(rounds):
+            for r in range(ROUNDS):
                 for size in sizes:
                     sides = [("tree", ROOT), ("ref", worktree)]
                     for side, tree in sides if r % 2 == 0 else sides[::-1]:
@@ -288,7 +288,7 @@ def compare(ref, sizes, repeats, rounds):
             _git("worktree", "remove", "--force", str(worktree), cwd=ROOT)
     result = {}
     for size, sides in runs.items():
-        row = {"repeats": repeats, "rounds": rounds}
+        row = {"repeats": repeats, "rounds": ROUNDS}
         row.update({side: _medians(r) for side, r in sides.items()})
         pairs = [(_parts(a), _parts(b)) for a, b in zip(sides["tree"], sides["ref"])]
         row["wins"] = {
@@ -296,7 +296,7 @@ def compare(ref, sizes, repeats, rounds):
             for name in row["tree"]
         }
         result[_size_name(size)] = row
-    return {"ref": ref, "commit": commit, "rounds": rounds}, result
+    return {"ref": ref, "commit": commit, "rounds": ROUNDS}, result
 
 
 def main(argv=None) -> int:
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     env = environment()
     setup = {**SETUP, "units": "ms per call; calls_per_trial calls make one trial"}
     if args.against is not None:
-        against, sizes = compare(args.against, args.sizes, args.repeats, args.rounds)
+        against, sizes = compare(args.against, args.sizes, args.repeats)
         doc = {"setup": setup, "environment": env, "against": against, "sizes": sizes}
         suffix = f"-vs-{against['commit']}"
     else:

@@ -30,9 +30,9 @@ Every SNR point of a trial, in every CSI mode and for every precoder, is
 sent the same way: :func:`~eiprecode.precoding.transmit` forms the samples
 from the CSI eigenbasis into one (A, N) DAC block per thread, made on
 first use and remade only when the shape changes, and ``H x`` goes into
-the point's row of one (S, U, N) receive block, which takes the point's
-scaled unit noise and beta in place.  One :func:`demodulate` and one error
-count then serve all S points.
+one U x N receive block, reused by every point of the trial, which takes
+the point's scaled unit noise and beta in place before the point's
+:func:`demodulate` and error count.
 """
 
 from __future__ import annotations
@@ -268,13 +268,12 @@ class MonteCarloError(RuntimeError):
 
 # Gray-PAM per axis: scheme -> (levels, bit group of each level); the groups
 # of adjacent levels differ in one bit, and a symbol carries one group on I
-# and one on Q.  Bits are bytes: a trial detects every SNR point's block in
-# one call, whose output would be 8 times larger as int64.
+# and one on Q
 _GRAY_PAM = {
-    "QPSK": (np.array([-1.0, 1.0]) / np.sqrt(2.0), np.array([[1], [0]], dtype=np.uint8)),
+    "QPSK": (np.array([-1.0, 1.0]) / np.sqrt(2.0), np.array([[1], [0]])),
     "16QAM": (
         np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0),
-        np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8),
+        np.array([[0, 0], [0, 1], [1, 1], [1, 0]]),
     ),
 }
 
@@ -312,7 +311,7 @@ def modulate(bits, scheme: str = "QPSK") -> np.ndarray:
 
 
 def demodulate(symbols, scheme: str = "QPSK") -> np.ndarray:
-    """Minimum-distance demodulation back to a flat 0/1 array of uint8."""
+    """Minimum-distance demodulation back to a flat 0/1 array."""
     levels, groups = _gray_pam(scheme)
     axes = np.asarray(symbols, dtype=complex).ravel().view(float)  # I, Q, I, Q, ...
     # the level index is the count of midpoints at or below the value, as
@@ -416,9 +415,8 @@ def downlink_trial(
     with beta 1, and is flagged ``degenerate_csi``.
 
     The observation, eta_hat, cleaned CSI, MSEs, symbols and unit-variance
-    receiver noise are computed once, and only the precoder and the
-    transmission run per SNR; detection runs once for every point's
-    received block together.  So each entry equals a call with that SNR
+    receiver noise are computed once, and only the precoder, transmission
+    and detection run per SNR, so each entry equals a call with that SNR
     alone.
     """
     eta = cfg.eta[0] if eta is None else float(eta)
@@ -447,36 +445,36 @@ def downlink_trial(
     s = modulate(tx_bits, cfg.modulation).reshape(dims.users, cfg.symbols_per_trial)
     unit_noise = rng_noise.standard_normal(s.shape) + 1j * rng_noise.standard_normal(s.shape)
 
-    # one received block per SNR point: H x (zero when nothing is sent),
-    # plus the scaled unit noise, times beta
-    y = np.empty((len(snrs), *s.shape), dtype=complex)
+    # one received block, reused by every SNR point: H x (zero when nothing
+    # is sent), plus the scaled unit noise, times beta
+    y = np.empty(s.shape, dtype=complex)
     block = _dac_block((dims.antennas, cfg.symbols_per_trial))
-    for y_i, snr in zip(y, snrs):
+    metrics = []
+    for snr in snrs:
         sigma2 = 10.0 ** (-float(snr) / 10.0)
         beta = 1.0
         if degenerate:
-            y_i[...] = 0.0
+            y[...] = 0.0
         else:
             pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer)
-            np.matmul(H_link, precoding.transmit(pout, s, cfg.quantizer, out=block), out=y_i)
+            np.matmul(H_link, precoding.transmit(pout, s, cfg.quantizer, out=block), out=y)
             beta = pout.beta
-        y_i += unit_noise * np.sqrt(sigma2 / 2.0)
-        y_i *= beta
-    rx_bits = demodulate(y.reshape(-1), cfg.modulation).reshape(len(snrs), n_bits)
-    bit_errors = np.count_nonzero(rx_bits != tx_bits, axis=1)
-    return tuple(
-        TrialMetrics(
-            trial_index=trial_index,
-            bits_sent=n_bits,
-            bit_errors=int(errors),
-            mse_csi=mse_csi,
-            mse_noisy=mse_noisy,
-            eta_hat=eta_hat,
-            degenerate_csi=degenerate,
-            identifiable=identifiable,
+        y += unit_noise * np.sqrt(sigma2 / 2.0)
+        y *= beta
+        rx_bits = demodulate(y.reshape(-1), cfg.modulation)
+        metrics.append(
+            TrialMetrics(
+                trial_index=trial_index,
+                bits_sent=n_bits,
+                bit_errors=int(np.count_nonzero(rx_bits != tx_bits)),
+                mse_csi=mse_csi,
+                mse_noisy=mse_noisy,
+                eta_hat=eta_hat,
+                degenerate_csi=degenerate,
+                identifiable=identifiable,
+            )
         )
-        for errors in bit_errors
-    )
+    return tuple(metrics)
 
 
 _thread_state = threading.local()

@@ -24,7 +24,7 @@ Gram H H^H = E diag(lam) E^H: P = W^H diag(g) E^H with W^H = H^H E and
 per-direction gains g.  So it runs on the CSI's
 :class:`~eiprecode.channel.GramEig`, one per trial for every SNR point, and
 is kept in that form: :func:`precode` makes only the U gains, and
-:func:`transmit` sends W^H (g * E^H s) through the DACs, with the antenna
+:func:`transmit` sends W^H ((E g)^H s) through the DACs, with the antenna
 variances |W^H|^2 g^2, from the two A x U products the GramEig makes once.
 """
 
@@ -359,7 +359,7 @@ def transmit(
 ) -> np.ndarray:
     """Map symbol vectors to antenna samples through the configured DACs.
 
-    The precoded samples are P s = W^H (g * E^H s), formed in the CSI
+    The precoded samples are P s = W^H ((E g)^H s), formed in the CSI
     eigenbasis with the gains g of ``pout``.  ``spec=None`` bypasses
     quantization (ideal DACs).  For QCE outputs the antenna samples are
     constant-envelope with the phase rounded to one of 2^B sectors.
@@ -380,8 +380,8 @@ def transmit(
     if pout.kind != "QCE" and spec is not None and not spec.is_auto:
         raise ValueError("transmit needs an auto-step quantizer spec")
     csi, g = pout.csi, pout.gains
-    v = csi.vectors.conj().T @ np.asarray(s, dtype=complex)
-    np.multiply(v.T, g, out=v.T)  # E^H s, each direction times its gain
+    # the real gains scale the U x U factor: (E g)^H s = g * E^H s
+    v = (csi.vectors * g).conj().T @ np.asarray(s, dtype=complex)
     x = np.matmul(csi.antenna_vectors, v, out=out)
     if pout.kind == "QCE":
         sectors = 2 ** spec.bits

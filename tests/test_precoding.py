@@ -246,14 +246,14 @@ def test_transmit_matches_the_two_pass_reference_bit_for_bit(bits):
     out = precoding.wf_precode(_chan(users, antennas, 310 + bits), 0.1)
     rng = np.random.default_rng(320 + bits)
     block = rng.standard_normal((users, 33)) + 1j * rng.standard_normal((users, 33))
-    # P s = W^H (g * E^H s) and diag(P P^H) = |W^H|^2 g^2 in the CSI eigenbasis
+    # P s = W^H ((E g)^H s) and diag(P P^H) = |W^H|^2 g^2 in the CSI eigenbasis
     W, E, g = out.csi.antenna_vectors, out.csi.vectors, out.gains
     sigma_m2 = (W.real ** 2 + W.imag ** 2) @ g ** 2
     steps = spec.step_for(sigma_m2 / 2.0)
     scale = np.sqrt(1.0 / precoding.quantized_power(spec, 1.0))
-    for s, step, gain in ((block, steps[:, None], g[:, None]), (block[:, 3], steps, g)):
+    for s, step in ((block, steps[:, None]), (block[:, 3], steps)):
         before = s.copy()
-        want = _reference_quantize(W @ (gain * (E.conj().T @ s)), bits, step) * scale
+        want = _reference_quantize(W @ ((E * g).conj().T @ s), bits, step) * scale
         assert np.array_equal(precoding.transmit(out, s, spec), want)
         assert before.tobytes() == s.tobytes()
 
@@ -730,7 +730,7 @@ def test_transmit_bypass_is_linear():
     s = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2.0)
     x = precoding.transmit(out, s, spec=None)
     W, E = out.csi.antenna_vectors, out.csi.vectors
-    assert np.array_equal(x, W @ (out.gains * (E.conj().T @ s)))
+    assert np.array_equal(x, W @ ((E * out.gains).conj().T @ s))
     assert np.linalg.norm(x - out.P @ s) <= 1e-13 * np.linalg.norm(x)
 
 
