@@ -20,9 +20,10 @@ from eiprecode import (
     corrupt,
     estimate_eta,
     gen_channel,
+    gram_eig,
+    linear_mmse_baseline,
     mse,
 )
-from eiprecode.rie import eig_bsca
 
 dims = SystemDims(users=20, antennas=256)
 trials = 30
@@ -33,18 +34,17 @@ print(f"{'eta':>5} {'mse(raw)':>10} {'mse(clean)':>11} {'mse(bayes)':>11} "
       f"{'floor':>10} {'wins':>5}")
 for eta in (0.1, 0.3, 0.5, 0.9):
     model = CorruptionModel(eta=eta, mode="additive", c=1.0)
-    scal = 1.0 / (1.0 + model.alpha() ** 2)
     key = int(round(100 * eta))
     raw, cleaned, bayes, wins = [], [], [], 0
     for t in range(trials):
         H = gen_channel(dims, np.random.default_rng((key, t, 0)))
         H_obs = corrupt(H, model, np.random.default_rng((key, t, 1)))
         eta_hat = estimate_eta(H_obs).eta_hat
-        H_hat = clean_channel(H_obs, eta_hat).matrix
+        H_hat = clean_channel(H_obs, CorruptionModel(eta_hat)).matrix
         m_c = mse(H, H_hat)
         raw.append(mse(H, H_obs))
         cleaned.append(m_c)
-        bayes.append(mse(H, scal * H_obs))
+        bayes.append(mse(H, linear_mmse_baseline(H_obs, model)))
         wins += m_c <= raw[-1]
     floor = eta / dims.antennas
     print(f"{eta:5.2f} {np.mean(raw):10.2e} {np.mean(cleaned):11.2e} "
@@ -68,7 +68,7 @@ model = CorruptionModel(eta=eta, mode="additive", c=1.0)
 H = gen_channel(dims, np.random.default_rng(1001))
 H_obs = corrupt(H, model, np.random.default_rng(1002))
 eta_hat = estimate_eta(H_obs).eta_hat
-H_hat = clean_channel(H_obs, eta_hat).matrix
+H_hat = clean_channel(H_obs, CorruptionModel(eta_hat)).matrix
 sv_obs = np.linalg.svd(H_obs, compute_uv=False)
 sv_hat = np.linalg.svd(H_hat, compute_uv=False)
 ratio = sv_hat / sv_obs
@@ -85,7 +85,7 @@ top, mid, bottom = [], [], []
 for t in range(trials):
     H2 = gen_channel(dims2, np.random.default_rng((1003, t)))
     H2_obs = corrupt(H2, model2, np.random.default_rng((1004, t)))
-    H2_hat = clean_channel(H2_obs, estimate_eta(H2_obs).eta_hat).matrix
+    H2_hat = clean_channel(H2_obs, CorruptionModel(estimate_eta(H2_obs).eta_hat)).matrix
     U2, _, Vh2 = np.linalg.svd(H2_obs, full_matrices=False)
     oracle = np.real(np.einsum("ik,ij,kj->k", U2.conj(), H2, Vh2.conj()))
     cleaned = np.real(np.einsum("ik,ij,kj->k", U2.conj(), H2_hat, Vh2.conj()))
@@ -100,8 +100,8 @@ print(f"20 x 128, eta = 0.3, {trials} draws: cleaned / oracle singular value "
 # the BSCA spectrum of the observation: its positive eigenvalues are the
 # singular values s_k, which the cleaner reads off the U x U Gram X X^H as
 # sqrt of its eigenvalues
-_, sv, _ = eig_bsca(H_obs)
-gram_sv = np.sqrt(np.linalg.eigvalsh(H_obs @ H_obs.conj().T)[::-1])
+sv = np.linalg.svd(H_obs, compute_uv=False)
+gram_sv = np.sqrt(gram_eig(H_obs).values[::-1])
 print(f"BSCA: {sv.size} positive eigenvalues in [{sv[-1]:.3f}, {sv[0]:.3f}], "
       f"the mirror values -s_k and {dims.antennas - dims.users} null "
       f"directions; the Gram gives the same s_k to "

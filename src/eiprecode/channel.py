@@ -11,6 +11,10 @@ A antennas, U < A).  Two corruption modes produce the observation:
 The damped observation divided by sqrt(1-eta) equals the additive one in
 law; with c = 1 the damped observation is equal in law to H itself, so eta
 is blindly unidentifiable in that corner (see eta estimator docs).
+:class:`CorruptionModel` holds eta, the mode and c as one object, which
+``corrupt`` and the CSI estimators in :mod:`eiprecode.rie` take.  One
+check, :func:`_finite_matrix`, rejects a matrix that is not 2-D or has
+non-finite entries, wherever one enters.
 """
 
 from __future__ import annotations
@@ -70,15 +74,14 @@ class CorruptionModel:
     def additive_form(self, H_obs: np.ndarray) -> np.ndarray:
         """The observation in additive form, whose estimand is the true channel.
 
-        An additive observation is already in that form and comes back as
-        it is.  A damped one is divided by sqrt(1 - eta), a new array even
-        at eta 0; its non-finite entries raise ValueError before the divide
-        touches them.
+        In either mode a matrix that is not 2-D or has non-finite entries
+        raises ValueError first (:func:`_finite_matrix`).  An additive
+        observation is already in that form and comes back as it is.  A
+        damped one is divided by sqrt(1 - eta), a new array even at eta 0.
         """
+        H_obs = _finite_matrix(H_obs)
         if self.mode == "additive":
             return H_obs
-        if not np.isfinite(H_obs).all():
-            raise ValueError("observation has non-finite entries")
         return H_obs / np.sqrt(1.0 - self.eta)
 
     def additive_gram_eig(self, obs: GramEig) -> GramEig:

@@ -53,7 +53,10 @@ _NUMERICAL_ERRORS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing never changes it, so every
+    :func:`main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="eiprecode",
         description="Eigen-inference CSI cleaning and quantized precoding experiments.",
@@ -84,15 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser: parsing never changes it, so every
-    :func:`main` call reuses it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     kind = _SUBCOMMANDS[args.command][0]
     flags = [f"{k}={getattr(args, k)}" for k in _FLAGS if getattr(args, k, None) is not None]
     try:

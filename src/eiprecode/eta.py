@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CorruptionModel, GramEig, gram_eig
+from .channel import CorruptionModel, GramEig, SystemDims, gram_eig
 from .rmt import (
     free_cumulants,
     noisy_gram_cumulant_polys,
@@ -95,14 +95,14 @@ def estimate_eta(H_obs: np.ndarray | GramEig, cfg: EstimatorConfig | None = None
     """Fit the CSI error level by cumulant matching on the Gram spectrum (q = U/A).
 
     ``H_obs`` is the observation or its :class:`~eiprecode.channel.GramEig`;
-    a bare matrix is decomposed once.  A non-finite or all-zero observation
-    raises ValueError.
+    a bare matrix is decomposed once.  A non-finite or all-zero observation,
+    or one without fewer users than antennas, raises ValueError.
     """
     if cfg is None:
         cfg = EstimatorConfig()
     obs = gram_eig(H_obs)
     u, a = obs.matrix.shape
-    q = u / a
+    q = SystemDims(u, a).q  # validates 0 < U < A
     if not np.any(obs.matrix):
         raise ValueError("observation is identically zero")
     order = cfg.order if cfg.order is not None else default_order(u, a)

@@ -229,7 +229,7 @@ def _mse_vs_antennas(cfg: SimConfig):
         return (
             mse(H, H_hat),
             mse(H, H_obs),
-            mse(H, linear_mmse_baseline(H_obs, eta, cfg.corruption_mode, cfg.c)),
+            mse(H, linear_mmse_baseline(H_obs, cfg.corruption(eta))),
         )
 
     with trial_map(cfg.threads) as map_trials:

@@ -384,7 +384,7 @@ def estimate_csi(
         eta_hat, identifiable = est.eta_hat, est.identifiable
     else:
         eta_hat = eta
-    csi = clean_channel(obs, eta_hat, mode=cfg.corruption_mode, c=cfg.c)
+    csi = clean_channel(obs, cfg.corruption(eta_hat))
     return csi, eta_hat, identifiable
 
 

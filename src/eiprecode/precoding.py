@@ -228,8 +228,8 @@ class PrecodeOutput:
         return (((E * self.gains) @ E.conj().T) @ self.csi.matrix).conj().T
 
 
-# a regularized Gram whose smallest eigenvalue is at most U eps times its
-# largest is singular to working precision (numpy's matrix_rank rule)
+# a regularized Gram eigenvalue at most U eps times the largest is null to
+# working precision (numpy's matrix_rank rule)
 _EPS = np.finfo(float).eps
 
 
@@ -248,17 +248,17 @@ def _spectral(csi: GramEig, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _regularized(csi: GramEig, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_spectral` at d = 1/(lam + U theta): P = c H^H R^{-1} with
+    """:func:`_spectral` at d = 1/(lam + U theta): P = c H^H R^+ with
     R = H H^H + U theta I = E diag(lam + U theta) E^H.
 
-    An R singular to working precision, its smallest eigenvalue at most
-    U eps times its largest (as for ZF on rank-deficient or all-zero CSI),
-    raises ``LinAlgError``.
+    A direction whose eigenvalue of R is at most U eps times the largest
+    (as for ZF on rank-deficient CSI) is null to working precision and gets
+    d = 0: R^+ is the pseudo-inverse, so nothing is sent on it.  CSI with no
+    direction left raises ``LinAlgError``, through :func:`_spectral`.
     """
     shifted = csi.values + csi.values.size * theta
-    if shifted.min() <= shifted.size * _EPS * shifted.max():
-        raise np.linalg.LinAlgError("singular regularized Gram")
-    return _spectral(csi, 1.0 / shifted)
+    kept = shifted > shifted.size * _EPS * shifted.max()
+    return _spectral(csi, np.divide(1.0, shifted, out=np.zeros_like(shifted), where=kept))
 
 
 def _receiver_beta(

@@ -17,7 +17,9 @@ the cleaner takes the thin SVD's left half, U and s, from the U x U Gram
 X X^H = U diag(s^2) U^H with one Hermitian eigendecomposition, the
 :class:`~eiprecode.channel.GramEig` a link trial shares with the estimator.
 The cleaned channel's Gram is U diag(xi^2) U^H, so the cleaner hands the
-precoder that decomposition with the channel.
+precoder that decomposition with the channel.  The cleaner and the scalar
+baseline take the observation and one
+:class:`~eiprecode.channel.CorruptionModel`, as ``corrupt`` does.
 """
 
 from __future__ import annotations
@@ -93,8 +95,12 @@ def shrink_eigenvalue(y: float, h: float, q: float, alpha: float) -> float:
         raise ValueError("alpha must be nonnegative")
     if y <= 0.0:
         return 0.0
-    xi = y - alpha * alpha * ((1.0 - q) / y + 2.0 * q * h)
-    return min(max(float(xi), 0.0), float(y))
+    return float(_shrink(y, h, q, alpha))
+
+
+def _shrink(s, h, q: float, alpha: float):
+    # the rule of shrink_eigenvalue for positive s, scalar or array
+    return np.clip(s - alpha * alpha * ((1.0 - q) / s + 2.0 * q * h), 0.0, s)
 
 
 def reconstruct(u: np.ndarray, xi, vh: np.ndarray) -> np.ndarray:
@@ -102,41 +108,35 @@ def reconstruct(u: np.ndarray, xi, vh: np.ndarray) -> np.ndarray:
     return (u * xi) @ vh
 
 
-def clean_channel(
-    H_obs: np.ndarray | GramEig,
-    eta_hat: float,
-    mode: str = "additive",
-    c: float = 1.0,
-) -> GramEig:
+def clean_channel(H_obs: np.ndarray | GramEig, model: CorruptionModel) -> GramEig:
     """Full cleaning pipeline: normalize, Gram eigendecomposition, clean
     singular values, reconstruct.
 
     ``H_obs`` is the observation or its :class:`~eiprecode.channel.GramEig`;
-    a bare matrix is decomposed once.  The observation X in additive form
-    has left singular vectors U, the Gram's eigenvectors, and singular
-    values s = sqrt(w) from its Gram eigenvalues w.  All kept s go through
-    the rule of :func:`shrink_eigenvalue` in one array pass, with q = U/A
-    from the shape of ``H_obs``, alpha^2 = eta_hat c / (1 - eta_hat) from
-    :class:`~eiprecode.channel.CorruptionModel` (which owns the eta, mode
-    and c rules) and h = -Re :func:`local_stieltjes` of the nonzero BSCA
-    spectrum {+/-s_j} at every s in one call, at the bandwidth
+    a bare matrix is decomposed once.  ``model`` is the
+    :class:`~eiprecode.channel.CorruptionModel` the observation is cleaned
+    under, at the error level to clean at (eta-hat, or the true eta).  Its
+    :meth:`~eiprecode.channel.CorruptionModel.additive_gram_eig` maps the
+    observation to additive form first (a damped one is divided by
+    sqrt(1 - eta)), so the estimand is the true channel.  The observation X
+    in additive form has left singular vectors U, the Gram's eigenvectors,
+    and singular values s = sqrt(w) from its Gram eigenvalues w.  All kept s
+    go through the rule of :func:`shrink_eigenvalue` in one array pass, with
+    q = U/A from the shape of ``H_obs`` (:class:`~eiprecode.channel.SystemDims`),
+    alpha = ``model.alpha()`` and h = -Re :func:`local_stieltjes` of the
+    nonzero BSCA spectrum {+/-s_j} at every s in one call, at the bandwidth
     :func:`~eiprecode.rmt.default_epsilon` (U + A).  The cleaned channel is
     U diag(xi) V^H = (U diag(xi/s) U^H) X, so V is never formed.  Singular
     values at or below 1e-7 times the largest, the resolution of the Gram,
     are left out of that spectrum and map to 0.
 
     Returns the cleaned channel as the GramEig (channel, xi^2, U), its Gram
-    U diag(xi^2) U^H exactly, with no second decomposition.  ``mode``
-    declares the corruption form of the observation, which
-    :meth:`~eiprecode.channel.CorruptionModel.additive_gram_eig` maps to
-    additive form first (damped observations are divided by
-    sqrt(1 - eta_hat)), so the estimand is the true channel.  Non-finite
+    U diag(xi^2) U^H exactly, with no second decomposition.  Non-finite
     input raises ValueError; an all-zero input comes back as zeros.
     """
     obs = gram_eig(H_obs)
     u, a = obs.matrix.shape
     q = SystemDims(u, a).q  # validates 0 < U < A
-    model = CorruptionModel(eta_hat, mode, c)
     alpha = model.alpha()
     x = model.additive_gram_eig(obs)
     sv = np.sqrt(np.maximum(x.values, 0.0))
@@ -146,22 +146,20 @@ def clean_channel(
     ratio = np.zeros_like(sv)
     if s.size:
         h = -local_stieltjes(np.concatenate([s, -s]), s, default_epsilon(u + a))[0]
-        xi[kept] = np.clip(s - alpha * alpha * ((1.0 - q) / s + 2.0 * q * h), 0.0, s)
+        xi[kept] = _shrink(s, h, q, alpha)
         ratio[kept] = xi[kept] / s
     left = x.vectors
     return GramEig(((left * ratio) @ left.conj().T) @ x.matrix, xi * xi, left)
 
 
-def linear_mmse_baseline(
-    H_obs: np.ndarray, eta: float, mode: str = "damped", c: float = 1.0
-) -> np.ndarray:
+def linear_mmse_baseline(H_obs: np.ndarray, model: CorruptionModel) -> np.ndarray:
     """Entrywise conditional mean E[H | H_obs] of the i.i.d. model.
 
-    The observation in additive form, X = H + alpha W with
-    alpha^2 = eta c / (1 - eta), shrunk by 1 / (1 + alpha^2).
+    The observation in additive form under ``model``, X = H + alpha W with
+    alpha^2 = eta c / (1 - eta), shrunk by 1 / (1 + alpha^2).  Input that is
+    not 2-D or has non-finite entries raises ValueError.
     """
-    model = CorruptionModel(eta, mode, c)
-    return model.additive_form(np.asarray(H_obs)) * (1.0 / (1.0 + model.alpha() ** 2))
+    return model.additive_form(H_obs) * (1.0 / (1.0 + model.alpha() ** 2))
 
 
 def mse(H: np.ndarray, H_hat: np.ndarray) -> float:

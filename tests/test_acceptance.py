@@ -123,7 +123,7 @@ def cleaning_grid():
                 H = gen_channel(dims, default_rng((9_030, i, a, t, 0)))
                 H_obs = corrupt(H, model, default_rng((9_030, i, a, t, 1)))
                 eta_hat = estimate_eta(H_obs).eta_hat
-                m_clean = mse(H, clean_channel(H_obs, eta_hat).matrix)
+                m_clean = mse(H, clean_channel(H_obs, CorruptionModel(eta_hat)).matrix)
                 wins += m_clean <= mse(H, H_obs)
                 clean_sum += m_clean
             cells[(eta, a)] = (wins / _A3_TRIALS, clean_sum / _A3_TRIALS)

@@ -143,8 +143,9 @@ def test_normalize_observation():
     assert CorruptionModel(0.5).additive_form(h) is h
     bad = h.copy()
     bad[1, 2] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        CorruptionModel(0.5, mode="damped").additive_form(bad)
+    for mode in ("additive", "damped"):  # the one matrix check, in both modes
+        with pytest.raises(ValueError, match="non-finite"):
+            CorruptionModel(0.5, mode=mode).additive_form(bad)
 
 
 # ---------------------------------------------------------------------------

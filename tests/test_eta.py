@@ -177,6 +177,15 @@ def test_estimate_eta_rejects_zero_observation():
         eta.estimate_eta(np.zeros((4, 8), dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (9, 8)])
+def test_estimate_eta_reads_the_aspect_ratio_from_system_dims(shape):
+    # SystemDims owns the 0 < U < A rule, so a square or tall observation
+    # fails with its error
+    y = np.random.default_rng(92).standard_normal(shape) + 0j
+    with pytest.raises(ValueError, match="need 0 < users < antennas"):
+        eta.estimate_eta(y)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_estimate_eta_rejects_non_finite_observation(bad):
     y = _draw(4, 8, 0.3, 90, 91)

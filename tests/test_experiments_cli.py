@@ -925,6 +925,7 @@ def test_cli_reruns_reproduce_tables(tmp_path, capsys):
 
 def test_build_parser_round_trips_arguments():
     parser = build_parser()
+    assert build_parser() is parser  # one parser per process, which main reuses
     args = parser.parse_args(["sweep", "--set", "eta=[0.1]"])
     assert args.command == "sweep"
     assert args.sets == ["eta=[0.1]"]

@@ -430,6 +430,22 @@ def test_downlink_trial_zero_csi_transmits_nothing(monkeypatch):
     assert linksim.monte_carlo(cfg)[0].degenerate_csi_trials >= 1
 
 
+def test_zf_on_rank_deficient_cleaned_csi_sends_nothing_on_null_directions():
+    # at eta 0.8 the known-eta cleaner zeroes some of a trial's singular
+    # values, so ZF's Gram is singular; ZF is then the normalized
+    # pseudo-inverse, and the run goes on instead of failing
+    cfg = SimConfig(precoder="ZF", csi="ei_cleaned_known_eta", eta=0.8,
+                    snr_db=10.0, trials=16, seed=7)
+    null = 0
+    for t in range(cfg.trials):
+        H, H_obs = linksim.draw_observation(cfg, cfg.dims, 0.8, t)
+        null += np.count_nonzero(linksim.estimate_csi(cfg, 0.8, H, H_obs)[0].values == 0.0)
+    assert null > 0
+    agg = linksim.monte_carlo(cfg)[0]
+    assert agg.degenerate_csi_trials == 0
+    assert 0.0 < agg.ber < 0.5
+
+
 def test_downlink_trial_remakes_the_thread_block_for_a_new_shape():
     # one thread runs cfg a, then b with other A and N, then a again: the
     # reused DAC block never carries one config's samples into another

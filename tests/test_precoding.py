@@ -485,10 +485,14 @@ def test_wf_power_normalization():
         assert out.kind == "WF"
 
 
-def test_wf_singular_channel_raises():
-    h = np.ones((3, 6), dtype=complex)  # identical rows, singular gram
-    with pytest.raises(np.linalg.LinAlgError):
-        precoding.wf_precode(h, 0.0)
+def test_wf_singular_channel_is_the_pseudo_inverse():
+    # identical rows, a singular Gram: at sigma2 = 0 the null directions get
+    # no power, so WF is the normalized pseudo-inverse
+    h = np.ones((3, 6), dtype=complex)
+    want = np.linalg.pinv(h)
+    want /= np.linalg.norm(want)
+    out = precoding.wf_precode(h, 0.0)
+    assert np.linalg.norm(out.P - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _wfq_reference(h, sigma2, spec):
@@ -639,17 +643,24 @@ def test_precoders_match_the_a_column_form_on_rank_deficient_cleaned_csi(kind):
     # cleaning at eta 0.9 zeroes 5 of this 20x128 observation's singular
     # values, so the cleaned CSI's Gram eigenvalues hold exact zeros; at
     # theta > 0 the spectral precoders still match the A-column solve, and
-    # ZF, on the cleaned GramEig or on the bare matrix, finds R singular
+    # ZF, on the cleaned GramEig or on the bare matrix, finds R singular and
+    # sends nothing on its null directions: the normalized pseudo-inverse
     dims = channel.SystemDims(20, 128)
     h = channel.gen_channel(dims, np.random.default_rng(0))
-    y = channel.corrupt(h, channel.CorruptionModel(0.9), np.random.default_rng(100))
-    csi = rie.clean_channel(y, 0.9).scaled(np.sqrt(dims.antennas))
+    model = channel.CorruptionModel(0.9)
+    y = channel.corrupt(h, model, np.random.default_rng(100))
+    csi = rie.clean_channel(y, model).scaled(np.sqrt(dims.antennas))
     assert np.count_nonzero(csi.values == 0.0) == 5
     spec = QuantizerSpec(3)
     if kind == "ZF":
+        P = np.linalg.pinv(csi.matrix)
+        P /= np.linalg.norm(P)
+        hp = csi.matrix @ P
+        beta = np.trace(hp).real / (np.linalg.norm(hp) ** 2 + dims.users * 0.1)
         for given in (csi, csi.matrix):
-            with pytest.raises(np.linalg.LinAlgError, match="singular"):
-                precoding.precode(kind, given, 0.1, spec=spec)
+            out = precoding.precode(kind, given, 0.1, spec=spec)
+            assert np.linalg.norm(out.P - P) <= 1e-12 * np.linalg.norm(P)
+            assert abs(out.beta - beta) <= 1e-12 * beta
         return
     for sigma2 in (1e-3, 0.1, 1.0):
         out = precoding.precode(kind, csi, sigma2, spec=spec)

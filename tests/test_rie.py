@@ -1,5 +1,7 @@
 """Singular-value cleaning pipeline: decomposition, local resolvent, cleaning."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,11 +252,25 @@ def test_shrunk_gram_eigenvalues_beat_raw_ones():
         h, y = _draw(30, 256, 0.5, 8_300 + d, 8_700 + d)
         true_e = np.sort(np.linalg.eigvalsh(h @ h.conj().T))
         noisy_e = np.sort(np.linalg.eigvalsh(y @ y.conj().T))
-        hc = rie.clean_channel(y, 0.5).matrix
+        hc = rie.clean_channel(y, CorruptionModel(0.5)).matrix
         clean_e = np.sort(np.linalg.eigvalsh(hc @ hc.conj().T))
         dev_shrunk.append(np.mean((clean_e - true_e) ** 2))
         dev_raw.append(np.mean((noisy_e - true_e) ** 2))
     assert np.mean(dev_shrunk) < np.mean(dev_raw)
+
+
+def test_shrink_eigenvalue_is_the_cleaners_rule_bit_for_bit():
+    # the scalar rule and the cleaner's array pass share one formula, so each
+    # kept value comes out with the same bits
+    _, y = _draw(20, 128, 0.5, 8_900, 8_901)
+    model = CorruptionModel(0.5)
+    out = rie.clean_channel(y, model)
+    s = np.sqrt(np.maximum(channel.gram_eig(y).values, 0.0))
+    h = -rie.local_stieltjes(np.concatenate([s, -s]), s, rmt.default_epsilon(20 + 128))[0]
+    q, alpha = SystemDims(20, 128).q, model.alpha()
+    for k in range(s.size):
+        xi = rie.shrink_eigenvalue(s[k], h[k], q, alpha)
+        assert xi * xi == out.values[k], k
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +305,29 @@ def test_reconstruct_scales_each_singular_direction():
 
 def test_clean_channel_zero_eta_is_identity():
     h, _ = _draw(12, 64, 0.0, 113, 0)
-    out = rie.clean_channel(h, 0.0).matrix
+    out = rie.clean_channel(h, CorruptionModel(0.0)).matrix
     assert np.max(np.abs(out - h)) < 1e-10
 
 
 def test_clean_channel_validation():
     h, _ = _draw(4, 8, 0.0, 115, 0)
     with pytest.raises(ValueError):
-        rie.clean_channel(h, 1.0)
+        rie.clean_channel(h, CorruptionModel(1.0))
     with pytest.raises(ValueError):
-        rie.clean_channel(h, -0.1)
+        rie.clean_channel(h, CorruptionModel(-0.1))
     with pytest.raises(ValueError):
-        rie.clean_channel(h, 0.3, mode="multiplicative")
+        rie.clean_channel(h, CorruptionModel(0.3, "multiplicative"))
     # c follows the CorruptionModel rule, so a NaN or negative c fails by name
     # instead of cleaning into a NaN matrix
     for c in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="c must be positive"):
-            rie.clean_channel(h, 0.3, c=c)
+            rie.clean_channel(h, CorruptionModel(0.3, c=c))
+
+
+@pytest.mark.parametrize("fn", [rie.clean_channel, rie.linear_mmse_baseline])
+def test_csi_estimators_take_the_observation_and_one_corruption_model(fn):
+    # eta, mode and c travel together in the CorruptionModel, as corrupt takes them
+    assert list(inspect.signature(fn).parameters) == ["H_obs", "model"]
 
 
 @pytest.mark.parametrize("mode", ["additive", "damped"])
@@ -314,13 +336,13 @@ def test_clean_channel_rejects_non_finite(mode, bad):
     _, y = _draw(4, 8, 0.3, 123, 124)
     y[0, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        rie.clean_channel(y, 0.3, mode=mode)
+        rie.clean_channel(y, CorruptionModel(0.3, mode))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_observations(), _ETA_HAT)
 def test_clean_channel_never_grows_the_spectral_norm(y, eta_hat):
-    hc = rie.clean_channel(y, eta_hat).matrix
+    hc = rie.clean_channel(y, CorruptionModel(eta_hat)).matrix
     assert np.linalg.norm(hc, 2) <= np.linalg.norm(y, 2) * (1.0 + 1e-12)
 
 
@@ -328,7 +350,7 @@ def test_clean_channel_never_grows_the_spectral_norm(y, eta_hat):
 @given(_observations(), _ETA_HAT)
 def test_clean_channel_preserves_kept_eigenvectors(y, eta_hat):
     left, s, vh = np.linalg.svd(y, full_matrices=False)
-    hc = rie.clean_channel(y, eta_hat).matrix
+    hc = rie.clean_channel(y, CorruptionModel(eta_hat)).matrix
     # in the observed singular bases the cleaned channel is diagonal, real
     # and nonnegative, so it is sum_k xi_k u_k v_k^H with the same u_k, v_k:
     # the BSCA eigenvectors [u_k; +/-v_k] / sqrt(2) are kept
@@ -343,7 +365,7 @@ def test_clean_channel_preserves_kept_eigenvectors(y, eta_hat):
 @given(_observations(), _ETA_HAT, st.sampled_from(["additive", "damped"]))
 def test_clean_channel_matches_the_bsca_reference(y, eta_hat, mode):
     x = CorruptionModel(eta_hat, mode).additive_form(y)
-    hc = rie.clean_channel(y, eta_hat, mode=mode).matrix
+    hc = rie.clean_channel(y, CorruptionModel(eta_hat, mode)).matrix
     assert np.max(np.abs(hc - _reference_clean(x, eta_hat))) < 1e-10
 
 
@@ -355,7 +377,7 @@ def test_clean_channel_matches_the_bsca_reference_at_paper_sizes(dims, mode):
     for eta in (0.1, 0.3, 0.5, 0.9):
         _, y = _draw(*dims, eta, 131, 132)
         x = CorruptionModel(eta, mode).additive_form(y)
-        hc = rie.clean_channel(y, eta, mode=mode).matrix
+        hc = rie.clean_channel(y, CorruptionModel(eta, mode)).matrix
         ref = _reference_clean(x, eta)
         assert np.max(np.abs(hc - ref)) < 1e-10, eta
         assert np.linalg.norm(hc - ref) <= 1e-12 * np.linalg.norm(ref), eta
@@ -367,10 +389,10 @@ def test_clean_channel_matches_the_bsca_reference_on_rank_deficient_inputs():
     rank_two[2:] = rng.standard_normal((2, 2)) @ rank_two[:2]
     for x in (_RANK_ONE, rank_two, np.zeros((2, 5), dtype=complex)):
         for eta_hat in (0.0, 0.3, 0.9):
-            hc = rie.clean_channel(x, eta_hat).matrix
+            hc = rie.clean_channel(x, CorruptionModel(eta_hat)).matrix
             assert np.max(np.abs(hc - _reference_clean(x, eta_hat))) < 1e-10
     # the null directions of the rank-two input map to 0
-    s = np.linalg.svd(rie.clean_channel(rank_two, 0.3).matrix, compute_uv=False)
+    s = np.linalg.svd(rie.clean_channel(rank_two, CorruptionModel(0.3)).matrix, compute_uv=False)
     assert np.max(s[2:]) < 1e-12
 
 
@@ -389,10 +411,10 @@ def test_clean_channel_null_tolerance_is_1e_7_of_the_largest_singular_value():
     # the Gram resolves singular values to about 1.5e-8 of the largest, so a
     # 1e-8 direction is a null direction and maps to 0 even at eta 0, while a
     # 1e-6 direction is kept as it is
-    null = rie.clean_channel(_rotated([1.0, 1e-8], 6, 133), 0.0).matrix
+    null = rie.clean_channel(_rotated([1.0, 1e-8], 6, 133), CorruptionModel(0.0)).matrix
     assert np.linalg.svd(null, compute_uv=False)[1] < 1e-12
     x = _rotated([1.0, 1e-6], 6, 134)
-    kept = rie.clean_channel(x, 0.0).matrix
+    kept = rie.clean_channel(x, CorruptionModel(0.0)).matrix
     assert np.max(np.abs(kept - x)) < 1e-12
     assert np.linalg.svd(kept, compute_uv=False)[1] == pytest.approx(1e-6, rel=1e-6)
 
@@ -401,7 +423,7 @@ def test_clean_channel_wins_at_mid_error_level():
     wins = 0
     for d in range(20):
         h, y = _draw(20, 256, 0.5, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.5).matrix
+        hc = rie.clean_channel(y, CorruptionModel(0.5)).matrix
         wins += rie.mse(h, hc) <= rie.mse(h, y)
     assert wins == 20, wins
 
@@ -410,7 +432,7 @@ def test_clean_channel_wins_at_low_error_level():
     wins = 0
     for d in range(20):
         h, y = _draw(20, 256, 0.1, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.1).matrix
+        hc = rie.clean_channel(y, CorruptionModel(0.1)).matrix
         wins += rie.mse(h, hc) <= rie.mse(h, y)
     assert wins >= 10, wins
 
@@ -419,7 +441,7 @@ def test_clean_channel_reaches_oracle_floor_factor():
     ratios = []
     for d in range(20):
         h, y = _draw(20, 256, 0.5, 7_000 + d, 7_500 + d)
-        hc = rie.clean_channel(y, 0.5).matrix
+        hc = rie.clean_channel(y, CorruptionModel(0.5)).matrix
         ratios.append(rie.mse(h, hc) / (0.5 / 256))
     assert np.mean(ratios) <= 1.5, np.mean(ratios)
 
@@ -430,9 +452,18 @@ def test_clean_channel_reaches_oracle_floor_factor():
 
 def test_linear_mmse_baseline_identity_and_validation():
     h, _ = _draw(4, 8, 0.0, 119, 0)
-    assert np.array_equal(rie.linear_mmse_baseline(h, 0.0), h)
+    assert np.array_equal(rie.linear_mmse_baseline(h, CorruptionModel(0.0, "damped")), h)
     with pytest.raises(ValueError):
-        rie.linear_mmse_baseline(h, 1.0)
+        rie.linear_mmse_baseline(h, CorruptionModel(1.0, "damped"))
+
+
+@pytest.mark.parametrize("mode", ["additive", "damped"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_mmse_baseline_rejects_non_finite(mode, bad):
+    _, y = _draw(4, 8, 0.3, 127, 128)
+    y[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        rie.linear_mmse_baseline(y, CorruptionModel(0.3, mode))
 
 
 def test_linear_mmse_baseline_hits_oracle_error():
@@ -442,7 +473,7 @@ def test_linear_mmse_baseline_hits_oracle_error():
         y = channel.corrupt(
             h, CorruptionModel(0.5, mode="damped"), np.random.default_rng(6_000 + d)
         )
-        devs.append(rie.mse(h, rie.linear_mmse_baseline(y, 0.5)))
+        devs.append(rie.mse(h, rie.linear_mmse_baseline(y, CorruptionModel(0.5, "damped"))))
     target = 0.5 / 256
     assert abs(np.mean(devs) - target) / target < 0.10
 
@@ -456,7 +487,7 @@ def test_linear_mmse_baseline_hits_oracle_error_for_any_c(mode):
     for d in range(30):
         h = channel.gen_channel(SystemDims(20, 128), np.random.default_rng(5_200 + d))
         y = channel.corrupt(h, CorruptionModel(eta, mode, c), np.random.default_rng(6_200 + d))
-        devs.append(rie.mse(h, rie.linear_mmse_baseline(y, eta, mode, c)))
+        devs.append(rie.mse(h, rie.linear_mmse_baseline(y, CorruptionModel(eta, mode, c))))
     target = eta * c / (1.0 - eta + eta * c) / 128
     assert np.mean(devs) == pytest.approx(target, rel=0.03)
 
@@ -468,7 +499,8 @@ def test_linear_mmse_baseline_beats_raw_at_high_level():
         y = channel.corrupt(
             h, CorruptionModel(0.9, mode="damped"), np.random.default_rng(6_100 + d)
         )
-        better += rie.mse(h, rie.linear_mmse_baseline(y, 0.9)) < rie.mse(h, y)
+        shrunk = rie.linear_mmse_baseline(y, CorruptionModel(0.9, "damped"))
+        better += rie.mse(h, shrunk) < rie.mse(h, y)
     assert better == 10
 
 
