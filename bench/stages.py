@@ -36,6 +36,7 @@ than REF, stage by stage.
 """
 
 import argparse
+import contextlib
 import functools
 import importlib.metadata
 import json
@@ -266,26 +267,40 @@ def _medians(runs):
     }
 
 
-def compare(ref, sizes, repeats):
-    """This checkout against commit ``ref``: per size, both sides' medians
-    over ``ROUNDS`` alternated subprocess pairs and this side's wins."""
+@contextlib.contextmanager
+def ref_worktree(ref):
+    """The commit ``ref`` of this checkout, checked out with ``git worktree``
+    under a temporary directory; yields its short hash, the checkout and the
+    directory, and removes both on exit."""
     commit = _git("rev-parse", "--short", ref, cwd=ROOT)
     if commit is None:
         raise SystemExit(f"--against: {ref!r} is not a commit of this checkout")
-    runs = {size: {"tree": [], "ref": []} for size in sizes}
     with tempfile.TemporaryDirectory(prefix="eiprecode-bench-") as tmp:
         worktree = Path(tmp) / "ref"
         if _git("worktree", "add", "--detach", str(worktree), commit, cwd=ROOT) is None:
             raise SystemExit(f"--against: git worktree add failed for {ref!r}")
         try:
-            for r in range(ROUNDS):
-                for size in sizes:
-                    sides = [("tree", ROOT), ("ref", worktree)]
-                    for side, tree in sides if r % 2 == 0 else sides[::-1]:
-                        doc = _run_tree(tree, size, repeats, tmp)
-                        runs[size][side].append(doc["sizes"][_size_name(size)])
+            yield commit, worktree, tmp
         finally:
             _git("worktree", "remove", "--force", str(worktree), cwd=ROOT)
+
+
+def json_name(env, suffix=""):
+    """``BENCH_<short-commit>[-dirty]<suffix>.json`` for the environment ``env``."""
+    return f"BENCH_{env['commit'] or 'nogit'}{'-dirty' if env['dirty'] else ''}{suffix}.json"
+
+
+def compare(ref, sizes, repeats):
+    """This checkout against commit ``ref``: per size, both sides' medians
+    over ``ROUNDS`` alternated subprocess pairs and this side's wins."""
+    runs = {size: {"tree": [], "ref": []} for size in sizes}
+    with ref_worktree(ref) as (commit, worktree, tmp):
+        for r in range(ROUNDS):
+            for size in sizes:
+                sides = [("tree", ROOT), ("ref", worktree)]
+                for side, tree in sides if r % 2 == 0 else sides[::-1]:
+                    doc = _run_tree(tree, size, repeats, tmp)
+                    runs[size][side].append(doc["sizes"][_size_name(size)])
     result = {}
     for size, sides in runs.items():
         row = {"repeats": repeats, "rounds": ROUNDS}
@@ -311,9 +326,8 @@ def main(argv=None) -> int:
         sizes = {_size_name(s): measure_size(*s, args.repeats) for s in args.sizes}
         doc = {"setup": setup, "environment": env, "sizes": sizes}
         suffix = ""
-    name = f"BENCH_{env['commit'] or 'nogit'}{'-dirty' if env['dirty'] else ''}{suffix}.json"
     args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / name
+    path = args.out / json_name(env, suffix)
     path.write_text(json.dumps(doc, indent=2) + "\n")
     for size, res in doc["sizes"].items():
         if args.against is None:

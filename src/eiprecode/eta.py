@@ -8,21 +8,23 @@ theoretical cumulant curves (see
 :func:`eiprecode.rmt.noisy_gram_cumulant_polys`).  Those curves are
 polynomials in one scalar x of eta, so the fit is closed form: the global
 minimum over the admissible eta range is at an end point or at a real root
-of the derivative of the objective polynomial.
+of the derivative of the objective polynomial.  At order 1 that root is
+x = kappa_hat_1 itself, because both curve families have kappa_1(x) = x,
+so the fit reads eta = (x - 1)/(x - 1 + b) off the first sampled cumulant
+unless a range end scores lower; orders 2 and 3 take the real roots of
+the derivative.  The fit runs on Python floats, with the arithmetic of the
+NumPy polynomial routines, so it gives their result to the bit.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import CorruptionModel, GramEig, SystemDims, gram_eig
-from .rmt import (
-    free_cumulants,
-    noisy_gram_cumulant_polys,
-    noisy_gram_cumulants_theory,
-)
+from .rmt import _cumulant_polys, _free_cumulants, _horner, noisy_gram_cumulants_theory
 
 __all__ = [
     "EstimatorConfig",
@@ -55,8 +57,17 @@ class EstimatorConfig:
     data_mode: str = "additive"
 
     def __post_init__(self):
-        if self.order is not None and self.order not in (1, 2, 3):
-            raise ValueError("order must be 1, 2, 3 or None")
+        if self.order is not None:
+            # the config layer's integer rule: an integral real is cast to
+            # int (2.0 and numpy's 2 give 2), a bool is never a number
+            order = self.order.item() if isinstance(self.order, np.generic) else self.order
+            if (
+                isinstance(order, bool)
+                or not isinstance(order, numbers.Real)
+                or order not in (1, 2, 3)
+            ):
+                raise ValueError(f"order must be 1, 2, 3 or None, got {self.order!r}")
+            object.__setattr__(self, "order", int(order))
         if self.mode not in ("gaussian_equivalent", "printed"):
             raise ValueError(f"unknown mode {self.mode!r}")
         CorruptionModel(0.0, self.data_mode, self.c)  # owns the data_mode and c rules
@@ -87,8 +98,12 @@ def empirical_moments(H_obs: np.ndarray | GramEig) -> np.ndarray:
     :class:`~eiprecode.channel.GramEig` or, for a bare matrix, taken from
     :func:`~eiprecode.channel.gram_eig`.
     """
-    w = gram_eig(H_obs).values
-    return np.array([np.sum(w ** k) for k in (1, 2, 3)]) / w.size
+    return np.array(_moments(gram_eig(H_obs).values))
+
+
+def _moments(w: np.ndarray) -> tuple[float, float, float]:
+    """:func:`empirical_moments` of the Gram eigenvalues w, as Python floats."""
+    return tuple(float(np.sum(w ** k)) / w.size for k in (1, 2, 3))
 
 
 def estimate_eta(H_obs: np.ndarray | GramEig, cfg: EstimatorConfig | None = None) -> EtaEstimate:
@@ -106,33 +121,41 @@ def estimate_eta(H_obs: np.ndarray | GramEig, cfg: EstimatorConfig | None = None
     if not np.any(obs.matrix):
         raise ValueError("observation is identically zero")
     order = cfg.order if cfg.order is not None else default_order(u, a)
-    kappa_hat = free_cumulants(empirical_moments(obs))
+    kappa_hat = _free_cumulants(*_moments(obs.values))
 
     # least-squares objective sum_k (kappa_hat_k - kappa_k(x))^2 as one
-    # polynomial in x, highest power first, each square added at the
-    # low-power end; eta = (x - 1)/(x - 1 + b) is increasing in x
-    b, polys = noisy_gram_cumulant_polys(q, cfg.mode, cfg.c)
-    objective = np.zeros(2 * len(polys[order - 1]) - 1)
-    for k_hat, poly in zip(kappa_hat[:order], polys):
-        resid = np.zeros_like(poly)
-        resid[-1] = k_hat
-        resid -= poly
-        square = np.convolve(resid, resid)
-        objective[objective.size - square.size :] += square
+    # polynomial in x, highest power first; eta = (x - 1)/(x - 1 + b) is
+    # increasing in x
+    b, polys = _cumulant_polys(q, cfg.mode, cfg.c)
+    if order == 1:
+        # kappa_1(x) = x in both families: the objective is (kappa_hat_1 - x)^2,
+        # whose one stationary point is kappa_hat_1
+        k1 = kappa_hat[0]
+        objective = (1.0, -2.0 * k1, k1 * k1)
+        crit = [k1]
+    else:
+        # each square added at the low-power end
+        objective = np.zeros(2 * order + 1)
+        for k_hat, poly in zip(kappa_hat[:order], polys):
+            resid = np.zeros(len(poly))
+            resid[-1] = k_hat
+            resid -= poly
+            square = np.convolve(resid, resid)
+            objective[objective.size - square.size :] += square
+        # the real part of every root is a candidate: a spurious one costs an
+        # evaluation, while a real root is never lost to a rounding-level
+        # imaginary part
+        slope = objective[:-1] * np.arange(objective.size - 1, 0, -1)
+        crit = np.roots(slope).real.tolist()
+        objective = objective.tolist()
     x_lo, x_hi = (1.0 + b * e / (1.0 - e) for e in (_ETA_FLOOR, _ETA_CEILING))
-    # the real part of every root is a candidate: a spurious one costs an
-    # evaluation, while a real root is never lost to a rounding-level
-    # imaginary part
-    slope = objective[:-1] * np.arange(objective.size - 1, 0, -1)
-    crit = np.roots(slope).real
-    crit = crit[(crit > x_lo) & (crit < x_hi)]
-    xs = np.concatenate(([x_lo, x_hi], crit))
-    etas = np.concatenate(
-        ([_ETA_FLOOR, _ETA_CEILING], (crit - 1.0) / (crit - 1.0 + b))
-    )
-    eta_hat = float(etas[np.argmin(np.polyval(objective, xs))])
+    # the range ends first, so the first minimum is the argmin's
+    xs = [x_lo, x_hi] + [x for x in crit if x_lo < x < x_hi]
+    etas = [_ETA_FLOOR, _ETA_CEILING] + [(x - 1.0) / (x - 1.0 + b) for x in xs[2:]]
+    scores = [_horner(objective, x) for x in xs]
+    eta_hat = etas[scores.index(min(scores))]
     theory = noisy_gram_cumulants_theory(eta_hat, q, mode=cfg.mode, c=cfg.c)
-    diff = kappa_hat[:order] - theory[:order]
+    diff = np.subtract(kappa_hat[:order], theory[:order])
     alpha_hat = CorruptionModel(eta_hat, cfg.data_mode, cfg.c).alpha()
     s_hat = 1.0 + alpha_hat ** 2
     # damped corruption with c = 1 leaves the observed scale at 1 in law, so
@@ -149,5 +172,5 @@ def estimate_eta(H_obs: np.ndarray | GramEig, cfg: EstimatorConfig | None = None
         identifiable=identifiable,
         order=order,
         mode=cfg.mode,
-        kappa_hat=tuple(kappa_hat),
+        kappa_hat=kappa_hat,
     )

@@ -272,8 +272,12 @@ def free_cumulants(m) -> np.ndarray:
     m = np.asarray(m, dtype=float).ravel()
     if m.size < 3:
         raise ValueError("need the first three moments")
-    m1, m2, m3 = m[:3]
-    return np.array([m1, m2 - m1 ** 2, m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3])
+    return np.array(_free_cumulants(*m[:3].tolist()))
+
+
+def _free_cumulants(m1: float, m2: float, m3: float) -> tuple[float, float, float]:
+    """:func:`free_cumulants` on Python floats."""
+    return (m1, m2 - m1 ** 2, m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3)
 
 
 def moments_from_cumulants(k) -> np.ndarray:
@@ -308,21 +312,35 @@ def noisy_gram_cumulant_polys(
     Returns (b, polys) where polys[k] holds the coefficients of
     kappa_{k+1}(x), highest power first (the :func:`numpy.polyval` order).
     """
+    b, polys = _cumulant_polys(q, mode, c)
+    return b, tuple(np.array(p) for p in polys)
+
+
+def _cumulant_polys(q: float, mode: str, c: float) -> tuple[float, tuple]:
+    """:func:`noisy_gram_cumulant_polys` with each polynomial a tuple of floats."""
     q = _check_q(q)
     if mode == "gaussian_equivalent":
-        return float(c), (
-            np.array([1.0, 0.0]),
-            np.array([q, 0.0, 0.0]),
-            np.array([q * q, 0.0, 0.0, 0.0]),
-        )
+        return float(c), ((1.0, 0.0), (q, 0.0, 0.0), (q * q, 0.0, 0.0, 0.0))
     if mode == "printed":
         p = 1.0 - q
         return 1.0, (
-            np.array([1.0, 0.0]),
-            np.array([q, 2.0 * p, -2.0 * p]),
-            np.array([q * q, 3.0 * q * p, -3.0 * q * p, 0.0]),
+            (1.0, 0.0),
+            (q, 2.0 * p, -2.0 * p),
+            (q * q, 3.0 * q * p, -3.0 * q * p, 0.0),
         )
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _horner(coeffs, x: float) -> float:
+    """The polynomial ``coeffs`` (highest power first) at the float x.
+
+    The arithmetic of :func:`numpy.polyval`, one multiply and one add per
+    coefficient from y = 0, so the value is the same to the bit.
+    """
+    y = 0.0
+    for coeff in coeffs:
+        y = y * x + coeff
+    return y
 
 
 def noisy_gram_cumulants_theory(
@@ -334,9 +352,9 @@ def noisy_gram_cumulants_theory(
     x = 1 + b*eta/(1 - eta).  Both modes reduce to the clean MP cumulants
     (1, q, q^2) at eta = 0.
     """
-    b, polys = noisy_gram_cumulant_polys(q, mode, c)
+    b, polys = _cumulant_polys(q, mode, c)
     eta = float(eta)
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
     x = 1.0 + b * eta / (1.0 - eta)
-    return np.array([np.polyval(p, x) for p in polys])
+    return np.array([_horner(p, x) for p in polys])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eiprecode import channel, eta
+from eiprecode import channel, eta, rmt
 from eiprecode.eta import EstimatorConfig
 
 
@@ -88,6 +88,20 @@ def test_estimator_config_validation():
             EstimatorConfig(c=c)
 
 
+def test_estimator_config_order_follows_the_integer_rule():
+    # an integral real is cast to int, as the config layer casts its ints;
+    # 2.0 used to construct and then fail inside estimate_eta, and True came
+    # back as the estimate's order
+    y = _draw(4, 16, 0.3, 11, 12)
+    for order in (2.0, np.int64(2), np.float64(2.0)):
+        cfg = EstimatorConfig(order=order)
+        assert type(cfg.order) is int and cfg.order == 2
+        assert eta.estimate_eta(y, cfg).order == 2
+    for bad in (True, False, np.True_, 2.5, float("nan"), float("inf"), "2", 2 + 0j):
+        with pytest.raises(ValueError, match="order"):
+            EstimatorConfig(order=bad)
+
+
 def test_default_order_size_policy():
     assert eta.default_order(99, 101) == 1
     assert eta.default_order(100, 100) == 3
@@ -161,15 +175,68 @@ def test_estimate_eta_closed_form_reaches_the_dense_grid_minimum(
         )
 
 
+def _numpy_route(y, order, mode, c):
+    """eta-hat and kappa-hat through NumPy's polynomial routines: the
+    np.convolve objective, its np.roots stationary points, np.polyval
+    scores and np.argmin, the fit as it was first written."""
+    w = channel.gram_eig(y).values
+    m1, m2, m3 = np.array([np.sum(w ** k) for k in (1, 2, 3)]) / w.size
+    kappa_hat = np.array([m1, m2 - m1 ** 2, m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3])
+    b, polys = rmt.noisy_gram_cumulant_polys(y.shape[0] / y.shape[1], mode, c)
+    objective = np.zeros(2 * len(polys[order - 1]) - 1)
+    for k_hat, poly in zip(kappa_hat[:order], polys):
+        resid = np.zeros_like(poly)
+        resid[-1] = k_hat
+        resid -= poly
+        square = np.convolve(resid, resid)
+        objective[objective.size - square.size :] += square
+    x_lo, x_hi = (1.0 + b * e / (1.0 - e) for e in (1e-6, 0.999))
+    slope = objective[:-1] * np.arange(objective.size - 1, 0, -1)
+    crit = np.roots(slope).real
+    crit = crit[(crit > x_lo) & (crit < x_hi)]
+    xs = np.concatenate(([x_lo, x_hi], crit))
+    etas = np.concatenate(([1e-6, 0.999], (crit - 1.0) / (crit - 1.0 + b)))
+    return float(etas[np.argmin(np.polyval(objective, xs))]), tuple(kappa_hat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(0.0, 0.9),
+    c=st.sampled_from((0.5, 1.0, 2.0)),
+    dims=st.sampled_from(((4, 16), (16, 64), (20, 128), (30, 256), (128, 256))),
+    mode=st.sampled_from(("gaussian_equivalent", "printed")),
+    data_mode=st.sampled_from(("additive", "damped")),
+)
+def test_estimate_eta_is_the_numpy_route_to_the_bit(seed, level, c, dims, mode, data_mode):
+    if mode == "printed":
+        c = 1.0  # the printed curves are drawn for c = 1 only
+    rng = np.random.default_rng(seed)
+    h = channel.gen_channel(channel.SystemDims(*dims), rng)
+    y = channel.corrupt(h, channel.CorruptionModel(level, mode=data_mode, c=c), rng)
+    for order in (1, 2, 3):
+        est = eta.estimate_eta(y, EstimatorConfig(order=order, mode=mode, c=c, data_mode=data_mode))
+        assert (est.eta_hat, est.kappa_hat) == _numpy_route(y, order, mode, c), order
+
+
+def test_estimate_eta_evaluates_the_theory_once(count_calls):
+    # perfbench counts the fit's theory evaluations on this module global
+    calls = count_calls(eta, "noisy_gram_cumulants_theory")
+    y = _draw(20, 128, 0.3, 81, 82)
+    for order in (1, 2, 3):
+        eta.estimate_eta(y, EstimatorConfig(order=order))
+        assert calls == {"noisy_gram_cumulants_theory": order}
+
+
 @pytest.mark.parametrize("mode", ["gaussian_equivalent", "printed"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_estimate_eta_clamps_to_the_range_ends(mode, order):
     cfg = EstimatorConfig(order=order, mode=mode)
     h = channel.gen_channel(channel.SystemDims(20, 128), np.random.default_rng(5))
     # kappa_1 near 1/4 < 1: every admissible eta over-predicts each cumulant
-    assert eta.estimate_eta(0.5 * h, cfg).eta_hat == 1e-6
+    assert eta.estimate_eta(0.5 * h, cfg).eta_hat == 1e-6 == _numpy_route(0.5 * h, order, mode, 1.0)[0]
     # kappa_1 near 1e4, far above s(0.999) = 1000: every eta under-predicts
-    assert eta.estimate_eta(100.0 * h, cfg).eta_hat == 0.999
+    assert eta.estimate_eta(100.0 * h, cfg).eta_hat == 0.999 == _numpy_route(100.0 * h, order, mode, 1.0)[0]
 
 
 def test_estimate_eta_rejects_zero_observation():

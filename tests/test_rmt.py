@@ -436,6 +436,10 @@ def test_theory_cumulants_match_the_published_forms(eta, q, c):
     for mode, want in published.items():
         got = rmt.noisy_gram_cumulants_theory(eta, q, mode=mode, c=c)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14), mode
+        # and it is np.polyval of the polynomials to the bit
+        b, polys = rmt.noisy_gram_cumulant_polys(q, mode, c)
+        x = 1.0 + b * eta / (1.0 - eta)
+        assert got.tolist() == [np.polyval(p, x) for p in polys], mode
 
 
 def test_theory_cumulants_validation():
