@@ -233,10 +233,11 @@ def test_estimate_eta_evaluates_the_theory_once(count_calls):
 def test_estimate_eta_clamps_to_the_range_ends(mode, order):
     cfg = EstimatorConfig(order=order, mode=mode)
     h = channel.gen_channel(channel.SystemDims(20, 128), np.random.default_rng(5))
-    # kappa_1 near 1/4 < 1: every admissible eta over-predicts each cumulant
-    assert eta.estimate_eta(0.5 * h, cfg).eta_hat == 1e-6 == _numpy_route(0.5 * h, order, mode, 1.0)[0]
+    # kappa_1 near 1/4 < 1: every admissible eta over-predicts each cumulant;
     # kappa_1 near 1e4, far above s(0.999) = 1000: every eta under-predicts
-    assert eta.estimate_eta(100.0 * h, cfg).eta_hat == 0.999 == _numpy_route(100.0 * h, order, mode, 1.0)[0]
+    for scale, end in ((0.5, 1e-6), (100.0, 0.999)):
+        y = scale * h
+        assert eta.estimate_eta(y, cfg).eta_hat == end == _numpy_route(y, order, mode, 1.0)[0]
 
 
 def test_estimate_eta_rejects_zero_observation():
