@@ -9,8 +9,9 @@ the span tracer from ``perfbench/tracing.py``.  The setup is WFQ precoding
 on blind ``ei_cleaned`` CSI, QPSK, 4 bits, eta 0.3, SNR 0/4/8 dB and seed 7,
 with one BLAS thread.  Trials 0 .. repeats-1 each run as one
 ``downlink_trial`` call over all SNR points, with the tracer wrapped round
-the stage functions the trial looks up: ``draw_observation``,
-``estimate_eta`` and ``clean_channel`` once per trial, and ``precode``,
+the stage functions the trial looks up: ``draw_observation`` (the channel
+and the trial's one observation, at the setup's one eta), ``estimate_eta``
+and ``clean_channel`` once per trial, and ``precode``,
 ``transmit`` and ``demodulate`` once per SNR point.  So the stage times come from the trial's own
 code path, and ``other`` is the rest of the trial (the one Gram
 decomposition in ``estimate_csi``, symbols, the MSEs, ``H @ x`` and the

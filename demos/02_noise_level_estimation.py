@@ -16,6 +16,7 @@ from eiprecode import (
     corrupt,
     estimate_eta,
     gen_channel,
+    gen_error,
 )
 
 dims = SystemDims(users=30, antennas=256)
@@ -30,7 +31,7 @@ for eta in (0.1, 0.3, 0.5, 0.7):
     estimates = []
     for d in range(seeds):
         H = gen_channel(dims, np.random.default_rng((key, d, 0)))
-        H_obs = corrupt(H, model, np.random.default_rng((key, d, 1)))
+        H_obs = corrupt(H, model, gen_error(dims, model, np.random.default_rng((key, d, 1))))
         estimates.append(estimate_eta(H_obs).eta_hat)
     err = np.abs(np.array(estimates) - eta)
     print(f"{eta:9.2f} {np.mean(estimates):9.4f} {np.median(err):13.4f} "
@@ -44,7 +45,7 @@ for antennas in (64, 128, 256, 512):
     errs = []
     for d in range(seeds):
         H = gen_channel(d2, np.random.default_rng((antennas, d, 0)))
-        H_obs = corrupt(H, model, np.random.default_rng((antennas, d, 1)))
+        H_obs = corrupt(H, model, gen_error(d2, model, np.random.default_rng((antennas, d, 1))))
         errs.append(abs(estimate_eta(H_obs).eta_hat - 0.5))
     print(f"  A = {antennas:4d}: median |err| = {np.median(errs):.4f}")
 
@@ -52,7 +53,7 @@ for antennas in (64, 128, 256, 512):
 # channel, so no spectral method can recover eta; the estimate flags it
 model = CorruptionModel(eta=0.6, mode="damped", c=1.0)
 H = gen_channel(dims, np.random.default_rng(91))
-H_obs = corrupt(H, model, np.random.default_rng(92))
+H_obs = corrupt(H, model, gen_error(dims, model, np.random.default_rng(92)))
 cfg = EstimatorConfig(data_mode="damped", c=1.0)
 est = estimate_eta(H_obs, cfg)
 print(f"\ndamped corruption at c = 1, true eta = 0.6: "

@@ -20,6 +20,7 @@ from eiprecode import (
     corrupt,
     estimate_eta,
     gen_channel,
+    gen_error,
     gram_eig,
     linear_mmse_baseline,
     mse,
@@ -38,7 +39,7 @@ for eta in (0.1, 0.3, 0.5, 0.9):
     raw, cleaned, bayes, wins = [], [], [], 0
     for t in range(trials):
         H = gen_channel(dims, np.random.default_rng((key, t, 0)))
-        H_obs = corrupt(H, model, np.random.default_rng((key, t, 1)))
+        H_obs = corrupt(H, model, gen_error(dims, model, np.random.default_rng((key, t, 1))))
         eta_hat = estimate_eta(H_obs).eta_hat
         H_hat = clean_channel(H_obs, CorruptionModel(eta_hat)).matrix
         m_c = mse(H, H_hat)
@@ -66,7 +67,7 @@ reading the table:
 eta = 0.1
 model = CorruptionModel(eta=eta, mode="additive", c=1.0)
 H = gen_channel(dims, np.random.default_rng(1001))
-H_obs = corrupt(H, model, np.random.default_rng(1002))
+H_obs = corrupt(H, model, gen_error(dims, model, np.random.default_rng(1002)))
 eta_hat = estimate_eta(H_obs).eta_hat
 H_hat = clean_channel(H_obs, CorruptionModel(eta_hat)).matrix
 sv_obs = np.linalg.svd(H_obs, compute_uv=False)
@@ -84,7 +85,7 @@ model2 = CorruptionModel(eta=0.3, mode="additive", c=1.0)
 top, mid, bottom = [], [], []
 for t in range(trials):
     H2 = gen_channel(dims2, np.random.default_rng((1003, t)))
-    H2_obs = corrupt(H2, model2, np.random.default_rng((1004, t)))
+    H2_obs = corrupt(H2, model2, gen_error(dims2, model2, np.random.default_rng((1004, t))))
     H2_hat = clean_channel(H2_obs, CorruptionModel(estimate_eta(H2_obs).eta_hat)).matrix
     U2, _, Vh2 = np.linalg.svd(H2_obs, full_matrices=False)
     oracle = np.real(np.einsum("ik,ij,kj->k", U2.conj(), H2, Vh2.conj()))

@@ -17,6 +17,7 @@ from .channel import (
     build_bsca,
     corrupt,
     gen_channel,
+    gen_error,
     gram_eig,
 )
 from .eta import (

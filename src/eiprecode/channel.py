@@ -12,7 +12,10 @@ The damped observation divided by sqrt(1-eta) equals the additive one in
 law; with c = 1 the damped observation is equal in law to H itself, so eta
 is blindly unidentifiable in that corner (see eta estimator docs).
 :class:`CorruptionModel` holds eta, the mode and c as one object, which
-``corrupt`` and the CSI estimators in :mod:`eiprecode.rie` take.  One
+``corrupt`` and the CSI estimators in :mod:`eiprecode.rie` take.  The
+random error E is drawn by :func:`gen_error`, apart from the deterministic
+mix in :func:`corrupt`: its law depends on the mode and c but never on eta,
+so one draw serves every error level of a trial.  One
 check, :func:`_finite_matrix`, rejects a matrix that is not 2-D or has
 non-finite entries, wherever one enters.
 """
@@ -30,6 +33,7 @@ __all__ = [
     "GramEig",
     "gram_eig",
     "gen_channel",
+    "gen_error",
     "corrupt",
     "build_bsca",
 ]
@@ -166,18 +170,25 @@ def gen_channel(dims: SystemDims, rng: np.random.Generator) -> np.ndarray:
     return _cn_matrix(dims.users, dims.antennas, 1.0 / dims.antennas, rng)
 
 
-def corrupt(
-    H: np.ndarray, model: CorruptionModel, rng: np.random.Generator
-) -> np.ndarray:
-    """Apply the configured corruption; eta = 0 returns H unchanged."""
+def gen_error(dims: SystemDims, model: CorruptionModel, rng: np.random.Generator) -> np.ndarray:
+    """Draw the U x A corruption error E that :func:`corrupt` mixes in under
+    ``model``: i.i.d. CN(0, c/A) entries in the damped mode, CN(0, 1/A) in
+    the additive one.  ``model.eta`` is not read, so one draw serves every
+    error level of the same mode and c."""
+    var = model.c if model.mode == "damped" else 1.0
+    return _cn_matrix(dims.users, dims.antennas, var / dims.antennas, rng)
+
+
+def corrupt(H: np.ndarray, model: CorruptionModel, error: np.ndarray | None) -> np.ndarray:
+    """The observation of H under ``model``, with the error E of
+    :func:`gen_error`: sqrt(1-eta) H + sqrt(eta) E (damped) or
+    H + alpha E (additive).  eta = 0 returns a copy of H and reads no error,
+    so ``error`` may then be None."""
     if model.eta == 0.0:
         return H.copy()
-    u, a = H.shape
     if model.mode == "damped":
-        E = _cn_matrix(u, a, model.c / a, rng)
-        return np.sqrt(1.0 - model.eta) * H + np.sqrt(model.eta) * E
-    E = _cn_matrix(u, a, 1.0 / a, rng)
-    return H + model.alpha() * E
+        return np.sqrt(1.0 - model.eta) * H + np.sqrt(model.eta) * error
+    return H + model.alpha() * error
 
 
 def build_bsca(X: np.ndarray) -> np.ndarray:

@@ -123,15 +123,16 @@ def main(argv=None) -> int:
 
 
 def _warn_unidentifiable(diagnostics) -> None:
-    """One stderr line per BER point whose blind eta-hat was unidentifiable
-    in some trials (damped corruption with c = 1)."""
+    """One stderr line per BER or cleaning point whose blind eta-hat was
+    unidentifiable in some trials (damped corruption with c = 1)."""
     for point in diagnostics:
         frac = point["identifiable_fraction"]
         if frac is not None and frac < 1.0:
-            axis, x = next(iter(point.items()))  # the first key names the point
+            keys = list(point)  # the keys ahead of eta_hat_mean name the point
+            where = ", ".join(f"{k}={point[k]:g}" for k in keys[: keys.index("eta_hat_mean")])
             print(
                 f"warning: eta not identifiable in {100.0 * (1.0 - frac):.3g}% "
-                f"of trials at {axis}={x:g}",
+                f"of trials at {where}",
                 file=sys.stderr,
             )
 

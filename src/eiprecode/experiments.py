@@ -2,14 +2,15 @@
 
 Each family emits one CSV table (plot-ready, byte-deterministic for a fixed
 config and seed) and one JSON summary (config echo, version, headline
-numbers, wall time; the BER families add per-point CSI diagnostics).  The
-wall-time key is the only nondeterministic output field and lives nowhere
-else.
+numbers, wall time; the BER and cleaning families add per-point CSI
+diagnostics).  The wall-time key is the only nondeterministic output field
+and lives nowhere else.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -158,7 +159,7 @@ def _spectrum_check(cfg: SimConfig, bins: int = 50):
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     def one(t: int):
-        H, _ = draw_observation(cfg, dims, 0.0, t)
+        H, _ = draw_observation(cfg, dims, (0.0,), t)
         w = np.linalg.eigvalsh(build_bsca(H))
         zero = np.abs(w) <= 1e-10 * np.abs(w).max()
         counts, _ = np.histogram(w[~zero], bins=edges)
@@ -195,23 +196,23 @@ def _eta_cdf(cfg: SimConfig):
     rows = []
     headline = {}
 
-    def one(eta: float, t: int):
-        _, H_obs = draw_observation(cfg, dims, eta, t)
-        est = estimate_eta(H_obs, cfg.estimator)
-        return abs(est.eta_hat - eta), est.eta_hat, est.identifiable
+    def one(t: int):
+        # one draw of the trial serves every level
+        _, observations = draw_observation(cfg, dims, cfg.eta, t)
+        return [estimate_eta(H_obs, cfg.estimator) for H_obs in observations]
 
     with trial_map(cfg.threads) as map_trials:
-        per_eta = [map_trials(partial(one, eta), range(cfg.trials)) for eta in cfg.eta]
-    for eta, results in zip(cfg.eta, per_eta):
-        deltas = np.sort(np.array([r[0] for r in results]))
+        per_trial = map_trials(one, range(cfg.trials))
+    for eta, estimates in zip(cfg.eta, zip(*per_trial)):
+        deltas = np.sort(np.array([abs(est.eta_hat - eta) for est in estimates]))
         cdf = np.arange(1, len(deltas) + 1) / len(deltas)
         rows.extend((eta, d, p) for d, p in zip(deltas, cdf))
         headline[f"eta={_fmt(eta)}"] = {
             "p95_delta_eta": np.quantile(deltas, 0.95),
             "prob_delta_below_0.05": np.mean(deltas < 0.05),
             "median_delta_eta": np.median(deltas),
-            "mean_eta_hat": np.mean([r[1] for r in results]),
-            "identifiable_fraction": np.mean([r[2] for r in results]),
+            "mean_eta_hat": np.mean([est.eta_hat for est in estimates]),
+            "identifiable_fraction": np.mean([est.identifiable for est in estimates]),
         }
     order = cfg.estimator.order
     headline["estimator_order"] = order if order is not None else "auto"
@@ -220,38 +221,61 @@ def _eta_cdf(cfg: SimConfig):
 
 
 def _mse_vs_antennas(cfg: SimConfig):
+    """Cleaned, raw and scalar-MMSE CSI error at each (eta, antennas) point.
+
+    One draw of each trial and grid size serves every eta level; the rows
+    run over eta, then antennas.  Each point's diagnostics hold the mean
+    and spread of eta-hat and the identifiable fraction (null for the known
+    eta)."""
     rows = []
     headline = {}
+    diagnostics = []
 
-    def one(dims, eta: float, t: int):
-        H, H_obs = draw_observation(cfg, dims, eta, t)
-        H_hat = estimate_csi(cfg, eta, H, H_obs)[0].matrix
-        return (
-            mse(H, H_hat),
-            mse(H, H_obs),
-            mse(H, linear_mmse_baseline(H_obs, cfg.corruption(eta))),
-        )
+    def one(dims, t: int):
+        H, observations = draw_observation(cfg, dims, cfg.eta, t)
+        per_eta = []
+        for eta, H_obs in zip(cfg.eta, observations):
+            csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
+            mses = (
+                mse(H, csi.matrix),
+                mse(H, H_obs),
+                mse(H, linear_mmse_baseline(H_obs, cfg.corruption(eta))),
+            )
+            per_eta.append((mses, eta_hat, identifiable))
+        return per_eta
 
     with trial_map(cfg.threads) as map_trials:
-        for eta in cfg.eta:
-            means = []
-            for dims in cfg.grid_dims:
-                results = np.array(map_trials(partial(one, dims, eta), range(cfg.trials)))
-                m_clean, m_noisy, m_scalar = results.mean(axis=0)
-                win = np.mean(results[:, 0] <= results[:, 1])
-                # the error of the conditional mean E[H | H_obs], in either corruption mode
-                floor = eta * cfg.c / ((1 - eta) + eta * cfg.c) / dims.antennas
-                means.append(m_clean)
-                rows.append((eta, dims.antennas, m_clean, m_noisy, m_scalar, floor, win,
-                             cfg.trials, cfg.seed))
-            headline[f"eta={_fmt(eta)}"] = {
-                "nonincreasing_in_antennas": bool(
-                    all(means[i + 1] <= means[i] for i in range(len(means) - 1))
-                ),
-                "mse_cleaned_by_antennas": means,
-                # floor is the last grid point's; at eta = 0 it is 0, and JSON has no Infinity
-                "ratio_to_floor_last": means[-1] / floor if floor > 0 else None,
-            }
+        # (grid size, level) -> the trials' results, in trial order
+        by_dims = [list(zip(*map_trials(partial(one, dims), range(cfg.trials))))
+                   for dims in cfg.grid_dims]
+    for eta, per_dims in zip(cfg.eta, zip(*by_dims)):
+        means = []
+        for dims, trials in zip(cfg.grid_dims, per_dims):
+            mses, eta_hats, flags = zip(*trials)
+            results = np.array(mses)
+            m_clean, m_noisy, m_scalar = results.mean(axis=0)
+            win = np.mean(results[:, 0] <= results[:, 1])
+            # the error of the conditional mean E[H | H_obs], in either corruption mode
+            floor = eta * cfg.c / ((1 - eta) + eta * cfg.c) / dims.antennas
+            means.append(m_clean)
+            rows.append((eta, dims.antennas, m_clean, m_noisy, m_scalar, floor, win,
+                         cfg.trials, cfg.seed))
+            flags = [f for f in flags if f is not None]
+            diagnostics.append({
+                "eta": eta,
+                "antennas": dims.antennas,
+                "eta_hat_mean": statistics.fmean(eta_hats),
+                "eta_hat_std": statistics.pstdev(eta_hats),
+                "identifiable_fraction": float(np.mean(flags)) if flags else None,
+            })
+        headline[f"eta={_fmt(eta)}"] = {
+            "nonincreasing_in_antennas": bool(
+                all(means[i + 1] <= means[i] for i in range(len(means) - 1))
+            ),
+            "mse_cleaned_by_antennas": means,
+            # floor is the last grid point's; at eta = 0 it is 0, and JSON has no Infinity
+            "ratio_to_floor_last": means[-1] / floor if floor > 0 else None,
+        }
     headline["csi"] = cfg.csi
     header = (
         "eta",
@@ -264,7 +288,7 @@ def _mse_vs_antennas(cfg: SimConfig):
         "trials",
         "seed",
     )
-    return header, rows, {"headline": headline}
+    return header, rows, {"diagnostics": diagnostics, "headline": headline}
 
 
 _BER_HEADER = (
@@ -285,7 +309,8 @@ _BER_AXES = {"snr_db": ("eta", "snr"), "eta": ("snr_db", "eta")}
 
 
 # diagnostics key -> the BER point's Aggregate field (see there for where each
-# is null); an entry starts with the point's own key, which the CLI reads
+# is null); an entry starts with the point's own key, and the CLI names a
+# point by the keys ahead of eta_hat_mean
 _CSI_DIAGNOSTICS = {
     "eta_hat_mean": "eta_hat_mean",
     "eta_hat_std": "eta_hat_std",

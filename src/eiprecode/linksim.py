@@ -10,7 +10,13 @@ Randomness: trial t derives four independent substreams from
 SeedSequence(entropy=master_seed, spawn_key=(t, purpose)) with purpose
 codes 0 = channel, 1 = corruption, 2 = receiver noise, 3 = symbols, so
 flipping the CSI handling or the precoder never changes the draws, and any
-trial is recomputable in isolation.
+trial is recomputable in isolation.  Neither the channel H nor the
+corruption error E depends on eta (E's law depends on the mode and c
+only), so :func:`draw_observation` draws each once per trial and mixes
+them into one observation per error level: the ``clean-csi`` and
+``estimate-eta`` families draw a trial (and grid size) once for all their
+levels, and each level's observation is the one a call at that level alone
+gives.
 
 None of those draws depends on the SNR: the receiver noise is drawn at unit
 variance and scaled per SNR.  So one trial index serves every SNR point of
@@ -50,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import precoding
-from .channel import CorruptionModel, GramEig, SystemDims, corrupt, gen_channel, gram_eig
+from .channel import CorruptionModel, GramEig, SystemDims, corrupt, gen_channel, gen_error, gram_eig
 from .eta import EstimatorConfig, estimate_eta
 from .rie import clean_channel, mse
 
@@ -347,16 +353,20 @@ def _trial_rng(master_seed: int, trial_index: int, purpose: int) -> np.random.Ge
 
 
 def draw_observation(
-    cfg: SimConfig, dims: SystemDims, eta: float, trial_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The true channel and its corrupted observation for one trial.
+    cfg: SimConfig, dims: SystemDims, etas: tuple[float, ...], trial_index: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The true channel of one trial and its corrupted observation at each
+    error level of ``etas``, in order.
 
-    They come from the channel and corruption streams of ``trial_index``,
-    so every experiment family sees the same pair for the same seed.
+    H comes from the channel stream of ``trial_index`` and the error E from
+    its corruption stream, each drawn once: neither depends on eta, so every
+    level mixes the same H and E, and each observation equals a call with
+    that level alone.  E is not drawn when every level is 0.
     """
+    models = [cfg.corruption(eta) for eta in etas]
     H = gen_channel(dims, _trial_rng(cfg.seed, trial_index, 0))
-    H_obs = corrupt(H, cfg.corruption(eta), _trial_rng(cfg.seed, trial_index, 1))
-    return H, H_obs
+    E = gen_error(dims, models[0], _trial_rng(cfg.seed, trial_index, 1)) if any(etas) else None
+    return H, tuple(corrupt(H, model, E) for model in models)
 
 
 def estimate_csi(
@@ -426,7 +436,7 @@ def downlink_trial(
     rng_noise = _trial_rng(cfg.seed, trial_index, 2)
     rng_sym = _trial_rng(cfg.seed, trial_index, 3)
 
-    H, H_obs = draw_observation(cfg, dims, eta, trial_index)
+    H, (H_obs,) = draw_observation(cfg, dims, (eta,), trial_index)
     csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
     mse_csi = mse_noisy = None
     if eta_hat is not None:

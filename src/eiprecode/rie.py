@@ -29,7 +29,7 @@ import numpy as np
 # build_bsca, eig_bsca and reconstruct are unused here; perfbench's traced run
 # looks them up on this module
 from .channel import CorruptionModel, GramEig, SystemDims, _finite_matrix, build_bsca, gram_eig  # noqa: F401
-from .rmt import _scalar_or_array, default_epsilon, empirical_stieltjes
+from .rmt import _scalar_or_array, default_epsilon
 
 __all__ = [
     "eig_bsca",
@@ -62,7 +62,7 @@ def local_stieltjes(spectrum, x, epsilon: float):
     For each point x, excludes the entry nearest x and returns (real part,
     imaginary part) of mean(1/(lam - x - i eps)) over the other n - 1
     entries, for all points in one broadcast: (n g(z) - 1/(lam_drop - z)) /
-    (n - 1), g the full :func:`~eiprecode.rmt.empirical_stieltjes`.  A scalar
+    (n - 1), g the full empirical transform mean(1/(lam - z)).  A scalar
     x gives two floats, an array two arrays.  Minus the real part is the
     smoothed Hilbert transform h(x); the imaginary part is a local density
     probe (no 1/pi factor applied).
@@ -70,9 +70,11 @@ def local_stieltjes(spectrum, x, epsilon: float):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     lam = np.asarray(spectrum, dtype=float).ravel()
+    if lam.size == 0:
+        raise ValueError("empty eigenvalue list")
     x = np.asarray(x, dtype=float)
     z = x + 1j * epsilon
-    g = empirical_stieltjes(lam, z)  # raises on an empty spectrum
+    g = np.mean(1.0 / (lam - z[..., None]), axis=-1)
     drop = lam[np.argmin(np.abs(lam - x[..., None]), axis=-1)]
     # a one-entry spectrum leaves nothing: n g - 1/(lam_drop - z) is exactly 0
     g = (lam.size * g - 1.0 / (drop - z)) / max(lam.size - 1, 1)
@@ -99,8 +101,9 @@ def shrink_eigenvalue(y: float, h: float, q: float, alpha: float) -> float:
 
 
 def _shrink(s, h, q: float, alpha: float):
-    # the rule of shrink_eigenvalue for positive s, scalar or array
-    return np.clip(s - alpha * alpha * ((1.0 - q) / s + 2.0 * q * h), 0.0, s)
+    # the rule of shrink_eigenvalue for positive s, scalar or array; the
+    # clamp into [0, s] is np.clip's arithmetic without its wrapper
+    return np.minimum(np.maximum(s - alpha * alpha * ((1.0 - q) / s + 2.0 * q * h), 0.0), s)
 
 
 def reconstruct(u: np.ndarray, xi, vh: np.ndarray) -> np.ndarray:
@@ -131,8 +134,11 @@ def clean_channel(H_obs: np.ndarray | GramEig, model: CorruptionModel) -> GramEi
     are left out of that spectrum and map to 0.
 
     Returns the cleaned channel as the GramEig (channel, xi^2, U), its Gram
-    U diag(xi^2) U^H exactly, with no second decomposition.  Non-finite
-    input raises ValueError; an all-zero input comes back as zeros.
+    U diag(xi^2) U^H exactly, with no second decomposition.  At alpha 0
+    with every singular value kept the cleaner is the identity, and it
+    returns the additive-form observation's own GramEig, the matrix
+    exactly.  Non-finite input raises ValueError; an all-zero input comes
+    back as zeros.
     """
     obs = gram_eig(H_obs)
     u, a = obs.matrix.shape
@@ -141,6 +147,8 @@ def clean_channel(H_obs: np.ndarray | GramEig, model: CorruptionModel) -> GramEi
     x = model.additive_gram_eig(obs)
     sv = np.sqrt(np.maximum(x.values, 0.0))
     kept = sv > _NULL_TOL * sv.max()
+    if alpha == 0.0 and kept.all():
+        return x  # nothing to shrink: the observation itself, to the bit
     s = sv[kept]
     xi = np.zeros_like(sv)
     ratio = np.zeros_like(sv)

@@ -20,6 +20,7 @@ from eiprecode.channel import (
     build_bsca,
     corrupt,
     gen_channel,
+    gen_error,
 )
 from eiprecode.eta import EstimatorConfig, empirical_moments, estimate_eta
 from eiprecode.experiments import run_experiment, threshold_crossing
@@ -30,6 +31,11 @@ from eiprecode.rie import clean_channel, mse
 
 def _fmt_db(v) -> str:
     return "none" if v is None else f"{v:.2f} dB"
+
+
+def _observe(H, model, seed):
+    # H under model, with the error drawn from default_rng(seed)
+    return corrupt(H, model, gen_error(SystemDims(*H.shape), model, default_rng(seed)))
 
 
 # ---------------------------------------------------------------- A1 spectra
@@ -64,11 +70,7 @@ def test_a2_estimator_accuracy(acceptance):
         [
             rmt.free_cumulants(
                 empirical_moments(
-                    corrupt(
-                        gen_channel(dims, default_rng((9_010, d, 0))),
-                        model,
-                        default_rng((9_010, d, 1)),
-                    )
+                    _observe(gen_channel(dims, default_rng((9_010, d, 0))), model, (9_010, d, 1))
                 )
             )
             for d in range(12)
@@ -84,7 +86,7 @@ def test_a2_estimator_accuracy(acceptance):
     hits = 0
     for d in range(n_seeds):
         H = gen_channel(dims, default_rng((9_020, d, 0)))
-        H_obs = corrupt(H, model, default_rng((9_020, d, 1)))
+        H_obs = _observe(H, model, (9_020, d, 1))
         est = estimate_eta(H_obs, cfg)
         hits += abs(est.eta_hat - eta_true) < 0.05
     runtime = time.perf_counter() - t0
@@ -121,7 +123,7 @@ def cleaning_grid():
             clean_sum = 0.0
             for t in range(_A3_TRIALS):
                 H = gen_channel(dims, default_rng((9_030, i, a, t, 0)))
-                H_obs = corrupt(H, model, default_rng((9_030, i, a, t, 1)))
+                H_obs = _observe(H, model, (9_030, i, a, t, 1))
                 eta_hat = estimate_eta(H_obs).eta_hat
                 m_clean = mse(H, clean_channel(H_obs, CorruptionModel(eta_hat)).matrix)
                 wins += m_clean <= mse(H, H_obs)
@@ -419,11 +421,7 @@ def test_a6_addition_law(acceptance):
     z = 3.0 + 0.3j
     pooled = 0.0j
     for d in range(draws):
-        H_obs = corrupt(
-            gen_channel(dims, default_rng((9_063, d, 0))),
-            model,
-            default_rng((9_063, d, 1)),
-        )
+        H_obs = _observe(gen_channel(dims, default_rng((9_063, d, 0))), model, (9_063, d, 1))
         eigs = np.linalg.eigvalsh(H_obs @ H_obs.conj().T)
         pooled += rmt.empirical_stieltjes(eigs, z)
     pooled /= draws

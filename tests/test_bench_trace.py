@@ -36,6 +36,36 @@ SMALL = bench.Workload(
 )
 
 
+SMALL_CLEAN = bench.Workload(
+    "small_clean",
+    "clean-csi",
+    {
+        "users": 4,
+        "antennas": 128,
+        "antennas_grid": [64, 128],
+        "eta": [0.1, 0.5],
+        "corruption_mode": "additive",
+        "csi": "ei_cleaned",
+        "trials": 2,
+        "threads": 1,
+    },
+    ("eta", "antennas_grid"),
+)
+
+
+def test_traced_clean_csi_run_pairs_every_estimate_with_a_traced_draw(tmp_path):
+    # the tracer opens a trial id at each gen_channel it sees and pairs each
+    # estimate_eta with that trial's corrupt calls; a draw made past the
+    # module globals it wraps would leave the estimates without a trial
+    doc = bench.measure(tmp_path, SMALL_CLEAN, seed=3, seconds=0.01, trace=True)
+    assert doc["correct"]
+    metrics = doc["metrics"]
+    bad = {k: v for k, v in metrics.items() if type(v) is not float or not math.isfinite(v)}
+    assert not bad, bad
+    # one draw per (grid size, trial), one estimate per level
+    assert metrics["eta.calls_per_trial"] == 2.0
+
+
 def test_traced_metrics_serialize_as_finite_floats(tmp_path):
     doc = bench.measure(tmp_path, SMALL, seed=3, seconds=0.01, trace=True)
     assert doc["correct"]

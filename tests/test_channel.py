@@ -11,6 +11,12 @@ def _chan(u, a, seed):
     return channel.gen_channel(SystemDims(u, a), np.random.default_rng(seed))
 
 
+def _corrupt(h, model, seed):
+    # h under model, with the error drawn from a fresh generator
+    dims = SystemDims(*h.shape)
+    return channel.corrupt(h, model, channel.gen_error(dims, model, np.random.default_rng(seed)))
+
+
 # ---------------------------------------------------------------------------
 # dimension / corruption dataclasses
 
@@ -106,29 +112,45 @@ def test_gram_eig_antenna_products_are_made_once_and_kept():
 
 
 def test_corrupt_zero_eta_returns_copy():
+    # at eta 0 no error is read, so none need be drawn
     h = _chan(8, 16, 3)
-    y = channel.corrupt(h, CorruptionModel(0.0), np.random.default_rng(0))
+    y = channel.corrupt(h, CorruptionModel(0.0), None)
     assert np.array_equal(y, h)
     assert y is not h
 
 
+@pytest.mark.parametrize("mode, c", [("additive", 1.0), ("additive", 3.0), ("damped", 3.0)])
+def test_gen_error_law_reads_the_mode_and_c_but_not_eta(mode, c):
+    # damped errors have variance c/A, additive ones 1/A whatever c; eta is
+    # never read, so one draw serves every level
+    dims = SystemDims(30, 256)
+    draws = [
+        channel.gen_error(dims, CorruptionModel(eta, mode, c), np.random.default_rng(41))
+        for eta in (0.0, 0.2, 0.9)
+    ]
+    assert all(np.array_equal(d, draws[0]) for d in draws)
+    var = c if mode == "damped" else 1.0
+    assert draws[0].shape == (30, 256)
+    assert np.mean(np.abs(draws[0]) ** 2) * 256 == pytest.approx(var, rel=0.05)
+
+
 def test_corrupt_additive_power_scale():
     h = _chan(30, 256, 21)
-    y = channel.corrupt(h, CorruptionModel(0.5, mode="additive"), np.random.default_rng(22))
+    y = _corrupt(h, CorruptionModel(0.5, mode="additive"), 22)
     assert abs(np.mean(np.abs(y) ** 2) * 256 - 2.0) < 0.05
 
 
 def test_corrupt_damped_power_scale():
     h = _chan(30, 256, 23)
-    y = channel.corrupt(h, CorruptionModel(0.5, mode="damped"), np.random.default_rng(24))
+    y = _corrupt(h, CorruptionModel(0.5, mode="damped"), 24)
     assert abs(np.mean(np.abs(y) ** 2) * 256 - 1.0) < 0.05
 
 
 def test_damped_normalizes_onto_additive_with_shared_noise_stream():
     h = _chan(30, 256, 31)
     eta = 0.5
-    y_damped = channel.corrupt(h, CorruptionModel(eta, mode="damped"), np.random.default_rng(32))
-    y_add = channel.corrupt(h, CorruptionModel(eta, mode="additive"), np.random.default_rng(32))
+    y_damped = _corrupt(h, CorruptionModel(eta, mode="damped"), 32)
+    y_add = _corrupt(h, CorruptionModel(eta, mode="additive"), 32)
     lifted = CorruptionModel(eta, mode="damped").additive_form(y_damped)
     assert np.max(np.abs(lifted - y_add)) < 1e-12
 

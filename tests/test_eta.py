@@ -10,10 +10,10 @@ from eiprecode.eta import EstimatorConfig
 
 
 def _draw(u, a, level, seed_h, seed_e, mode="additive", c=1.0):
-    h = channel.gen_channel(channel.SystemDims(u, a), np.random.default_rng(seed_h))
-    return channel.corrupt(
-        h, channel.CorruptionModel(level, mode=mode, c=c), np.random.default_rng(seed_e)
-    )
+    dims = channel.SystemDims(u, a)
+    h = channel.gen_channel(dims, np.random.default_rng(seed_h))
+    model = channel.CorruptionModel(level, mode=mode, c=c)
+    return channel.corrupt(h, model, channel.gen_error(dims, model, np.random.default_rng(seed_e)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,11 @@ def test_estimate_eta_closed_form_reaches_the_dense_grid_minimum(
     if mode == "printed":
         c = 1.0  # the printed curves are drawn for c = 1 only
     rng = np.random.default_rng(seed)
-    h = channel.gen_channel(channel.SystemDims(u, a), rng)
-    y = channel.corrupt(h, channel.CorruptionModel(level, mode="additive", c=c), rng)
+    dims = channel.SystemDims(u, a)
+    h = channel.gen_channel(dims, rng)
+    model = channel.CorruptionModel(level, mode="additive", c=c)
+    # the error comes after H from the one generator; nothing draws after it
+    y = channel.corrupt(h, model, channel.gen_error(dims, model, rng))
     dense = _published_cumulants(_DENSE_ETA, q, mode, c)
     for order in (1, 2, 3):
         est = eta.estimate_eta(y, EstimatorConfig(order=order, mode=mode, c=c))
@@ -213,7 +216,9 @@ def test_estimate_eta_is_the_numpy_route_to_the_bit(seed, level, c, dims, mode, 
         c = 1.0  # the printed curves are drawn for c = 1 only
     rng = np.random.default_rng(seed)
     h = channel.gen_channel(channel.SystemDims(*dims), rng)
-    y = channel.corrupt(h, channel.CorruptionModel(level, mode=data_mode, c=c), rng)
+    model = channel.CorruptionModel(level, mode=data_mode, c=c)
+    # the error comes after H from the one generator; nothing draws after it
+    y = channel.corrupt(h, model, channel.gen_error(channel.SystemDims(*dims), model, rng))
     for order in (1, 2, 3):
         est = eta.estimate_eta(y, EstimatorConfig(order=order, mode=mode, c=c, data_mode=data_mode))
         assert (est.eta_hat, est.kappa_hat) == _numpy_route(y, order, mode, c), order

@@ -2,13 +2,14 @@
 
 import json
 import re
-from dataclasses import asdict
+import statistics
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 import yaml
 
-from eiprecode import precoding
+from eiprecode import linksim, precoding
 from eiprecode.cli import build_parser, main
 from eiprecode.config import (
     ENV_SEED,
@@ -22,10 +23,13 @@ from eiprecode.experiments import (
     EXPERIMENT_KINDS,
     ExperimentError,
     _round,
+    _rounded,
     run_experiment,
     threshold_crossing,
 )
-from eiprecode.linksim import SNR_DEFINITION, SimConfig, downlink_trial
+from eiprecode.eta import estimate_eta
+from eiprecode.linksim import SNR_DEFINITION, SimConfig, downlink_trial, estimate_csi
+from eiprecode.rie import linear_mmse_baseline, mse
 from eiprecode.rmt import bsca_density, bsca_support
 
 # keeps any ambient environment from leaking into precedence tests
@@ -234,6 +238,129 @@ def test_mse_vs_antennas_floor_is_the_conditional_means_error(mode, c):
     assert row[5] == pytest.approx(eta * c / (1 - eta + eta * c) / antennas, rel=1e-9)
     assert row[4] == pytest.approx(row[5], rel=0.03)
     assert 0.95 < res.summary["headline"]["eta=0.4"]["ratio_to_floor_last"] < 1.1
+
+
+def test_clean_csi_at_eta_zero_keeps_the_observation_exactly():
+    # the known-eta cleaner at eta 0 is the identity and returns the
+    # observation itself, so every trial's cleaned error is exactly the raw 0
+    cfg = SimConfig(
+        corruption_mode="damped", c=2.0, csi="ei_cleaned_known_eta", eta=(0.0, 0.3),
+        antennas_grid=(32, 64), trials=6, seed=3,
+    )
+    rows = run_experiment("mse_vs_antennas", cfg).rows
+    for row in rows[:2]:
+        assert row[2] == row[3] == 0.0 and row[6] == 1.0, row
+    assert all(0.0 < row[2] < row[3] for row in rows[2:])
+
+
+# ------------------------------------------------ one draw for every eta level
+
+def _observation(cfg, dims, eta, t):
+    """Trial t's channel and its observation at one level, written out as a
+    run at that level alone draws them: H with CN(0, 1/A) entries from the
+    stream (seed, t, 0); unless eta is 0, the error E with CN(0, v/A)
+    entries, v = c damped and 1 additive, from the stream (seed, t, 1)."""
+    def stream(purpose):
+        return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(t, purpose)))
+
+    def cn(var, rng):
+        shape = (dims.users, dims.antennas)
+        return np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    H = cn(1.0 / dims.antennas, stream(0))
+    if eta == 0.0:
+        return H, H.copy()
+    if cfg.corruption_mode == "damped":
+        E = cn(cfg.c / dims.antennas, stream(1))
+        return H, np.sqrt(1.0 - eta) * H + np.sqrt(eta) * E
+    E = cn(1.0 / dims.antennas, stream(1))
+    return H, H + float(np.sqrt(eta * cfg.c / (1.0 - eta))) * E
+
+
+def _clean_csi_reference(cfg):
+    """The mse_vs_antennas rows and diagnostics, level by level."""
+    rows, diagnostics = [], []
+    for eta in cfg.eta:
+        for dims in cfg.grid_dims:
+            per_trial, eta_hats, flags = [], [], []
+            for t in range(cfg.trials):
+                H, H_obs = _observation(cfg, dims, eta, t)
+                csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
+                scalar = linear_mmse_baseline(H_obs, cfg.corruption(eta))
+                per_trial.append((mse(H, csi.matrix), mse(H, H_obs), mse(H, scalar)))
+                eta_hats.append(eta_hat)
+                flags += [] if identifiable is None else [identifiable]
+            results = np.array(per_trial)
+            floor = eta * cfg.c / ((1 - eta) + eta * cfg.c) / dims.antennas
+            win = np.mean(results[:, 0] <= results[:, 1])
+            rows.append((eta, dims.antennas, *results.mean(axis=0), floor, win,
+                         cfg.trials, cfg.seed))
+            diagnostics.append({
+                "eta": eta,
+                "antennas": dims.antennas,
+                "eta_hat_mean": statistics.fmean(eta_hats),
+                "eta_hat_std": statistics.pstdev(eta_hats),
+                "identifiable_fraction": float(np.mean(flags)) if flags else None,
+            })
+    return _rounded(rows), _rounded(diagnostics)
+
+
+def _eta_cdf_reference(cfg):
+    rows = []
+    for eta in cfg.eta:
+        observations = [_observation(cfg, cfg.dims, eta, t)[1] for t in range(cfg.trials)]
+        deltas = np.sort([abs(estimate_eta(y, cfg.estimator).eta_hat - eta) for y in observations])
+        cdf = np.arange(1, len(deltas) + 1) / len(deltas)
+        rows.extend((eta, d, p) for d, p in zip(deltas, cdf))
+    return _rounded(rows)
+
+
+_LEVELS = dict(users=4, antennas=16, antennas_grid=(8, 16), eta=(0.0, 0.3, 0.7), trials=3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("mode, c", [("additive", 1.0), ("damped", 2.0)])
+def test_every_level_sees_the_written_out_per_level_draws(mode, c, threads):
+    # one draw of each trial serves every level; each level's rows are the
+    # ones a draw at that level alone gives
+    base = SimConfig(**_LEVELS, corruption_mode=mode, c=c, threads=threads, seed=3400)
+    for csi in ("ei_cleaned", "ei_cleaned_known_eta"):
+        cfg = replace(base, csi=csi)
+        res = run_experiment("mse_vs_antennas", cfg)
+        rows, diagnostics = _clean_csi_reference(cfg)
+        assert list(res.rows) == rows, csi
+        assert res.summary["diagnostics"] == diagnostics, csi
+    assert list(run_experiment("eta_cdf", base).rows) == _eta_cdf_reference(base)
+
+
+def test_clean_csi_and_estimate_eta_draw_each_trial_once(count_calls):
+    # H and E are drawn once per trial (and grid size), and mixed once per level
+    calls = count_calls(linksim, "gen_channel", "gen_error", "corrupt")
+    cfg = SimConfig(**_LEVELS, csi="ei_cleaned", seed=3500)
+    run_experiment("mse_vs_antennas", cfg)
+    assert calls == {"gen_channel": 6, "gen_error": 6, "corrupt": 18}
+    calls.update(gen_channel=0, gen_error=0, corrupt=0)
+    run_experiment("eta_cdf", cfg)
+    assert calls == {"gen_channel": 3, "gen_error": 3, "corrupt": 9}
+    # no error is drawn when every level is 0
+    calls.update(gen_channel=0, gen_error=0, corrupt=0)
+    run_experiment("eta_cdf", replace(cfg, eta=(0.0,)))
+    assert calls == {"gen_channel": 3, "gen_error": 0, "corrupt": 3}
+
+
+def test_clean_csi_json_reports_the_eta_hat_diagnostics():
+    cfg = SimConfig(**_LEVELS, corruption_mode="damped", seed=3600)
+    for csi in ("ei_cleaned", "ei_cleaned_known_eta"):
+        diag = json.loads(run_experiment("mse_vs_antennas", replace(cfg, csi=csi)).json_text())
+        points = [(d["eta"], d["antennas"]) for d in diag["diagnostics"]]
+        assert points == [(e, a) for e in cfg.eta for a in cfg.antennas_grid]
+        for d in diag["diagnostics"]:
+            if csi == "ei_cleaned":
+                # damped corruption with c = 1: eta is blindly unidentifiable
+                assert 0.0 <= d["identifiable_fraction"] < 1.0 and d["eta_hat_std"] >= 0.0
+            else:
+                assert d["eta_hat_mean"] == d["eta"] and d["eta_hat_std"] == 0.0
+                assert d["identifiable_fraction"] is None
 
 
 def test_every_family_sees_the_link_trials_observation():

@@ -438,7 +438,7 @@ def test_zf_on_rank_deficient_cleaned_csi_sends_nothing_on_null_directions():
                     snr_db=10.0, trials=16, seed=7)
     null = 0
     for t in range(cfg.trials):
-        H, H_obs = linksim.draw_observation(cfg, cfg.dims, 0.8, t)
+        H, (H_obs,) = linksim.draw_observation(cfg, cfg.dims, (0.8,), t)
         null += np.count_nonzero(linksim.estimate_csi(cfg, 0.8, H, H_obs)[0].values == 0.0)
     assert null > 0
     agg = linksim.monte_carlo(cfg)[0]

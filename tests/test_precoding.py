@@ -648,7 +648,7 @@ def test_precoders_match_the_a_column_form_on_rank_deficient_cleaned_csi(kind):
     dims = channel.SystemDims(20, 128)
     h = channel.gen_channel(dims, np.random.default_rng(0))
     model = channel.CorruptionModel(0.9)
-    y = channel.corrupt(h, model, np.random.default_rng(100))
+    y = channel.corrupt(h, model, channel.gen_error(dims, model, np.random.default_rng(100)))
     csi = rie.clean_channel(y, model).scaled(np.sqrt(dims.antennas))
     assert np.count_nonzero(csi.values == 0.0) == 5
     spec = QuantizerSpec(3)

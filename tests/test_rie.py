@@ -11,12 +11,15 @@ from eiprecode import channel, rie, rmt
 from eiprecode.channel import CorruptionModel, SystemDims
 
 
+def _corrupt(h, model, seed):
+    # h under model, with the error drawn from a fresh generator
+    dims = SystemDims(*h.shape)
+    return channel.corrupt(h, model, channel.gen_error(dims, model, np.random.default_rng(seed)))
+
+
 def _draw(u, a, level, seed_h, seed_e):
     h = channel.gen_channel(SystemDims(u, a), np.random.default_rng(seed_h))
-    y = channel.corrupt(
-        h, CorruptionModel(level, mode="additive"), np.random.default_rng(seed_e)
-    )
-    return h, y
+    return h, _corrupt(h, CorruptionModel(level, mode="additive"), seed_e)
 
 
 def _reference_clean(x, eta_hat):
@@ -324,6 +327,68 @@ def test_clean_channel_validation():
             rie.clean_channel(h, CorruptionModel(0.3, c=c))
 
 
+@pytest.mark.parametrize("mode, c", [("additive", 1.0), ("damped", 1.0), ("damped", 2.0)])
+def test_clean_channel_at_eta_zero_returns_the_observation_exactly(mode, c):
+    # alpha 0 with every value kept: the cleaner is the identity, and the
+    # observation comes back to the bit instead of through U U^H X
+    y = _draw(12, 64, 0.0, 113, 0)[0]
+    out = rie.clean_channel(y, CorruptionModel(0.0, mode, c))
+    obs = channel.gram_eig(y)
+    assert np.array_equal(out.matrix, y)
+    assert np.array_equal(out.values, obs.values) and np.array_equal(out.vectors, obs.vectors)
+
+
+def _first_local_stieltjes(spectrum, x, epsilon):
+    # local_stieltjes as first written, through rmt.empirical_stieltjes
+    lam = np.asarray(spectrum, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
+    z = x + 1j * epsilon
+    g = rmt.empirical_stieltjes(lam, z)
+    drop = lam[np.argmin(np.abs(lam - x[..., None]), axis=-1)]
+    g = (lam.size * g - 1.0 / (drop - z)) / max(lam.size - 1, 1)
+    return rmt._scalar_or_array(g.real), rmt._scalar_or_array(g.imag)
+
+
+def _first_clean(y, model):
+    """clean_channel as first written: the clamp through np.clip, the
+    resolvent through _first_local_stieltjes, and U diag(xi/s) U^H X even
+    where alpha is 0."""
+    obs = channel.gram_eig(y)
+    u, a = obs.matrix.shape
+    q, alpha = u / a, model.alpha()
+    x = model.additive_gram_eig(obs)
+    sv = np.sqrt(np.maximum(x.values, 0.0))
+    kept = sv > 1e-7 * sv.max()
+    s = sv[kept]
+    xi, ratio = np.zeros_like(sv), np.zeros_like(sv)
+    if s.size:
+        h = -_first_local_stieltjes(np.concatenate([s, -s]), s, rmt.default_epsilon(u + a))[0]
+        xi[kept] = np.clip(s - alpha * alpha * ((1.0 - q) / s + 2.0 * q * h), 0.0, s)
+        ratio[kept] = xi[kept] / s
+    left = x.vectors
+    return ((left * ratio) @ left.conj().T) @ x.matrix, xi * xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=_observations(),
+    eta_hat=st.floats(1e-6, 0.95, exclude_max=True),
+    mode=st.sampled_from(("additive", "damped")),
+    c=st.sampled_from((0.5, 1.0, 2.0)),
+)
+def test_clean_channel_is_the_first_written_rule_to_the_bit(x, eta_hat, mode, c):
+    model = CorruptionModel(eta_hat, mode, c)
+    out = rie.clean_channel(x, model)
+    matrix, values = _first_clean(x, model)
+    assert np.array_equal(out.matrix, matrix) and np.array_equal(out.values, values)
+    s = np.sqrt(np.maximum(channel.gram_eig(x).values, 0.0))
+    lam, eps = np.concatenate([s, -s]), rmt.default_epsilon(sum(x.shape))
+    for point in (s, s[0], s[-1] + 0.5):
+        got = rie.local_stieltjes(lam, point, eps)
+        want = _first_local_stieltjes(lam, point, eps)
+        assert all(np.array_equal(g, w) and type(g) is type(w) for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("fn", [rie.clean_channel, rie.linear_mmse_baseline])
 def test_csi_estimators_take_the_observation_and_one_corruption_model(fn):
     # eta, mode and c travel together in the CorruptionModel, as corrupt takes them
@@ -470,9 +535,7 @@ def test_linear_mmse_baseline_hits_oracle_error():
     devs = []
     for d in range(30):
         h = channel.gen_channel(SystemDims(30, 256), np.random.default_rng(5_000 + d))
-        y = channel.corrupt(
-            h, CorruptionModel(0.5, mode="damped"), np.random.default_rng(6_000 + d)
-        )
+        y = _corrupt(h, CorruptionModel(0.5, mode="damped"), 6_000 + d)
         devs.append(rie.mse(h, rie.linear_mmse_baseline(y, CorruptionModel(0.5, "damped"))))
     target = 0.5 / 256
     assert abs(np.mean(devs) - target) / target < 0.10
@@ -486,7 +549,7 @@ def test_linear_mmse_baseline_hits_oracle_error_for_any_c(mode):
     devs = []
     for d in range(30):
         h = channel.gen_channel(SystemDims(20, 128), np.random.default_rng(5_200 + d))
-        y = channel.corrupt(h, CorruptionModel(eta, mode, c), np.random.default_rng(6_200 + d))
+        y = _corrupt(h, CorruptionModel(eta, mode, c), 6_200 + d)
         devs.append(rie.mse(h, rie.linear_mmse_baseline(y, CorruptionModel(eta, mode, c))))
     target = eta * c / (1.0 - eta + eta * c) / 128
     assert np.mean(devs) == pytest.approx(target, rel=0.03)
@@ -496,9 +559,7 @@ def test_linear_mmse_baseline_beats_raw_at_high_level():
     better = 0
     for d in range(10):
         h = channel.gen_channel(SystemDims(20, 128), np.random.default_rng(5_100 + d))
-        y = channel.corrupt(
-            h, CorruptionModel(0.9, mode="damped"), np.random.default_rng(6_100 + d)
-        )
+        y = _corrupt(h, CorruptionModel(0.9, mode="damped"), 6_100 + d)
         shrunk = rie.linear_mmse_baseline(y, CorruptionModel(0.9, "damped"))
         better += rie.mse(h, shrunk) < rie.mse(h, y)
     assert better == 10
