@@ -19,13 +19,15 @@ clean checkout) shows how far the paired ratio still spreads.
 It writes ``BENCH_<commit>-vs-<ref>-<W>.json`` (``<commit>`` gets
 ``-dirty`` when this checkout has uncommitted changes) with each side's
 (``tree``, ``ref``) trials/s per command, their median and first quintile
-(the benchmark's ``trials_per_s`` statistic), and the median, quartiles
-and wins of the per-pair ratio tree/ref.
+(the benchmark's ``trials_per_s`` statistic), the median, quartiles and
+wins of the per-pair ratio tree/ref, and the verdict of the gain rule
+(:func:`verdict`), which it also prints.
 """
 
 import argparse
 import contextlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -122,6 +124,25 @@ def pair_runs(trees, args):
     return rates
 
 
+def verdict(rates):
+    """The gain rule on ``rates`` ({"tree": [...], "ref": [...]}, paired by
+    index): this checkout wins at least nine tenths of the pairs, a tie
+    counting for neither side, and its median beats the ref's by more than
+    the distance between the quartiles of the ref's own runs."""
+    tree, ref = rates["tree"], rates["ref"]
+    pairs = len(tree)
+    q25, _, q75 = statistics.quantiles(ref, n=4, method="inclusive")
+    doc = {
+        "wins": sum(t > r for t, r in zip(tree, ref)),
+        "wins_needed": math.ceil(0.9 * pairs),
+        "pairs": pairs,
+        "median_gap": statistics.median(tree) - statistics.median(ref),
+        "ref_iqr": q75 - q25,
+    }
+    doc["gain"] = doc["wins"] >= doc["wins_needed"] and doc["median_gap"] > doc["ref_iqr"]
+    return doc
+
+
 def summarize(rates, lower_quintile):
     """Each side's rates, median and first quintile, and the paired ratio."""
     doc = {
@@ -141,6 +162,7 @@ def summarize(rates, lower_quintile):
         "wins": sum(x > 1.0 for x in ratios),
         "pairs": len(ratios),
     }
+    doc["verdict"] = verdict(rates)
     return doc
 
 
@@ -169,11 +191,14 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / stages.json_name(env, f"-vs-{commit}-{args.workload}")
     path.write_text(json.dumps(doc, indent=2) + "\n")
-    ratio = doc["ratio"]
+    ratio, rule = doc["ratio"], doc["verdict"]
     print(
         f"{args.workload}: tree/ref trials/s x{ratio['median']:.3f} "
         f"[{ratio['q25']:.3f}, {ratio['q75']:.3f}], won {ratio['wins']} of {ratio['pairs']} pairs; "
-        f"medians {doc['tree']['median']:.1f} against {doc['ref']['median']:.1f}",
+        f"medians {doc['tree']['median']:.1f} against {doc['ref']['median']:.1f}\n"
+        f"gain rule: {'gain' if rule['gain'] else 'no gain'} (won {rule['wins']} of "
+        f"{rule['pairs']}, needs {rule['wins_needed']}; median gap {rule['median_gap']:.1f} "
+        f"against the ref's interquartile range {rule['ref_iqr']:.1f})",
         file=sys.stderr,
     )
     print(path)

@@ -15,7 +15,10 @@ and ``clean_channel`` once per trial, and ``precode``,
 ``transmit`` and ``demodulate`` once per SNR point.  So the stage times come from the trial's own
 code path, and ``other`` is the rest of the trial (the one Gram
 decomposition in ``estimate_csi``, symbols, the MSEs, ``H @ x`` and the
-noise).  Trial 0 runs once more first, untraced, to fill caches.
+noise).  Trial 0 runs once more first, untraced, to fill caches.  Each
+size runs in a fresh subprocess, so that its minor page faults do not
+depend on what the process measured before (the C allocator's heap state
+carries over from one size to the next).
 
 It writes ``BENCH_<short-commit>.json`` (``-dirty`` appended when the
 checkout has uncommitted changes) with, per size, the median and
@@ -52,7 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # the checkout whose package is measured: this one, or the ``--tree`` that
-# an ``--against`` run hands each of its subprocesses
+# a run hands each of its per-size subprocesses
 TREE = ROOT
 if __name__ == "__main__":
     # one BLAS thread, set before numpy loads, as the repository benchmark does
@@ -234,18 +237,18 @@ def _size_name(size):
 
 def _run_tree(tree, size, repeats, out):
     """One subprocess measuring ``size`` on the package of ``tree``; its
-    document."""
+    result for that size."""
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--tree", str(tree),
          "--sizes", _size_name(size), "--repeats", str(repeats), "--out", str(out)],
         capture_output=True, text=True,
     )
     if done.returncode:
-        raise SystemExit(f"--against: the run on {tree} failed:\n{done.stderr}")
+        raise SystemExit(f"the {_size_name(size)} run on {tree} failed:\n{done.stderr}")
     path = Path(done.stdout.strip().splitlines()[-1])
     doc = json.loads(path.read_text())
     path.unlink()
-    return doc
+    return doc["sizes"][_size_name(size)]
 
 
 def _parts(run):
@@ -300,8 +303,7 @@ def compare(ref, sizes, repeats):
             for size in sizes:
                 sides = [("tree", ROOT), ("ref", worktree)]
                 for side, tree in sides if r % 2 == 0 else sides[::-1]:
-                    doc = _run_tree(tree, size, repeats, tmp)
-                    runs[size][side].append(doc["sizes"][_size_name(size)])
+                    runs[size][side].append(_run_tree(tree, size, repeats, tmp))
     result = {}
     for size, sides in runs.items():
         row = {"repeats": repeats, "rounds": ROUNDS}
@@ -324,7 +326,11 @@ def main(argv=None) -> int:
         doc = {"setup": setup, "environment": env, "against": against, "sizes": sizes}
         suffix = f"-vs-{against['commit']}"
     else:
-        sizes = {_size_name(s): measure_size(*s, args.repeats) for s in args.sizes}
+        if args.tree is None:
+            with tempfile.TemporaryDirectory(prefix="eiprecode-bench-") as tmp:
+                sizes = {_size_name(s): _run_tree(ROOT, s, args.repeats, tmp) for s in args.sizes}
+        else:  # the subprocess of one size
+            sizes = {_size_name(s): measure_size(*s, args.repeats) for s in args.sizes}
         doc = {"setup": setup, "environment": env, "sizes": sizes}
         suffix = ""
     args.out.mkdir(parents=True, exist_ok=True)

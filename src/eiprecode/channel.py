@@ -75,18 +75,20 @@ class CorruptionModel:
         """Additive-form noise amplitude sqrt(eta c / (1 - eta))."""
         return float(np.sqrt(self.eta * self.c / (1.0 - self.eta)))
 
-    def additive_form(self, H_obs: np.ndarray) -> np.ndarray:
+    def additive_form(self, H_obs: np.ndarray | GramEig) -> np.ndarray:
         """The observation in additive form, whose estimand is the true channel.
 
-        In either mode a matrix that is not 2-D or has non-finite entries
-        raises ValueError first (:func:`_finite_matrix`).  An additive
-        observation is already in that form and comes back as it is.  A
-        damped one is divided by sqrt(1 - eta), a new array even at eta 0.
+        ``H_obs`` is the observation or its :class:`GramEig`, whose matrix
+        is finite already.  In either mode a bare matrix that is not 2-D or
+        has non-finite entries raises ValueError first
+        (:func:`_finite_matrix`).  An additive observation is already in
+        that form and comes back as it is.  A damped one is divided by
+        sqrt(1 - eta), a new array even at eta 0.
         """
-        H_obs = _finite_matrix(H_obs)
+        X = H_obs.matrix if isinstance(H_obs, GramEig) else _finite_matrix(H_obs)
         if self.mode == "additive":
-            return H_obs
-        return H_obs / np.sqrt(1.0 - self.eta)
+            return X
+        return X / np.sqrt(1.0 - self.eta)
 
     def additive_gram_eig(self, obs: GramEig) -> GramEig:
         """:meth:`additive_form` of a decomposed observation, with no new
@@ -94,7 +96,7 @@ class CorruptionModel:
         eigenvectors and divides its eigenvalues by 1 - eta."""
         if self.mode == "additive":
             return obs
-        return GramEig(self.additive_form(obs.matrix), obs.values / (1.0 - self.eta), obs.vectors)
+        return GramEig(self.additive_form(obs), obs.values / (1.0 - self.eta), obs.vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +160,14 @@ def _finite_matrix(X) -> np.ndarray:
 
 
 def _cn_matrix(rows: int, cols: int, var: float, rng: np.random.Generator):
-    # circularly symmetric complex Gaussian, per-entry variance var
+    # circularly symmetric complex Gaussian, per-entry variance var: the first
+    # normal fill scaled into the real parts, the second into the imaginary
+    # parts, the bits of sqrt(var/2) * (a + 1j*b) with no complex temporary
     scale = np.sqrt(var / 2.0)
-    return scale * (
-        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    )
+    z = np.empty((rows, cols), dtype=complex)
+    np.multiply(scale, rng.standard_normal((rows, cols)), out=z.real)
+    np.multiply(scale, rng.standard_normal((rows, cols)), out=z.imag)
+    return z
 
 
 def gen_channel(dims: SystemDims, rng: np.random.Generator) -> np.ndarray:
@@ -186,9 +191,15 @@ def corrupt(H: np.ndarray, model: CorruptionModel, error: np.ndarray | None) -> 
     so ``error`` may then be None."""
     if model.eta == 0.0:
         return H.copy()
+    # the channel term is added into the scaled error in place; IEEE addition
+    # commutes, so the bits are those of the written-out sum
     if model.mode == "damped":
-        return np.sqrt(1.0 - model.eta) * H + np.sqrt(model.eta) * error
-    return H + model.alpha() * error
+        obs = np.sqrt(model.eta) * error
+        obs += np.sqrt(1.0 - model.eta) * H
+    else:
+        obs = model.alpha() * error
+        obs += H
+    return obs
 
 
 def build_bsca(X: np.ndarray) -> np.ndarray:

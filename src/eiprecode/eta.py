@@ -102,24 +102,31 @@ def empirical_moments(H_obs: np.ndarray | GramEig) -> np.ndarray:
 
 
 def _moments(w: np.ndarray) -> tuple[float, float, float]:
-    """:func:`empirical_moments` of the Gram eigenvalues w, as Python floats."""
-    return tuple(float(np.sum(w ** k)) / w.size for k in (1, 2, 3))
+    """:func:`empirical_moments` of the Gram eigenvalues w, as Python floats.
+
+    The sums of w, w ** 2 (numpy squares as w * w) and w ** 3, taken with
+    the ndarray methods."""
+    n = w.size
+    return float(w.sum()) / n, float((w * w).sum()) / n, float((w ** 3).sum()) / n
 
 
 def estimate_eta(H_obs: np.ndarray | GramEig, cfg: EstimatorConfig | None = None) -> EtaEstimate:
     """Fit the CSI error level by cumulant matching on the Gram spectrum (q = U/A).
 
     ``H_obs`` is the observation or its :class:`~eiprecode.channel.GramEig`;
-    a bare matrix is decomposed once.  A non-finite or all-zero observation,
-    or one without fewer users than antennas, raises ValueError.
+    a bare matrix is decomposed once.  A non-finite or all-zero observation
+    (or one so small that its Gram underflows to zero), or one without
+    fewer users than antennas, raises ValueError.
     """
     if cfg is None:
         cfg = EstimatorConfig()
     obs = gram_eig(H_obs)
     u, a = obs.matrix.shape
     q = SystemDims(u, a).q  # validates 0 < U < A
-    if not np.any(obs.matrix):
-        raise ValueError("observation is identically zero")
+    # the Gram of a nonzero observation has a positive eigenvalue, unless it
+    # underflows, and then the moments carry nothing to fit either
+    if not obs.values.any():
+        raise ValueError("observation is identically zero, or its Gram underflows to zero")
     order = cfg.order if cfg.order is not None else default_order(u, a)
     kappa_hat = _free_cumulants(*_moments(obs.values))
 

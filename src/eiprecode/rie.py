@@ -74,8 +74,11 @@ def local_stieltjes(spectrum, x, epsilon: float):
         raise ValueError("empty eigenvalue list")
     x = np.asarray(x, dtype=float)
     z = x + 1j * epsilon
-    g = np.mean(1.0 / (lam - z[..., None]), axis=-1)
-    drop = lam[np.argmin(np.abs(lam - x[..., None]), axis=-1)]
+    # one broadcast lam - z: its real part is lam - x to the bit, which finds
+    # the entry to drop, and it is then inverted in place into the resolvent
+    d = lam - z[..., None]
+    drop = lam[np.argmin(np.abs(d.real), axis=-1)]
+    g = np.divide(1.0, d, out=d).sum(axis=-1) / lam.size  # np.mean's division
     # a one-entry spectrum leaves nothing: n g - 1/(lam_drop - z) is exactly 0
     g = (lam.size * g - 1.0 / (drop - z)) / max(lam.size - 1, 1)
     return _scalar_or_array(g.real), _scalar_or_array(g.imag)
@@ -147,25 +150,33 @@ def clean_channel(H_obs: np.ndarray | GramEig, model: CorruptionModel) -> GramEi
     x = model.additive_gram_eig(obs)
     sv = np.sqrt(np.maximum(x.values, 0.0))
     kept = sv > _NULL_TOL * sv.max()
-    if alpha == 0.0 and kept.all():
+    every = kept.all()
+    if alpha == 0.0 and every:
         return x  # nothing to shrink: the observation itself, to the bit
-    s = sv[kept]
-    xi = np.zeros_like(sv)
-    ratio = np.zeros_like(sv)
+    s = shrunk = sv if every else sv[kept]
     if s.size:
         h = -local_stieltjes(np.concatenate([s, -s]), s, default_epsilon(u + a))[0]
-        xi[kept] = _shrink(s, h, q, alpha)
-        ratio[kept] = xi[kept] / s
+        shrunk = _shrink(s, h, q, alpha)
+    if every:
+        xi, ratio = shrunk, shrunk / s
+    else:
+        # a null direction keeps xi = 0 and ratio 0
+        xi = np.zeros_like(sv)
+        ratio = np.zeros_like(sv)
+        xi[kept] = shrunk
+        ratio[kept] = shrunk / s
     left = x.vectors
     return GramEig(((left * ratio) @ left.conj().T) @ x.matrix, xi * xi, left)
 
 
-def linear_mmse_baseline(H_obs: np.ndarray, model: CorruptionModel) -> np.ndarray:
+def linear_mmse_baseline(H_obs: np.ndarray | GramEig, model: CorruptionModel) -> np.ndarray:
     """Entrywise conditional mean E[H | H_obs] of the i.i.d. model.
 
     The observation in additive form under ``model``, X = H + alpha W with
-    alpha^2 = eta c / (1 - eta), shrunk by 1 / (1 + alpha^2).  Input that is
-    not 2-D or has non-finite entries raises ValueError.
+    alpha^2 = eta c / (1 - eta), shrunk by 1 / (1 + alpha^2).  ``H_obs`` is
+    the observation or its :class:`~eiprecode.channel.GramEig`, as for
+    :func:`clean_channel`, whose matrix is not scanned again.  A bare
+    matrix that is not 2-D or has non-finite entries raises ValueError.
     """
     return model.additive_form(H_obs) * (1.0 / (1.0 + model.alpha() ** 2))
 
@@ -176,5 +187,10 @@ def mse(H: np.ndarray, H_hat: np.ndarray) -> float:
     H_hat = np.asarray(H_hat)
     if H.shape != H_hat.shape:
         raise ValueError(f"shape mismatch: {H.shape} vs {H_hat.shape}")
-    diff = H - H_hat
-    return float(np.mean(np.abs(diff) ** 2))
+    # |d|^2 summed as the squares of d's real and imaginary parts, squared in
+    # place in one float view, with numpy's pairwise sum
+    diff = np.subtract(H, H_hat, order="C").reshape(-1)
+    if np.iscomplexobj(diff):
+        diff = diff.view(diff.real.dtype)
+    np.multiply(diff, diff, out=diff)
+    return float(diff.sum()) / H.size

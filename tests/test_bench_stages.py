@@ -49,6 +49,25 @@ def test_stage_script_writes_every_stage_and_the_environment(tmp_path):
         assert res["trial"]["calls_per_trial"] == 1 and res["trial"]["minor_faults_per_trial"] >= 0
 
 
+def test_each_size_is_measured_in_a_fresh_subprocess(tmp_path, monkeypatch):
+    # a size's fault counts must not depend on the sizes measured before it
+    # in the same process, so the plain run hands every size to a child
+    stages = _load_script()
+    calls = []
+
+    def child(tree, size, repeats, out):
+        calls.append((tree, size, repeats))
+        return {"stages": {"draw": {"median_ms": 1.0}}, "trial": {"median_ms": float(size[0])}}
+
+    monkeypatch.setattr(stages, "_run_tree", child)
+    monkeypatch.setattr(stages, "measure_size", lambda *a: pytest.fail("measured in process"))
+    assert stages.main(["--sizes", "4x16,2x8", "--repeats", "2", "--out", str(tmp_path)]) == 0
+    assert calls == [(stages.ROOT, (4, 16), 2), (stages.ROOT, (2, 8), 2)]
+    (path,) = tmp_path.glob("BENCH_*.json")
+    sizes = json.loads(path.read_text())["sizes"]
+    assert {name: res["trial"]["median_ms"] for name, res in sizes.items()} == {"4x16": 4.0, "2x8": 2.0}
+
+
 def test_stage_times_are_spans_inside_each_downlink_trial():
     # every stage is timed inside a real downlink_trial call, not in a copy of it
     stages = _load_script()

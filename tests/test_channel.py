@@ -134,6 +134,41 @@ def test_gen_error_law_reads_the_mode_and_c_but_not_eta(mode, c):
     assert np.mean(np.abs(draws[0]) ** 2) * 256 == pytest.approx(var, rel=0.05)
 
 
+# from the smallest system to the paper's 30x256
+_DRAW_SHAPES = [(1, 2), (2, 3), (3, 8), (4, 16), (7, 33), (20, 128), (30, 256)]
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def _written_out_cn(rng, u, a, var):
+    # the draw as first written: real parts from the first normal fill,
+    # imaginary parts from the second, in complex arithmetic
+    re = rng.standard_normal((u, a))
+    im = rng.standard_normal((u, a))
+    return np.sqrt(var / 2.0) * (re + 1j * im)
+
+
+@pytest.mark.parametrize("u, a", _DRAW_SHAPES)
+def test_draws_and_mixes_equal_their_written_out_expressions_to_the_bit(u, a):
+    dims = SystemDims(u, a)
+    for seed in range(50):
+        eta = 0.05 + 0.9 * seed / 50
+        h = channel.gen_channel(dims, np.random.default_rng(seed))
+        assert np.array_equal(_bits(h), _bits(_written_out_cn(np.random.default_rng(seed), u, a, 1.0 / a)))
+        for model in (CorruptionModel(eta, "damped", 2.5), CorruptionModel(eta, "additive", 2.5)):
+            e = channel.gen_error(dims, model, np.random.default_rng(seed + 1000))
+            var = (model.c if model.mode == "damped" else 1.0) / a
+            ref_e = _written_out_cn(np.random.default_rng(seed + 1000), u, a, var)
+            assert np.array_equal(_bits(e), _bits(ref_e)), model
+            if model.mode == "damped":
+                ref = np.sqrt(1.0 - eta) * h + np.sqrt(eta) * e
+            else:
+                ref = h + model.alpha() * e
+            assert np.array_equal(_bits(channel.corrupt(h, model, e)), _bits(ref)), model
+
+
 def test_corrupt_additive_power_scale():
     h = _chan(30, 256, 21)
     y = _corrupt(h, CorruptionModel(0.5, mode="additive"), 22)

@@ -565,6 +565,24 @@ def test_linear_mmse_baseline_beats_raw_at_high_level():
     assert better == 10
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.integers(1, 30),
+    a=st.integers(1, 256),
+    exponent=st.integers(-100, 100),
+    ratio=st.floats(0.01, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mse_is_the_mean_squared_modulus_to_rounding(u, a, exponent, ratio, seed):
+    # the sum of squared real and imaginary parts against the mean of |d|^2
+    rng = np.random.default_rng(seed)
+    h = 10.0**exponent * (rng.standard_normal((u, a)) + 1j * rng.standard_normal((u, a)))
+    h_hat = ratio * 10.0**exponent * (rng.standard_normal((u, a)) + 1j * rng.standard_normal((u, a)))
+    ref = np.mean(np.abs(h - h_hat) ** 2)
+    assert abs(rie.mse(h, h_hat) - ref) <= 2e-15 * ref
+    assert rie.mse(h_hat, h_hat) == 0.0
+
+
 def test_mse_identities():
     h, _ = _draw(30, 256, 0.0, 121, 0)
     assert rie.mse(h, h) == 0.0
