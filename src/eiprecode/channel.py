@@ -75,20 +75,18 @@ class CorruptionModel:
         """Additive-form noise amplitude sqrt(eta c / (1 - eta))."""
         return float(np.sqrt(self.eta * self.c / (1.0 - self.eta)))
 
-    def additive_form(self, H_obs: np.ndarray | GramEig) -> np.ndarray:
+    def additive_form(self, H_obs: np.ndarray) -> np.ndarray:
         """The observation in additive form, whose estimand is the true channel.
 
-        ``H_obs`` is the observation or its :class:`GramEig`, whose matrix
-        is finite already.  In either mode a bare matrix that is not 2-D or
-        has non-finite entries raises ValueError first
-        (:func:`_finite_matrix`).  An additive observation is already in
-        that form and comes back as it is.  A damped one is divided by
-        sqrt(1 - eta), a new array even at eta 0.
+        In either mode a matrix that is not 2-D or has non-finite entries
+        raises ValueError first (:func:`_finite_matrix`).  An additive
+        observation is already in that form and comes back as it is.  A
+        damped one is divided by sqrt(1 - eta), a new array even at eta 0.
         """
-        X = H_obs.matrix if isinstance(H_obs, GramEig) else _finite_matrix(H_obs)
+        H_obs = _finite_matrix(H_obs)
         if self.mode == "additive":
-            return X
-        return X / np.sqrt(1.0 - self.eta)
+            return H_obs
+        return H_obs / np.sqrt(1.0 - self.eta)
 
     def additive_gram_eig(self, obs: GramEig) -> GramEig:
         """:meth:`additive_form` of a decomposed observation, with no new
@@ -96,7 +94,7 @@ class CorruptionModel:
         eigenvectors and divides its eigenvalues by 1 - eta."""
         if self.mode == "additive":
             return obs
-        return GramEig(self.additive_form(obs), obs.values / (1.0 - self.eta), obs.vectors)
+        return GramEig(self.additive_form(obs.matrix), obs.values / (1.0 - self.eta), obs.vectors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,19 +114,16 @@ def estimate_eta(H_obs: np.ndarray | GramEig, cfg: EstimatorConfig | None = None
     """Fit the CSI error level by cumulant matching on the Gram spectrum (q = U/A).
 
     ``H_obs`` is the observation or its :class:`~eiprecode.channel.GramEig`;
-    a bare matrix is decomposed once.  A non-finite or all-zero observation
-    (or one so small that its Gram underflows to zero), or one without
-    fewer users than antennas, raises ValueError.
+    a bare matrix is decomposed once.  A non-finite or all-zero observation,
+    or one without fewer users than antennas, raises ValueError.
     """
     if cfg is None:
         cfg = EstimatorConfig()
     obs = gram_eig(H_obs)
     u, a = obs.matrix.shape
     q = SystemDims(u, a).q  # validates 0 < U < A
-    # the Gram of a nonzero observation has a positive eigenvalue, unless it
-    # underflows, and then the moments carry nothing to fit either
-    if not obs.values.any():
-        raise ValueError("observation is identically zero, or its Gram underflows to zero")
+    if not np.any(obs.matrix):
+        raise ValueError("observation is identically zero")
     order = cfg.order if cfg.order is not None else default_order(u, a)
     kappa_hat = _free_cumulants(*_moments(obs.values))
 

@@ -370,13 +370,12 @@ def draw_observation(
 
 
 def estimate_csi(
-    cfg: SimConfig, eta: float, H: np.ndarray, H_obs: np.ndarray | GramEig
+    cfg: SimConfig, eta: float, H: np.ndarray, H_obs: np.ndarray
 ) -> tuple[GramEig, float | None, bool | None]:
     """The CSI the configured ``csi`` mode hands the precoder, as its
     :class:`~eiprecode.channel.GramEig`, eta_hat, and whether eta_hat is
     identifiable.
 
-    ``H_obs`` is the observation or its GramEig, taken as it is.
     ``perfect`` and ``noisy_raw`` decompose H and H_obs as they are, with
     eta_hat None; the cleaned modes decompose H_obs once, estimate eta from
     that blindly (``ei_cleaned``) or take the true ``eta``

@@ -150,33 +150,25 @@ def clean_channel(H_obs: np.ndarray | GramEig, model: CorruptionModel) -> GramEi
     x = model.additive_gram_eig(obs)
     sv = np.sqrt(np.maximum(x.values, 0.0))
     kept = sv > _NULL_TOL * sv.max()
-    every = kept.all()
-    if alpha == 0.0 and every:
+    if alpha == 0.0 and kept.all():
         return x  # nothing to shrink: the observation itself, to the bit
-    s = shrunk = sv if every else sv[kept]
+    s = sv[kept]
+    xi = np.zeros_like(sv)
+    ratio = np.zeros_like(sv)
     if s.size:
         h = -local_stieltjes(np.concatenate([s, -s]), s, default_epsilon(u + a))[0]
-        shrunk = _shrink(s, h, q, alpha)
-    if every:
-        xi, ratio = shrunk, shrunk / s
-    else:
-        # a null direction keeps xi = 0 and ratio 0
-        xi = np.zeros_like(sv)
-        ratio = np.zeros_like(sv)
-        xi[kept] = shrunk
-        ratio[kept] = shrunk / s
+        xi[kept] = _shrink(s, h, q, alpha)
+        ratio[kept] = xi[kept] / s
     left = x.vectors
     return GramEig(((left * ratio) @ left.conj().T) @ x.matrix, xi * xi, left)
 
 
-def linear_mmse_baseline(H_obs: np.ndarray | GramEig, model: CorruptionModel) -> np.ndarray:
+def linear_mmse_baseline(H_obs: np.ndarray, model: CorruptionModel) -> np.ndarray:
     """Entrywise conditional mean E[H | H_obs] of the i.i.d. model.
 
     The observation in additive form under ``model``, X = H + alpha W with
-    alpha^2 = eta c / (1 - eta), shrunk by 1 / (1 + alpha^2).  ``H_obs`` is
-    the observation or its :class:`~eiprecode.channel.GramEig`, as for
-    :func:`clean_channel`, whose matrix is not scanned again.  A bare
-    matrix that is not 2-D or has non-finite entries raises ValueError.
+    alpha^2 = eta c / (1 - eta), shrunk by 1 / (1 + alpha^2).  Input that is
+    not 2-D or has non-finite entries raises ValueError.
     """
     return model.additive_form(H_obs) * (1.0 / (1.0 + model.alpha() ** 2))
 
