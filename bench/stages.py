@@ -11,10 +11,11 @@ with one BLAS thread.  Trials 0 .. repeats-1 each run as one
 ``downlink_trial`` call over all SNR points, with the tracer wrapped round
 the stage functions the trial looks up: ``draw_observation`` (the channel
 and the trial's one observation, at the setup's one eta), ``estimate_eta``
-and ``clean_channel`` once per trial, and ``precode``,
-``transmit`` and ``demodulate`` once per SNR point.  So the stage times come from the trial's own
-code path, and ``other`` is the rest of the trial (the one Gram
-decomposition in ``estimate_csi``, symbols, the MSEs, ``H @ x`` and the
+and ``clean_channel`` once per trial, ``precode`` and ``demodulate`` once
+per SNR point, and ``transmit`` once per trial, sending every point in
+one stacked pass.  So the stage times come from the trial's own code path,
+and ``other`` is the rest of the trial (the one Gram decomposition in
+``estimate_csi``, symbols, the MSEs, the one batched ``H @ x`` and the
 noise).  Trial 0 runs once more first, untraced, to fill caches.  Each
 size runs in a fresh subprocess, so that its minor page faults do not
 depend on what the process measured before (the C allocator's heap state

@@ -33,21 +33,27 @@ and the cleaner, which returns the cleaned CSI with its own, and in the
 point's precoder.
 
 Every SNR point of a trial, in every CSI mode and for every precoder, is
-sent the same way: :func:`~eiprecode.precoding.transmit` forms the samples
-from the CSI eigenbasis into one (A, N) DAC block per thread, made on
-first use and remade only when the shape changes, and ``H x`` goes into
-one U x N receive block, reused by every point of the trial, which takes
-the point's scaled unit noise and beta in place before the point's
-:func:`demodulate` and error count.
+sent in one stacked pass: each point's precoder is formed on the CSI's
+GramEig (U-sized, one call per point), one
+:func:`~eiprecode.precoding.transmit` call sends all S of them from the
+CSI eigenbasis into an (S, A, N) transmit block, and one batched
+``H x`` product fills an (S, U, N) receive block.  Each point's slice then
+takes its scaled unit noise and beta in place before its
+:func:`demodulate` and error count.  The two blocks are a pair taken from
+a module-wide free list and put back when the trial returns, so there is
+one pair per concurrent trial, whatever the thread; a pair of another
+shape is dropped for a new one.  numpy's batched matmul makes one BLAS
+call per point, the product a lone point makes, so every point's metrics
+are those of a call with that SNR alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import queue
 import statistics
 import sys
-import threading
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -425,8 +431,9 @@ def downlink_trial(
     with beta 1, and is flagged ``degenerate_csi``.
 
     The observation, eta_hat, cleaned CSI, MSEs, symbols and unit-variance
-    receiver noise are computed once, and only the precoder, transmission
-    and detection run per SNR, so each entry equals a call with that SNR
+    receiver noise are computed once, the transmission and ``H x`` once for
+    every SNR in one stacked pass, and only the precoder, the noise scale,
+    beta and detection per SNR, so each entry equals a call with that SNR
     alone.
     """
     eta = cfg.eta[0] if eta is None else float(eta)
@@ -455,49 +462,58 @@ def downlink_trial(
     s = modulate(tx_bits, cfg.modulation).reshape(dims.users, cfg.symbols_per_trial)
     unit_noise = rng_noise.standard_normal(s.shape) + 1j * rng_noise.standard_normal(s.shape)
 
-    # one received block, reused by every SNR point: H x (zero when nothing
-    # is sent), plus the scaled unit noise, times beta
-    y = np.empty(s.shape, dtype=complex)
-    block = _dac_block((dims.antennas, cfg.symbols_per_trial))
-    metrics = []
-    for snr in snrs:
-        sigma2 = 10.0 ** (-float(snr) / 10.0)
-        beta = 1.0
-        if degenerate:
-            y[...] = 0.0
+    sigma2s = [10.0 ** (-float(snr) / 10.0) for snr in snrs]
+    pouts = [] if degenerate else [
+        precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer) for sigma2 in sigma2s
+    ]
+    tx, rx = pair = _take_blocks((len(snrs), dims.antennas, s.shape[1]), (len(snrs), *s.shape))
+    try:
+        # every point's H x in one (S, U, N) receive block, zero when nothing is sent
+        if pouts:
+            np.matmul(H_link, precoding.transmit(pouts, s, cfg.quantizer, out=tx), out=rx)
         else:
-            pout = precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer)
-            np.matmul(H_link, precoding.transmit(pout, s, cfg.quantizer, out=block), out=y)
-            beta = pout.beta
-        y += unit_noise * np.sqrt(sigma2 / 2.0)
-        y *= beta
-        rx_bits = demodulate(y.reshape(-1), cfg.modulation)
-        metrics.append(
-            TrialMetrics(
-                trial_index=trial_index,
-                bits_sent=n_bits,
-                bit_errors=int(np.count_nonzero(rx_bits != tx_bits)),
-                mse_csi=mse_csi,
-                mse_noisy=mse_noisy,
-                eta_hat=eta_hat,
-                degenerate_csi=degenerate,
-                identifiable=identifiable,
+            rx[...] = 0.0
+        metrics = []
+        for i, sigma2 in enumerate(sigma2s):
+            # the point's scaled unit noise, then its beta (1 when nothing is sent)
+            y = rx[i]
+            y += unit_noise * np.sqrt(sigma2 / 2.0)
+            y *= pouts[i].beta if pouts else 1.0
+            rx_bits = demodulate(y.reshape(-1), cfg.modulation)
+            metrics.append(
+                TrialMetrics(
+                    trial_index=trial_index,
+                    bits_sent=n_bits,
+                    bit_errors=int(np.count_nonzero(rx_bits != tx_bits)),
+                    mse_csi=mse_csi,
+                    mse_noisy=mse_noisy,
+                    eta_hat=eta_hat,
+                    degenerate_csi=degenerate,
+                    identifiable=identifiable,
+                )
             )
-        )
+    finally:
+        _free_blocks.put(pair)
     return tuple(metrics)
 
 
-_thread_state = threading.local()
+# the (transmit, receive) block pairs no trial holds: a trial takes one and
+# puts it back when it returns, so there is one pair per concurrent trial,
+# and a pair of another shape is dropped for a new one
+_free_blocks: queue.SimpleQueue = queue.SimpleQueue()
 
 
-def _dac_block(shape: tuple[int, int]) -> np.ndarray:
-    """This thread's (A, N) transmit block, reused by every trial and SNR
-    point the thread runs; it is made on first use and remade only when the
-    shape changes."""
-    block = getattr(_thread_state, "dac_block", None)
-    if block is None or block.shape != shape:
-        block = _thread_state.dac_block = np.empty(shape, dtype=complex)
-    return block
+def _take_blocks(tx_shape: tuple, rx_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A free (transmit, receive) pair of complex blocks of these shapes,
+    made when the free list is empty or its pair has other shapes."""
+    try:
+        tx, rx = _free_blocks.get_nowait()
+    except queue.Empty:
+        pass
+    else:
+        if tx.shape == tx_shape and rx.shape == rx_shape:
+            return tx, rx
+    return np.empty(tx_shape, dtype=complex), np.empty(rx_shape, dtype=complex)
 
 
 def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:

@@ -26,11 +26,16 @@ per-direction gains g.  So it runs on the CSI's
 is kept in that form: :func:`precode` makes only the U gains, and
 :func:`transmit` sends W^H ((E g)^H s) through the DACs, with the antenna
 variances |W^H|^2 g^2, from the two A x U products the GramEig makes once.
+Every line of :func:`transmit` takes a leading point axis: the outputs of
+an SNR sweep on one GramEig go through the products, the quantizer and
+the rescale in one pass, with their gains stacked to (S, U), and a lone
+output is the S = 1 case of the same lines.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -352,15 +357,24 @@ def precode(
 
 
 def transmit(
-    pout: PrecodeOutput,
+    pout: PrecodeOutput | Sequence[PrecodeOutput],
     s: np.ndarray,
     spec: QuantizerSpec | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Map symbol vectors to antenna samples through the configured DACs.
 
+    ``pout`` is one :class:`PrecodeOutput`, or a sequence of S of them on
+    one :class:`~eiprecode.channel.GramEig` (an SNR sweep's precoders on
+    one CSI), all of one kind, sent in one pass with their gains stacked to
+    (S, U).  One output gives the samples of ``s``, (A, N) for (U, N)
+    symbols and (A,) for a (U,) vector; a sequence stacks them on a
+    leading point axis, (S, A, N) or (S, A).  Each point's samples equal
+    its lone call bit for bit: numpy's batched matmul makes one BLAS call
+    per point, the lone call's product, and the DAC works entry by entry.
+
     The precoded samples are P s = W^H ((E g)^H s), formed in the CSI
-    eigenbasis with the gains g of ``pout``.  ``spec=None`` bypasses
+    eigenbasis with the gains g of each output.  ``spec=None`` bypasses
     quantization (ideal DACs).  For QCE outputs the antenna samples are
     constant-envelope with the phase rounded to one of 2^B sectors.
     Otherwise the precoded samples are quantized per antenna, at auto steps
@@ -369,31 +383,48 @@ def transmit(
     E|Q(u)|^2 = P_B sigma_m2 on every antenna, with
     P_B = quantized_power(spec, 1), so the power is P_B tr(P P^H) = P_B and
     the scale is the constant sqrt(1 / P_B).  A fixed step breaks that and
-    raises ``ValueError``.
+    raises ``ValueError``, as do outputs on different GramEigs or of
+    different kinds.
 
     The samples are written into ``out``, a C-contiguous complex array of
     the result's shape, which is returned; without it they go into a new
     array.  Either way the DAC works in place on that one block.
     """
-    if pout.kind == "QCE" and spec is None:
+    stacked = not isinstance(pout, PrecodeOutput)
+    pouts = tuple(pout) if stacked else (pout,)
+    if not pouts:
+        raise ValueError("transmit needs at least one precoder output")
+    csi, kind = pouts[0].csi, pouts[0].kind
+    if any(p.csi is not csi or p.kind != kind for p in pouts):
+        raise ValueError("stacked precoder outputs must share one GramEig and one kind")
+    if kind == "QCE" and spec is None:
         raise ValueError("QCE transmit needs a quantizer spec")
-    if pout.kind != "QCE" and spec is not None and not spec.is_auto:
+    if kind != "QCE" and spec is not None and not spec.is_auto:
         raise ValueError("transmit needs an auto-step quantizer spec")
-    csi, g = pout.csi, pout.gains
-    # the real gains scale the U x U factor: (E g)^H s = g * E^H s
-    v = (csi.vectors * g).conj().T @ np.asarray(s, dtype=complex)
-    x = np.matmul(csi.antenna_vectors, v, out=out)
-    if pout.kind == "QCE":
+    s = np.asarray(s, dtype=complex)
+    vector = s.ndim == 1
+    # every line below works on (S, ., N) blocks: a lone output is a stack
+    # of one, and a symbol vector a (U, 1) block
+    block = None
+    if out is not None:
+        block = out if stacked else out[None]
+        block = block[..., None] if vector else block
+    g = np.stack([p.gains for p in pouts])  # (S, U)
+    # the points' U x U factors (E g)^H, the real gains scaling E's columns
+    factors = (csi.vectors * g[:, None, :]).conj().transpose(0, 2, 1)
+    x = np.matmul(csi.antenna_vectors, factors @ (s[:, None] if vector else s), out=block)
+    if kind == "QCE":
         sectors = 2 ** spec.bits
         width = 2.0 * np.pi / sectors
         phase = np.round(np.angle(x) / width) * width
         np.multiply(phase, 1j, out=x)
         np.exp(x, out=x)
-        x *= np.sqrt(1.0 / x.shape[0])
-        return x
-    if spec is None:
-        return x
-    sigma_m2 = csi.antenna_weights @ (g * g)
-    _quantize_in_place(x, spec, sigma_m2 / 2.0)
-    x *= np.sqrt(1.0 / quantized_power(spec, 1.0))
-    return x
+        x *= np.sqrt(1.0 / x.shape[1])
+    elif spec is not None:
+        sigma_m2 = csi.antenna_weights @ (g * g)[:, :, None]  # (S, A, 1)
+        _quantize_in_place(x, spec, sigma_m2 / 2.0)
+        x *= np.sqrt(1.0 / quantized_power(spec, 1.0))
+    if out is not None:
+        return out
+    x = x if stacked else x[0]
+    return x[..., 0] if vector else x

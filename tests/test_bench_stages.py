@@ -35,7 +35,7 @@ def test_stage_script_writes_every_stage_and_the_environment(tmp_path):
     assert {"commit", "dirty", "python", "numpy", "cpu_count"} <= set(doc["environment"])
     assert set(doc["sizes"]) == {"4x16", "2x8"}
     keys = {"median_ms", "iqr_ms", "samples", "calls_per_trial", "minor_faults_per_call"}
-    per_trial = {"draw": 1, "estimate": 1, "clean": 1, "other": 1}
+    per_trial = {"draw": 1, "estimate": 1, "clean": 1, "transmit": 1, "other": 1}
     for res in doc["sizes"].values():
         assert res["repeats"] == 2
         assert list(res["stages"]) == STAGES

@@ -1,6 +1,9 @@
 """Modulation, link trials, and the Monte-Carlo engine."""
 
+import queue
 import statistics
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -446,15 +449,62 @@ def test_zf_on_rank_deficient_cleaned_csi_sends_nothing_on_null_directions():
     assert 0.0 < agg.ber < 0.5
 
 
-def test_downlink_trial_remakes_the_thread_block_for_a_new_shape():
-    # one thread runs cfg a, then b with other A and N, then a again: the
-    # reused DAC block never carries one config's samples into another
+def _drain_free_blocks():
+    pairs = []
+    while True:
+        try:
+            pairs.append(linksim._free_blocks.get_nowait())
+        except queue.Empty:
+            return pairs
+
+
+def test_downlink_trial_drops_a_free_pair_of_another_shape():
+    # a trial takes the free (transmit, receive) pair; one of another shape
+    # is dropped unwritten, and the trial puts back a pair of its own shapes
     a = SimConfig(**_SMALL, precoder="WFQ", csi="noisy_raw", bits=3, eta=0.3, seed=41)
     b = SimConfig(users=4, antennas=40, symbols_per_trial=30, precoder="QCE", bits=2,
                   csi="perfect", seed=42)
     first = linksim.downlink_trial(a, 3, snr_db=_SWEEP)
+    _drain_free_blocks()
+    stale = (np.full((3, 40, 30), np.nan, complex), np.full((3, 4, 30), np.nan, complex))
+    linksim._free_blocks.put(stale)
+    assert linksim.downlink_trial(a, 3, snr_db=_SWEEP) == first
+    assert np.isnan(stale[0]).all() and np.isnan(stale[1]).all()
+    (pair,) = _drain_free_blocks()
+    assert [x.shape for x in pair] == [(3, 24, 50), (3, 6, 50)]
+    # so one thread running a, then b with other U, A and N, then a again,
+    # never carries one config's samples into another
+    linksim._free_blocks.put(pair)
     linksim.downlink_trial(b, 3, snr_db=_SWEEP)
     assert linksim.downlink_trial(a, 3, snr_db=_SWEEP) == first
+    # and a pair of the same shapes is reused, not remade
+    (again,) = _drain_free_blocks()
+    linksim._free_blocks.put(again)
+    linksim.downlink_trial(a, 4, snr_db=_SWEEP)
+    assert all(x is y for x, y in zip(_drain_free_blocks()[0], again))
+
+
+@pytest.mark.parametrize("shapes", ["same", "other"])
+def test_concurrent_trials_never_share_a_block_pair(shapes):
+    # two threads run trials of two configs at once, with the same or other
+    # block shapes: each result equals the serial one, so no pair is ever
+    # held by two live trials
+    a = SimConfig(**_SMALL, precoder="WFQ", csi="noisy_raw", bits=3, eta=0.3, seed=41)
+    if shapes == "same":
+        b = replace(a, precoder="MRT", csi="perfect", seed=43)
+    else:
+        b = SimConfig(users=4, antennas=40, symbols_per_trial=30, precoder="QCE", bits=2,
+                      csi="perfect", seed=42)
+    trials = range(24)
+    serial = [[linksim.downlink_trial(cfg, t, snr_db=_SWEEP) for t in trials] for cfg in (a, b)]
+    start = threading.Barrier(2)
+
+    def run(cfg):
+        start.wait()
+        return [linksim.downlink_trial(cfg, t, snr_db=_SWEEP) for t in trials]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(run, (a, b))) == serial
 
 
 def test_downlink_trial_eta_and_snr_overrides():

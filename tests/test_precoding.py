@@ -809,6 +809,103 @@ def test_precode_and_transmit_into_out_make_nothing_antenna_sized():
     # E^H s (U×N), a few per-antenna vectors and numpy's broadcast buffers:
     # less than half an A×N block
     assert transmit_peak < 0.5 * column * symbols, transmit_peak / (column * symbols)
+    # an SNR sweep of three points sent in one pass stays under the same
+    # bound: its (3, U, N) products are gone before the DAC's buffers
+    sweep = [precoding.precode("WFQ", csi, sigma2, spec=spec) for sigma2 in (0.3, 0.1, 0.03)]
+    stack = np.empty((len(sweep), antennas, symbols), dtype=complex)
+    precoding.transmit(sweep, s, spec, out=stack)
+    tracemalloc.start()
+    try:
+        precoding.transmit(sweep, s, spec, out=stack)
+        stacked_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stacked_peak < 0.5 * column * symbols, stacked_peak / (column * symbols)
+
+
+_SWEEP_SIGMA2 = (0.3, 0.1, 0.02)
+
+
+def _sweep(kind, spec, points, seed):
+    """The precoders of ``points`` SNRs on one 5x24 CSI's GramEig."""
+    csi = channel.gram_eig(np.sqrt(24) * _chan(5, 24, seed))
+    return [precoding.precode(kind, csi, sigma2, spec=spec) for sigma2 in _SWEEP_SIGMA2[:points]]
+
+
+@pytest.mark.parametrize("points", [1, 2, 3])
+@pytest.mark.parametrize("spec", [None, QuantizerSpec(3)], ids=["bypass", "auto"])
+@pytest.mark.parametrize("kind", PRECODERS)
+def test_stacked_transmit_equals_each_lone_transmit(kind, spec, points):
+    pouts = _sweep(kind, QuantizerSpec(3) if kind == "QCE" else spec, points, 191)
+    rng = np.random.default_rng(192)
+    block = rng.standard_normal((5, 17)) + 1j * rng.standard_normal((5, 17))
+    if kind == "QCE" and spec is None:
+        for arg in (pouts[0], pouts):
+            with pytest.raises(ValueError, match="QCE"):
+                precoding.transmit(arg, block, spec)
+        return
+    # (U, N) symbols, a (U,) vector and a strided column of the block
+    for s in (block, block[:, 0].copy(), block[:, 3]):
+        stacked = precoding.transmit(pouts, s, spec)
+        assert stacked.shape == (points, 24) + s.shape[1:]
+        buf = np.full(stacked.shape, np.nan, dtype=complex)
+        assert precoding.transmit(pouts, s, spec, out=buf) is buf
+        for pout, x, y in zip(pouts, stacked, buf):
+            lone = precoding.transmit(pout, s, spec)
+            assert lone.shape == (24,) + s.shape[1:]
+            # bytes, so that a -0.0 turned into 0.0 would show
+            assert x.tobytes() == lone.tobytes() and y.tobytes() == lone.tobytes()
+
+
+def test_stacked_transmit_needs_one_gram_eig_and_one_kind():
+    spec = QuantizerSpec(3)
+    h = np.sqrt(24) * _chan(5, 24, 193)
+    s = np.ones((5, 4), dtype=complex)
+    # the same channel decomposed twice is two GramEigs
+    first, second = (precoding.precode("WFQ", h, 0.1, spec=spec) for _ in range(2))
+    with pytest.raises(ValueError, match="GramEig"):
+        precoding.transmit([first, second], s, spec)
+    mrt = precoding.precode("MRT", first.csi, 0.1, spec=spec)
+    with pytest.raises(ValueError, match="kind"):
+        precoding.transmit([first, mrt], s, spec)
+    with pytest.raises(ValueError, match="at least one"):
+        precoding.transmit([], s, spec)
+
+
+@pytest.mark.parametrize("users, antennas", [(20, 128), (30, 256), (128, 256)])
+def test_batched_matmul_slices_equal_the_lone_products(users, antennas):
+    # The stacked transmit and the link's one H x product rest on numpy's
+    # batched matmul making, per slice, the BLAS call of the lone 2-D (or
+    # matrix-vector) product, at the operands' layouts.  If a numpy or BLAS
+    # upgrade breaks that, this fails here instead of the CSVs changing.
+    rng = np.random.default_rng(users + antennas)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    symbols, points = 100, 3
+    for _ in range(3):
+        h = cn(users, antennas)
+        vectors = np.linalg.eigh(h @ h.conj().T)[1]
+        w = vectors.conj().T @ h
+        antenna_vectors = np.conjugate(w, out=w).T  # F-ordered, as GramEig keeps it
+        weights = antenna_vectors.real ** 2 + antenna_vectors.imag ** 2
+        g = rng.uniform(0.1, 2.0, (points, users))
+        s = cn(users, symbols)
+        factors = (vectors * g[:, None, :]).conj().transpose(0, 2, 1)
+        v = factors @ s
+        x = np.matmul(antenna_vectors, v)
+        column = factors @ s[:, 5:6]
+        rx = np.matmul(h, x)
+        power = weights @ (g * g)[:, :, None]
+        for i in range(points):
+            lone_factor = (vectors * g[i]).conj().T
+            assert v[i].tobytes() == (lone_factor @ s).tobytes()
+            assert x[i].tobytes() == (antenna_vectors @ v[i]).tobytes()
+            assert rx[i].tobytes() == (h @ x[i]).tobytes()
+            # the matrix-vector shapes: a (U, 1) column against a (U,) vector
+            assert column[i, :, 0].tobytes() == (lone_factor @ s[:, 5]).tobytes()
+            assert power[i, :, 0].tobytes() == (weights @ (g[i] * g[i])).tobytes()
 
 
 def test_transmit_zero_symbols_hit_half_step_corner():
