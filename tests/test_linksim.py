@@ -2,6 +2,7 @@
 
 import queue
 import statistics
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -486,25 +487,31 @@ def test_downlink_trial_drops_a_free_pair_of_another_shape():
 
 @pytest.mark.parametrize("shapes", ["same", "other"])
 def test_concurrent_trials_never_share_a_block_pair(shapes):
-    # two threads run trials of two configs at once, with the same or other
-    # block shapes: each result equals the serial one, so no pair is ever
-    # held by two live trials
+    # four threads on two cores run trials of two configs at once, with the
+    # same or other block shapes and a short switch interval: each result
+    # equals the serial one, so no pair is ever held by two live trials
     a = SimConfig(**_SMALL, precoder="WFQ", csi="noisy_raw", bits=3, eta=0.3, seed=41)
     if shapes == "same":
         b = replace(a, precoder="MRT", csi="perfect", seed=43)
     else:
         b = SimConfig(users=4, antennas=40, symbols_per_trial=30, precoder="QCE", bits=2,
                       csi="perfect", seed=42)
-    trials = range(24)
-    serial = [[linksim.downlink_trial(cfg, t, snr_db=_SWEEP) for t in trials] for cfg in (a, b)]
-    start = threading.Barrier(2)
+    cfgs = (a, b, a, b)
+    trials = range(12)
+    serial = [[linksim.downlink_trial(cfg, t, snr_db=_SWEEP) for t in trials] for cfg in cfgs]
+    start = threading.Barrier(len(cfgs))
 
     def run(cfg):
-        start.wait()
+        start.wait(timeout=30)
         return [linksim.downlink_trial(cfg, t, snr_db=_SWEEP) for t in trials]
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        assert list(pool.map(run, (a, b))) == serial
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
+            assert list(pool.map(run, cfgs, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_downlink_trial_eta_and_snr_overrides():
