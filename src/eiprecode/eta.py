@@ -31,7 +31,6 @@ __all__ = [
     "EtaEstimate",
     "empirical_moments",
     "estimate_eta",
-    "default_order",
 ]
 
 _ETA_FLOOR = 1e-6
@@ -42,8 +41,8 @@ _ETA_CEILING = 1.0 - 1e-3
 class EstimatorConfig:
     """Moment-matching settings.
 
-    order: highest cumulant matched (1, 2 or 3); None applies the size
-    policy of :func:`default_order`.
+    order: highest cumulant matched (1, 2 or 3); None, the config
+    schema's default, means 1.
     mode: theory curve family ('gaussian_equivalent' or 'printed').
     c: corruption-variance scale assumed by the theory curves (positive;
     the printed family is drawn for c = 1 only, so it requires c = 1).
@@ -57,17 +56,13 @@ class EstimatorConfig:
     data_mode: str = "additive"
 
     def __post_init__(self):
-        if self.order is not None:
-            # the config layer's integer rule: an integral real is cast to
-            # int (2.0 and numpy's 2 give 2), a bool is never a number
-            order = self.order.item() if isinstance(self.order, np.generic) else self.order
-            if (
-                isinstance(order, bool)
-                or not isinstance(order, numbers.Real)
-                or order not in (1, 2, 3)
-            ):
-                raise ValueError(f"order must be 1, 2, 3 or None, got {self.order!r}")
-            object.__setattr__(self, "order", int(order))
+        # the config layer's integer rule: an integral real is cast to int
+        # (2.0 and numpy's 2 give 2), a bool is never a number
+        order = 1 if self.order is None else self.order
+        order = order.item() if isinstance(order, np.generic) else order
+        if isinstance(order, bool) or not isinstance(order, numbers.Real) or order not in (1, 2, 3):
+            raise ValueError(f"order must be 1, 2, 3 or None, got {self.order!r}")
+        object.__setattr__(self, "order", int(order))
         if self.mode not in ("gaussian_equivalent", "printed"):
             raise ValueError(f"unknown mode {self.mode!r}")
         CorruptionModel(0.0, self.data_mode, self.c)  # owns the data_mode and c rules
@@ -84,11 +79,6 @@ class EtaEstimate:
     order: int
     mode: str
     kappa_hat: tuple = field(default=())
-
-
-def default_order(users: int, antennas: int) -> int:
-    """Order policy: 1 for small problems (U*A < 1e4), 3 otherwise."""
-    return 1 if users * antennas < 10_000 else 3
 
 
 def empirical_moments(H_obs: np.ndarray | GramEig) -> np.ndarray:
@@ -124,7 +114,7 @@ def estimate_eta(H_obs: np.ndarray | GramEig, cfg: EstimatorConfig | None = None
     q = SystemDims(u, a).q  # validates 0 < U < A
     if not np.any(obs.matrix):
         raise ValueError("observation is identically zero")
-    order = cfg.order if cfg.order is not None else default_order(u, a)
+    order = cfg.order
     kappa_hat = _free_cumulants(*_moments(obs.values))
 
     # least-squares objective sum_k (kappa_hat_k - kappa_k(x))^2 as one

@@ -214,8 +214,7 @@ def _eta_cdf(cfg: SimConfig):
             "mean_eta_hat": np.mean([est.eta_hat for est in estimates]),
             "identifiable_fraction": np.mean([est.identifiable for est in estimates]),
         }
-    order = cfg.estimator.order
-    headline["estimator_order"] = order if order is not None else "auto"
+    headline["estimator_order"] = cfg.estimator.order
     headline["theory_mode"] = cfg.theory_mode
     return ("eta", "delta_eta", "cdf"), rows, {"headline": headline}
 

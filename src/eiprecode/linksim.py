@@ -39,10 +39,7 @@ GramEig (U-sized, one call per point), one
 CSI eigenbasis into an (S, A, N) transmit block, and one batched
 ``H x`` product fills an (S, U, N) receive block.  Each point's slice then
 takes its scaled unit noise and beta in place before its
-:func:`demodulate` and error count.  The two blocks are a pair taken from
-a module-wide free list and put back when the trial returns, so there is
-one pair per concurrent trial, whatever the thread; a pair of another
-shape is dropped for a new one.  numpy's batched matmul makes one BLAS
+:func:`demodulate` and error count.  numpy's batched matmul makes one BLAS
 call per point, the product a lone point makes, so every point's metrics
 are those of a call with that SNR alone.
 """
@@ -51,7 +48,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import queue
 import statistics
 import sys
 import typing
@@ -466,54 +462,31 @@ def downlink_trial(
     pouts = [] if degenerate else [
         precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer) for sigma2 in sigma2s
     ]
-    tx, rx = pair = _take_blocks((len(snrs), dims.antennas, s.shape[1]), (len(snrs), *s.shape))
-    try:
-        # every point's H x in one (S, U, N) receive block, zero when nothing is sent
-        if pouts:
-            np.matmul(H_link, precoding.transmit(pouts, s, cfg.quantizer, out=tx), out=rx)
-        else:
-            rx[...] = 0.0
-        metrics = []
-        for i, sigma2 in enumerate(sigma2s):
-            # the point's scaled unit noise, then its beta (1 when nothing is sent)
-            y = rx[i]
-            y += unit_noise * np.sqrt(sigma2 / 2.0)
-            y *= pouts[i].beta if pouts else 1.0
-            rx_bits = demodulate(y.reshape(-1), cfg.modulation)
-            metrics.append(
-                TrialMetrics(
-                    trial_index=trial_index,
-                    bits_sent=n_bits,
-                    bit_errors=int(np.count_nonzero(rx_bits != tx_bits)),
-                    mse_csi=mse_csi,
-                    mse_noisy=mse_noisy,
-                    eta_hat=eta_hat,
-                    degenerate_csi=degenerate,
-                    identifiable=identifiable,
-                )
-            )
-    finally:
-        _free_blocks.put(pair)
-    return tuple(metrics)
-
-
-# the (transmit, receive) block pairs no trial holds: a trial takes one and
-# puts it back when it returns, so there is one pair per concurrent trial,
-# and a pair of another shape is dropped for a new one
-_free_blocks: queue.SimpleQueue = queue.SimpleQueue()
-
-
-def _take_blocks(tx_shape: tuple, rx_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """A free (transmit, receive) pair of complex blocks of these shapes,
-    made when the free list is empty or its pair has other shapes."""
-    try:
-        tx, rx = _free_blocks.get_nowait()
-    except queue.Empty:
-        pass
+    # every point's H x in one (S, U, N) receive block, zero when nothing is sent
+    if pouts:
+        rx = H_link @ precoding.transmit(pouts, s, cfg.quantizer)
     else:
-        if tx.shape == tx_shape and rx.shape == rx_shape:
-            return tx, rx
-    return np.empty(tx_shape, dtype=complex), np.empty(rx_shape, dtype=complex)
+        rx = np.zeros((len(snrs), *s.shape), dtype=complex)
+    metrics = []
+    for i, sigma2 in enumerate(sigma2s):
+        # the point's scaled unit noise, then its beta (1 when nothing is sent)
+        y = rx[i]
+        y += unit_noise * np.sqrt(sigma2 / 2.0)
+        y *= pouts[i].beta if pouts else 1.0
+        rx_bits = demodulate(y.reshape(-1), cfg.modulation)
+        metrics.append(
+            TrialMetrics(
+                trial_index=trial_index,
+                bits_sent=n_bits,
+                bit_errors=int(np.count_nonzero(rx_bits != tx_bits)),
+                mse_csi=mse_csi,
+                mse_noisy=mse_noisy,
+                eta_hat=eta_hat,
+                degenerate_csi=degenerate,
+                identifiable=identifiable,
+            )
+        )
+    return tuple(metrics)
 
 
 def _aggregate(metrics: list[TrialMetrics], cfg: SimConfig) -> Aggregate:

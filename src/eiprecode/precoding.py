@@ -360,7 +360,6 @@ def transmit(
     pout: PrecodeOutput | Sequence[PrecodeOutput],
     s: np.ndarray,
     spec: QuantizerSpec | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Map symbol vectors to antenna samples through the configured DACs.
 
@@ -384,11 +383,8 @@ def transmit(
     P_B = quantized_power(spec, 1), so the power is P_B tr(P P^H) = P_B and
     the scale is the constant sqrt(1 / P_B).  A fixed step breaks that and
     raises ``ValueError``, as do outputs on different GramEigs or of
-    different kinds.
-
-    The samples are written into ``out``, a C-contiguous complex array of
-    the result's shape, which is returned; without it they go into a new
-    array.  Either way the DAC works in place on that one block.
+    different kinds.  The DAC works in place on the one new block it
+    returns.
     """
     stacked = not isinstance(pout, PrecodeOutput)
     pouts = tuple(pout) if stacked else (pout,)
@@ -405,14 +401,10 @@ def transmit(
     vector = s.ndim == 1
     # every line below works on (S, ., N) blocks: a lone output is a stack
     # of one, and a symbol vector a (U, 1) block
-    block = None
-    if out is not None:
-        block = out if stacked else out[None]
-        block = block[..., None] if vector else block
     g = np.stack([p.gains for p in pouts])  # (S, U)
     # the points' U x U factors (E g)^H, the real gains scaling E's columns
     factors = (csi.vectors * g[:, None, :]).conj().transpose(0, 2, 1)
-    x = np.matmul(csi.antenna_vectors, factors @ (s[:, None] if vector else s), out=block)
+    x = csi.antenna_vectors @ (factors @ (s[:, None] if vector else s))
     if kind == "QCE":
         sectors = 2 ** spec.bits
         width = 2.0 * np.pi / sectors
@@ -424,7 +416,5 @@ def transmit(
         sigma_m2 = csi.antenna_weights @ (g * g)[:, :, None]  # (S, A, 1)
         _quantize_in_place(x, spec, sigma_m2 / 2.0)
         x *= np.sqrt(1.0 / quantized_power(spec, 1.0))
-    if out is not None:
-        return out
     x = x if stacked else x[0]
     return x[..., 0] if vector else x

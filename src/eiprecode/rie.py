@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# build_bsca, eig_bsca and reconstruct are unused here; perfbench's traced run
-# looks them up on this module
+# the cleaner calls none of build_bsca, eig_bsca, reconstruct and
+# shrink_eigenvalue; they are kept for perfbench's traced run, which looks
+# them up on this module
 from .channel import CorruptionModel, GramEig, SystemDims, _finite_matrix, build_bsca, gram_eig  # noqa: F401
 from .rmt import _scalar_or_array, default_epsilon
 

@@ -102,11 +102,15 @@ def test_estimator_config_order_follows_the_integer_rule():
             EstimatorConfig(order=bad)
 
 
-def test_default_order_size_policy():
-    assert eta.default_order(99, 101) == 1
-    assert eta.default_order(100, 100) == 3
-    assert eta.default_order(30, 256) == 1
-    assert eta.default_order(30, 512) == 3
+def test_default_blind_estimate_is_order_1_at_every_size():
+    # order 1 has the smallest error at 128x256 too, where order 3 was the
+    # default; None, the config schema's default, means 1
+    assert EstimatorConfig().order == EstimatorConfig(order=None).order == 1
+    for u, a in ((20, 128), (128, 256), (30, 512)):
+        y = _draw(u, a, 0.3, 13, 14)
+        est = eta.estimate_eta(y)
+        assert est.order == 1
+        assert est == eta.estimate_eta(y, EstimatorConfig(order=1))
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,11 @@ def test_eta_cdf_rows_and_headline():
 
 
 def test_eta_cdf_reports_auto_order():
-    cfg = SimConfig(users=8, antennas=32, eta=(0.3,), trials=3, seed=2100)
-    res = run_experiment("eta_cdf", cfg)
-    assert res.summary["headline"]["estimator_order"] == "auto"
+    # with no order configured the headline names the order used
+    for users, antennas in ((8, 32), (100, 128)):
+        cfg = SimConfig(users=users, antennas=antennas, eta=(0.3,), trials=3, seed=2100)
+        res = run_experiment("eta_cdf", cfg)
+        assert res.summary["headline"]["estimator_order"] == 1
 
 
 def test_eta_cdf_stacks_one_block_per_level():

@@ -772,55 +772,48 @@ def test_transmit_quantizes_its_own_block_in_place():
     [("WFQ", QuantizerSpec(3)), ("WF", None), ("MRT", QuantizerSpec(2)), ("QCE", QuantizerSpec(3))],
 )
 def test_transmit_into_out_returns_it_with_the_fresh_bits(kind, spec):
+    # every call returns its own block, sharing no memory with an earlier
+    # result or with the symbols
     users, antennas, symbols = 5, 24, 17
     pout = precoding.precode(kind, np.sqrt(antennas) * _chan(users, antennas, 187), 0.1, spec=spec)
     rng = np.random.default_rng(188)
     s = rng.standard_normal((users, symbols)) + 1j * rng.standard_normal((users, symbols))
     fresh = precoding.transmit(pout, s, spec)
-    buf = np.full((antennas, symbols), np.nan, dtype=complex)
-    assert precoding.transmit(pout, s, spec, out=buf) is buf
-    assert buf.tobytes() == fresh.tobytes()
-    # without out every call gets its own block, never a shared one
     again = precoding.transmit(pout, s, spec)
-    assert not np.shares_memory(again, fresh) and not np.shares_memory(again, buf)
+    assert not np.shares_memory(again, fresh) and not np.shares_memory(again, s)
     assert again.tobytes() == fresh.tobytes()
 
 
 def test_precode_and_transmit_into_out_make_nothing_antenna_sized():
-    # precode forms only the U gains; transmit into out makes no A×N block
+    # precode forms only the U gains; transmit makes its result and under
+    # half an A×N block besides
     users, antennas, symbols = 30, 256, 100
     spec = QuantizerSpec(3)
     csi = channel.gram_eig(np.sqrt(antennas) * _chan(users, antennas, 189))
     rng = np.random.default_rng(190)
     s = rng.standard_normal((users, symbols)) + 1j * rng.standard_normal((users, symbols))
-    buf = np.empty((antennas, symbols), dtype=complex)
-    precoding.transmit(precoding.precode("WFQ", csi, 0.1, spec=spec), s, spec, out=buf)
+    precoding.transmit(precoding.precode("WFQ", csi, 0.1, spec=spec), s, spec)
     tracemalloc.start()
     try:
         pout = precoding.precode("WFQ", csi, 0.2, spec=spec)
         precode_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        precoding.transmit(pout, s, spec, out=buf)
-        transmit_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     column = antennas * np.dtype(complex).itemsize
     assert precode_peak < column, precode_peak
-    # E^H s (U×N), a few per-antenna vectors and numpy's broadcast buffers:
-    # less than half an A×N block
-    assert transmit_peak < 0.5 * column * symbols, transmit_peak / (column * symbols)
-    # an SNR sweep of three points sent in one pass stays under the same
-    # bound: its (3, U, N) products are gone before the DAC's buffers
+    # E^H s (U×N), a few per-antenna vectors and numpy's broadcast buffers
+    # beside the result; an SNR sweep of three points sent in one pass
+    # stays under the same margin, its (3, U, N) products gone before the
+    # DAC's buffers
     sweep = [precoding.precode("WFQ", csi, sigma2, spec=spec) for sigma2 in (0.3, 0.1, 0.03)]
-    stack = np.empty((len(sweep), antennas, symbols), dtype=complex)
-    precoding.transmit(sweep, s, spec, out=stack)
-    tracemalloc.start()
-    try:
-        precoding.transmit(sweep, s, spec, out=stack)
-        stacked_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stacked_peak < 0.5 * column * symbols, stacked_peak / (column * symbols)
+    for pouts, points in ((pout, 1), (sweep, 3)):
+        tracemalloc.start()
+        try:
+            precoding.transmit(pouts, s, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (points + 0.5) * column * symbols, (points, peak / (column * symbols))
 
 
 _SWEEP_SIGMA2 = (0.3, 0.1, 0.02)
@@ -848,13 +841,11 @@ def test_stacked_transmit_equals_each_lone_transmit(kind, spec, points):
     for s in (block, block[:, 0].copy(), block[:, 3]):
         stacked = precoding.transmit(pouts, s, spec)
         assert stacked.shape == (points, 24) + s.shape[1:]
-        buf = np.full(stacked.shape, np.nan, dtype=complex)
-        assert precoding.transmit(pouts, s, spec, out=buf) is buf
-        for pout, x, y in zip(pouts, stacked, buf):
+        for pout, x in zip(pouts, stacked):
             lone = precoding.transmit(pout, s, spec)
             assert lone.shape == (24,) + s.shape[1:]
             # bytes, so that a -0.0 turned into 0.0 would show
-            assert x.tobytes() == lone.tobytes() and y.tobytes() == lone.tobytes()
+            assert x.tobytes() == lone.tobytes()
 
 
 def test_stacked_transmit_needs_one_gram_eig_and_one_kind():
