@@ -8,9 +8,10 @@ Run it from a source checkout; it imports ``eiprecode`` from ``src/`` and
 the span tracer from ``perfbench/tracing.py``.  The setup is WFQ precoding
 on blind ``ei_cleaned`` CSI, QPSK, 4 bits, eta 0.3, SNR 0/4/8 dB and seed 7,
 with one BLAS thread.  Trials 0 .. repeats-1 each run as one
-``downlink_trial`` call over all SNR points, with the tracer wrapped round
-the stage functions the trial looks up: ``draw_observation`` (the channel
-and the trial's one observation, at the setup's one eta), ``estimate_eta``
+``downlink_trial`` call over the default points (the setup's one eta at
+each of its SNRs), with the tracer wrapped round the stage functions the
+trial looks up: ``draw_observation`` (the channel and the trial's one
+observation, at that one eta), ``estimate_eta``
 and ``clean_channel`` once per trial, ``precode`` and ``demodulate`` once
 per SNR point, and ``transmit`` once per trial, sending every point in
 one stacked pass.  So the stage times come from the trial's own code path,

@@ -38,7 +38,7 @@ SNRS = (0.0, 6.0, 12.0)
 for label, kw in MODES:
     cfg = SimConfig(**{**BASE, **kw})
     # one call per CSI mode: each trial's channel and CSI serve all three SNRs
-    for snr, agg in zip(SNRS, monte_carlo(cfg, eta=0.3, snr_db=SNRS)):
+    for snr, agg in zip(SNRS, monte_carlo(cfg, [(0.3, snr) for snr in SNRS])):
         ci = f"[{agg.ber_lo:.2e}, {agg.ber_hi:.2e}]"
         print(f"{label:<28} {snr:5.0f} {agg.ber:9.2e} {ci:>22} {agg.bits:9d}")
     print()

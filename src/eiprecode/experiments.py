@@ -323,24 +323,20 @@ def _ber_sweep(cfg: SimConfig, axis: str):
     """BER at each value of the ``axis`` config field, the other link
     parameter (eta or snr_db) held at its first configured value.
 
-    The SNR axis is one Monte-Carlo call, so each trial's observation and
-    cleaned CSI serve every SNR point; the observation changes with eta, so
-    the eta axis makes one call per level, each at the one fixed SNR."""
+    Either axis is one Monte-Carlo call over its (eta, SNR) points, so each
+    trial's draws serve every point, and each eta's cleaned CSI every SNR."""
     other, name = _BER_AXES[axis]
     fixed = getattr(cfg, other)[0]
-    points = getattr(cfg, axis)
-    if axis == "snr_db":
-        aggregates = monte_carlo(cfg, eta=fixed, snr_db=points)
-    else:
-        aggregates = [monte_carlo(cfg, eta=x, snr_db=(fixed,))[0] for x in points]
+    xs = getattr(cfg, axis)
+    points = [(fixed, x) if axis == "snr_db" else (x, fixed) for x in xs]
+    aggregates = monte_carlo(cfg, points)
     rows = []
     bers = []
     unresolved = []
     diagnostics = []
     degenerate = 0
     bits = cfg.bits if cfg.bits is not None else "bypass"
-    for x, agg in zip(points, aggregates):
-        eta, snr = (fixed, x) if axis == "snr_db" else (x, fixed)
+    for x, (eta, snr), agg in zip(xs, points, aggregates):
         bers.append(agg.ber)
         diagnostics.append({axis: x, **{k: getattr(agg, f) for k, f in _CSI_DIAGNOSTICS.items()}})
         degenerate += agg.degenerate_csi_trials
@@ -349,7 +345,7 @@ def _ber_sweep(cfg: SimConfig, axis: str):
         row = (snr, cfg.precoder, cfg.csi, bits, agg.ber, agg.ber_lo, agg.ber_hi,
                agg.trials_run, cfg.seed)
         rows.append(row if axis == "snr_db" else (eta,) + row)
-    crossing = threshold_crossing(points, bers, 1e-3)
+    crossing = threshold_crossing(xs, bers, 1e-3)
     summary = {
         "diagnostics": diagnostics,
         "headline": {

@@ -18,21 +18,23 @@ them into one observation per error level: the ``clean-csi`` and
 levels, and each level's observation is the one a call at that level alone
 gives.
 
-None of those draws depends on the SNR: the receiver noise is drawn at unit
-variance and scaled per SNR.  So one trial index serves every SNR point of
-a sweep: :func:`downlink_trial` and :func:`monte_carlo` take a tuple of
-SNRs (None for every configured one) and return one result per SNR, and a
-trial's channel, observation, eta-hat, cleaned CSI, symbols and unit noise
-are computed once for all of them.  Each point's metrics are bit-identical
-to a call with that SNR alone.
+None of those draws depends on the SNR either: the receiver noise is drawn
+at unit variance and scaled per SNR.  So one trial index serves every point
+of a BER curve, on either axis: :func:`downlink_trial` and
+:func:`monte_carlo` take a sequence of ``(eta, snr_db)`` points (None for
+the first configured eta at every configured SNR) and return one result per
+point.  A trial draws its channel, error, symbols and unit noise once; each
+distinct eta gets its observation, eta-hat, cleaned CSI and MSEs once, for
+all of its SNRs.  Each point's metrics are bit-identical to a call with that
+point alone.
 
-One eigendecomposition of a U x U Gram per trial serves every spectral
-stage: the observation's :class:`~eiprecode.channel.GramEig` feeds eta-hat
-and the cleaner, which returns the cleaned CSI with its own, and in the
-``perfect`` and ``noisy_raw`` modes the CSI's GramEig serves every SNR
-point's precoder.
+One eigendecomposition of a U x U Gram per trial and eta serves every
+spectral stage: the observation's :class:`~eiprecode.channel.GramEig` feeds
+eta-hat and the cleaner, which returns the cleaned CSI with its own, and in
+the ``perfect`` and ``noisy_raw`` modes the CSI's GramEig serves the
+precoder of every SNR at that eta.
 
-Every SNR point of a trial, in every CSI mode and for every precoder, is
+The SNR points of one eta, in every CSI mode and for every precoder, are
 sent in one stacked pass: each point's precoder is formed on the CSI's
 GramEig (U-sized, one call per point), one
 :func:`~eiprecode.precoding.transmit` call sends all S of them from the
@@ -41,7 +43,7 @@ CSI eigenbasis into an (S, A, N) transmit block, and one batched
 takes its scaled unit noise and beta in place before its
 :func:`demodulate` and error count.  numpy's batched matmul makes one BLAS
 call per point, the product a lone point makes, so every point's metrics
-are those of a call with that SNR alone.
+are those of a call with that point alone.
 """
 
 from __future__ import annotations
@@ -400,25 +402,28 @@ def estimate_csi(
     return csi, eta_hat, identifiable
 
 
-def _snr_points(cfg: SimConfig, snr_db) -> tuple:
-    """The SNRs of a call: ``snr_db``, or every configured one for None; a
-    bare number raises TypeError before any work."""
-    if snr_db is None:
-        return cfg.snr_db
-    if np.ndim(snr_db) != 1:
-        raise TypeError(f"snr_db must be a tuple of SNRs in dB or None, got {snr_db!r}")
-    return snr_db
+def _pairs(cfg: SimConfig, points) -> tuple[tuple[float, float], ...]:
+    """The (eta, snr_db) pairs of a call, as floats: ``points``, or the
+    first configured eta at every configured SNR for None.  Anything but a
+    sequence of pairs of real numbers raises TypeError before any work."""
+    if points is None:
+        return tuple((cfg.eta[0], snr) for snr in cfg.snr_db)
+    try:
+        pairs = [(eta, snr) for eta, snr in points]  # TypeError or ValueError if not pairs
+        if all(isinstance(x, numbers.Real) for pair in pairs for x in pair):
+            return tuple((float(eta), float(snr)) for eta, snr in pairs)
+    except (TypeError, ValueError):
+        pass
+    raise TypeError(f"points must be a sequence of (eta, snr_db) pairs or None, got {points!r}")
 
 
 def downlink_trial(
-    cfg: SimConfig,
-    trial_index: int,
-    eta: float | None = None,
-    snr_db: tuple[float, ...] | None = None,
+    cfg: SimConfig, trial_index: int, points: typing.Sequence | None = None
 ) -> tuple[TrialMetrics, ...]:
-    """One seeded downlink realization, one :class:`TrialMetrics` per SNR
-    of ``snr_db`` in order (None means every configured SNR; a bare number
-    raises TypeError before anything is drawn).
+    """One seeded downlink realization, one :class:`TrialMetrics` per
+    ``(eta, snr_db)`` pair of ``points`` in order (None means the first
+    configured eta at every configured SNR; anything but a sequence of
+    numeric pairs raises TypeError before anything is drawn).
 
     The true channel always carries the propagation; the configured CSI
     handling only decides what the precoder sees.  An all-zero CSI (the
@@ -426,56 +431,56 @@ def downlink_trial(
     direction: the trial transmits nothing, scores the bits as received
     with beta 1, and is flagged ``degenerate_csi``.
 
-    The observation, eta_hat, cleaned CSI, MSEs, symbols and unit-variance
-    receiver noise are computed once, the transmission and ``H x`` once for
-    every SNR in one stacked pass, and only the precoder, the noise scale,
-    beta and detection per SNR, so each entry equals a call with that SNR
-    alone.
+    The channel, error, symbols and unit-variance receiver noise are drawn
+    once.  Each distinct eta, in order of first appearance, gets its
+    observation, eta_hat, cleaned CSI and MSEs once, and the transmission
+    and ``H x`` of all its SNRs in one stacked pass; only the precoder, the
+    noise scale, beta and detection are per point, so each entry equals a
+    call with that point alone.
     """
-    eta = cfg.eta[0] if eta is None else float(eta)
-    snrs = _snr_points(cfg, snr_db)
-    dims = cfg.dims
+    pairs = _pairs(cfg, points)
+    by_eta: dict[float, list[int]] = {}  # each distinct eta -> its points
+    for i, (eta, _) in enumerate(pairs):
+        by_eta.setdefault(eta, []).append(i)
 
-    rng_noise = _trial_rng(cfg.seed, trial_index, 2)
-    rng_sym = _trial_rng(cfg.seed, trial_index, 3)
-
-    H, (H_obs,) = draw_observation(cfg, dims, (eta,), trial_index)
-    csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
-    mse_csi = mse_noisy = None
-    if eta_hat is not None:
-        mse_csi = mse(H, csi.matrix)
-        mse_noisy = mse(H, H_obs)
-
+    H, observations = draw_observation(cfg, cfg.dims, tuple(by_eta), trial_index)
     # link-layer scale: unit-variance channel entries
-    root_a = np.sqrt(dims.antennas)
+    root_a = np.sqrt(cfg.antennas)
     H_link = root_a * H
-    csi_link = csi.scaled(root_a)
-    degenerate = not np.any(csi.matrix)
 
     bps = _bits_per_symbol(cfg.modulation)
-    n_bits = dims.users * cfg.symbols_per_trial * bps
-    tx_bits = rng_sym.integers(0, 2, size=n_bits)
-    s = modulate(tx_bits, cfg.modulation).reshape(dims.users, cfg.symbols_per_trial)
+    n_bits = cfg.users * cfg.symbols_per_trial * bps
+    tx_bits = _trial_rng(cfg.seed, trial_index, 3).integers(0, 2, size=n_bits)
+    s = modulate(tx_bits, cfg.modulation).reshape(cfg.users, cfg.symbols_per_trial)
+    rng_noise = _trial_rng(cfg.seed, trial_index, 2)
     unit_noise = rng_noise.standard_normal(s.shape) + 1j * rng_noise.standard_normal(s.shape)
 
-    sigma2s = [10.0 ** (-float(snr) / 10.0) for snr in snrs]
-    pouts = [] if degenerate else [
-        precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer) for sigma2 in sigma2s
-    ]
-    # every point's H x in one (S, U, N) receive block, zero when nothing is sent
-    if pouts:
-        rx = H_link @ precoding.transmit(pouts, s, cfg.quantizer)
-    else:
-        rx = np.zeros((len(snrs), *s.shape), dtype=complex)
-    metrics = []
-    for i, sigma2 in enumerate(sigma2s):
-        # the point's scaled unit noise, then its beta (1 when nothing is sent)
-        y = rx[i]
-        y += unit_noise * np.sqrt(sigma2 / 2.0)
-        y *= pouts[i].beta if pouts else 1.0
-        rx_bits = demodulate(y.reshape(-1), cfg.modulation)
-        metrics.append(
-            TrialMetrics(
+    metrics: list[TrialMetrics | None] = [None] * len(pairs)
+    for (eta, idx), H_obs in zip(by_eta.items(), observations):
+        csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
+        mse_csi = mse_noisy = None
+        if eta_hat is not None:
+            mse_csi = mse(H, csi.matrix)
+            mse_noisy = mse(H, H_obs)
+        csi_link = csi.scaled(root_a)
+        degenerate = not np.any(csi.matrix)
+        sigma2s = [10.0 ** (-pairs[i][1] / 10.0) for i in idx]
+        pouts = [] if degenerate else [
+            precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer)
+            for sigma2 in sigma2s
+        ]
+        # every SNR's H x in one (S, U, N) receive block, zero when nothing is sent
+        if pouts:
+            rx = H_link @ precoding.transmit(pouts, s, cfg.quantizer)
+        else:
+            rx = np.zeros((len(idx), *s.shape), dtype=complex)
+        for k, (i, sigma2) in enumerate(zip(idx, sigma2s)):
+            # the point's scaled unit noise, then its beta (1 when nothing is sent)
+            y = rx[k]
+            y += unit_noise * np.sqrt(sigma2 / 2.0)
+            y *= pouts[k].beta if pouts else 1.0
+            rx_bits = demodulate(y.reshape(-1), cfg.modulation)
+            metrics[i] = TrialMetrics(
                 trial_index=trial_index,
                 bits_sent=n_bits,
                 bit_errors=int(np.count_nonzero(rx_bits != tx_bits)),
@@ -485,7 +490,6 @@ def downlink_trial(
                 degenerate_csi=degenerate,
                 identifiable=identifiable,
             )
-        )
     return tuple(metrics)
 
 
@@ -530,34 +534,34 @@ def trial_map(threads: int):
         yield lambda fn, trials: list(pool.map(fn, trials))
 
 
-def monte_carlo(
-    cfg: SimConfig, eta: float | None = None, snr_db: tuple[float, ...] | None = None
-) -> tuple[Aggregate, ...]:
+def monte_carlo(cfg: SimConfig, points: typing.Sequence | None = None) -> tuple[Aggregate, ...]:
     """Run trials until the error budget is met, deterministically; one
-    :class:`Aggregate` per SNR of ``snr_db`` in order (None means every
-    configured SNR; a bare number raises TypeError).
+    :class:`Aggregate` per ``(eta, snr_db)`` pair of ``points`` in order
+    (None means the first configured eta at every configured SNR; anything
+    but a sequence of numeric pairs raises TypeError).
 
     Trials are consumed in fixed chunks of 8 in index order; the thread
     width only parallelizes inside a chunk, so the aggregates are identical
     for any ``threads`` setting.  Each trial index runs once, through
-    :func:`downlink_trial`, for every SNR point still short of its budget.
-    A point stops at the first chunk boundary where its bit errors >=
-    min_errors or bits >= max_bits, or when ``trials`` is exhausted, so
-    each aggregate equals a call with that SNR alone; ``resolved`` records
-    whether the error target was met.
+    :func:`downlink_trial`, for every point still short of its budget, so a
+    BER curve over SNR or over eta is one call.  A point stops at the first
+    chunk boundary where its bit errors >= min_errors or bits >= max_bits,
+    or when ``trials`` is exhausted, so each aggregate equals a call with
+    that point alone; ``resolved`` records whether the error target was
+    met.
     """
-    snrs = _snr_points(cfg, snr_db)
-    metrics: list[list[TrialMetrics]] = [[] for _ in snrs]
-    errors = [0] * len(snrs)
-    bits = [0] * len(snrs)
-    live = list(range(len(snrs)))  # the points still short of their budget
+    pairs = _pairs(cfg, points)
+    metrics: list[list[TrialMetrics]] = [[] for _ in pairs]
+    errors = [0] * len(pairs)
+    bits = [0] * len(pairs)
+    live = list(range(len(pairs)))  # the points still short of their budget
     done = 0
     with trial_map(cfg.threads) as map_trials:
         while done < cfg.trials and live:
             chunk = range(done, min(done + _CHUNK, cfg.trials))
-            points = tuple(snrs[i] for i in live)
+            todo = tuple(pairs[i] for i in live)
             try:
-                results = map_trials(lambda t: downlink_trial(cfg, t, eta, points), chunk)
+                results = map_trials(lambda t: downlink_trial(cfg, t, todo), chunk)
             except Exception as exc:
                 raise MonteCarloError(
                     f"trial in chunk starting at {done} failed: {type(exc).__name__}: {exc}",

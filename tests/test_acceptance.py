@@ -217,7 +217,7 @@ def ber_curves():
     for name, kw in modes.items():
         cfg = _link_cfg(**kw)
         # one sweep call per CSI mode: each trial serves all nine SNR points
-        curves[name] = [a.ber for a in monte_carlo(cfg, eta=0.3, snr_db=_A4_SNRS)]
+        curves[name] = [a.ber for a in monte_carlo(cfg, [(0.3, snr) for snr in _A4_SNRS])]
     return {"curves": curves, "runtime": time.perf_counter() - t0}
 
 
@@ -270,7 +270,7 @@ def test_a4_iii_ber_monotone_in_resolution(acceptance):
             precoder="WFQ", csi="perfect", bits=b, trials=100,
             max_bits=400_000, seed=99,
         )
-        bers.append(monte_carlo(cfg, eta=0.3, snr_db=(10.0,))[0].ber)
+        bers.append(monte_carlo(cfg, [(0.3, 10.0)])[0].ber)
     runtime = time.perf_counter() - t0
     ok = all(bers[i + 1] <= bers[i] for i in range(3)) and runtime < 1200.0
     detail = ", ".join(f"B={b}: {v:.2e}" for b, v in zip((1, 2, 3, 4), bers))
@@ -297,7 +297,8 @@ def eta_sweep():
             precoder="WFQ", csi=csi, bits=4, trials=100, max_bits=400_000,
             seed=9_050,
         )
-        bers[name] = [monte_carlo(cfg, eta=e, snr_db=(5.0,))[0].ber for e in _A5_ETAS]
+        # one sweep call per CSI mode: each trial serves all ten eta levels
+        bers[name] = [a.ber for a in monte_carlo(cfg, [(eta, 5.0) for eta in _A5_ETAS])]
     return {"bers": bers, "runtime": time.perf_counter() - t0}
 
 
@@ -517,7 +518,7 @@ def test_a6_bit_exact_across_thread_widths(acceptance):
         precoder="WFQ", csi="ei_cleaned", bits=4, seed=9_070,
     )
     aggs = [
-        monte_carlo(SimConfig(threads=t, **base), eta=0.3, snr_db=(5.0,))[0]
+        monte_carlo(SimConfig(threads=t, **base), [(0.3, 5.0)])[0]
         for t in (1, 2, 4)
     ]
     ok = aggs[0] == aggs[1] == aggs[2]

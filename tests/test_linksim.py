@@ -371,6 +371,11 @@ _CSI_MODES = ("perfect", "noisy_raw", "ei_cleaned", "ei_cleaned_known_eta")
 _SWEEP = (-4.0, 2.0, 8.0)
 
 
+def _at(eta, snrs):
+    """The (eta, snr_db) points of one eta at each of ``snrs``."""
+    return tuple((eta, snr) for snr in snrs)
+
+
 @pytest.mark.parametrize("csi", _CSI_MODES)
 def test_every_csi_mode_decomposes_once_per_trial_index(csi, count_calls):
     # one Gram eigendecomposition serves eta-hat, the cleaner and all three
@@ -379,7 +384,7 @@ def test_every_csi_mode_decomposes_once_per_trial_index(csi, count_calls):
                     csi=csi, bits=4, eta=0.3, seed=22)
     decompositions = count_calls(np.linalg, "svd", "eigh", "eigvalsh")
     precodes = count_calls(linksim.precoding, "precode")
-    linksim.downlink_trial(cfg, 0, snr_db=_SWEEP)
+    linksim.downlink_trial(cfg, 0, _at(0.3, _SWEEP))
     assert sum(decompositions.values()) == 1, decompositions
     assert precodes == {"precode": 3}
 
@@ -388,14 +393,14 @@ def test_every_csi_mode_decomposes_once_per_trial_index(csi, count_calls):
 def test_downlink_trial_snr_tuple_equals_the_scalar_calls(csi):
     cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi=csi, eta=0.3, seed=21)
     for t in (0, 5):
-        sweep = linksim.downlink_trial(cfg, t, snr_db=_SWEEP)
-        assert sweep == tuple(linksim.downlink_trial(cfg, t, snr_db=(s,))[0] for s in _SWEEP)
+        sweep = linksim.downlink_trial(cfg, t, _at(0.3, _SWEEP))
+        assert sweep == tuple(linksim.downlink_trial(cfg, t, _at(0.3, (s,)))[0] for s in _SWEEP)
     # a zero CSI transmits nothing at every SNR (trial 2 of the zero-CSI test below)
     zero = SimConfig(users=2, antennas=64, symbols_per_trial=50, precoder="MRT",
                      csi="ei_cleaned_known_eta", eta=0.99, seed=34)
-    sweep = linksim.downlink_trial(zero, 2, snr_db=_SWEEP)
+    sweep = linksim.downlink_trial(zero, 2, _at(0.99, _SWEEP))
     assert all(m.degenerate_csi for m in sweep)
-    assert sweep == tuple(linksim.downlink_trial(zero, 2, snr_db=(s,))[0] for s in _SWEEP)
+    assert sweep == tuple(linksim.downlink_trial(zero, 2, _at(0.99, (s,)))[0] for s in _SWEEP)
 
 
 def test_blind_cleaned_snr_sweep_draws_and_cleans_once_per_trial(count_calls):
@@ -413,6 +418,19 @@ def test_blind_cleaned_snr_sweep_draws_and_cleans_once_per_trial(count_calls):
     assert stages == {"draw_observation": 5, "estimate_eta": 5, "clean_channel": 5}
     assert sum(decompositions.values()) == 5, decompositions
     assert precodes == {"precode": 15}
+
+
+def test_an_eta_sweep_draws_each_trial_index_once(count_calls):
+    # a five-level eta sweep is one Monte-Carlo call: each trial index draws
+    # its channel and error once for every level, and each level estimates
+    # and cleans its own observation
+    cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi="ei_cleaned",
+                    eta=(0.0, 0.1, 0.2, 0.3, 0.4), snr_db=(4.0,), seed=21, trials=16,
+                    min_errors=10**9, max_bits=10**9)
+    draws = count_calls(linksim, "gen_channel", "gen_error", "estimate_eta")
+    result = run_experiment("ber_vs_eta", cfg)
+    assert [row[8] for row in result.rows] == [16] * 5
+    assert draws == {"gen_channel": 16, "gen_error": 16, "estimate_eta": 80}
 
 
 def test_downlink_trial_zero_csi_transmits_nothing(monkeypatch):
@@ -462,12 +480,12 @@ def test_concurrent_trials_equal_their_serial_runs(shapes):
                       csi="perfect", seed=42)
     cfgs = (a, b, a, b)
     trials = range(12)
-    serial = [[linksim.downlink_trial(cfg, t, snr_db=_SWEEP) for t in trials] for cfg in cfgs]
+    serial = [[linksim.downlink_trial(cfg, t, _at(0.3, _SWEEP)) for t in trials] for cfg in cfgs]
     start = threading.Barrier(len(cfgs))
 
     def run(cfg):
         start.wait(timeout=30)
-        return [linksim.downlink_trial(cfg, t, snr_db=_SWEEP) for t in trials]
+        return [linksim.downlink_trial(cfg, t, _at(0.3, _SWEEP)) for t in trials]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -481,7 +499,7 @@ def test_concurrent_trials_equal_their_serial_runs(shapes):
 def test_downlink_trial_eta_and_snr_overrides():
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect",
                     eta=0.3, snr_db=0.0, seed=23)
-    lo, hi = linksim.downlink_trial(cfg, 1, snr_db=(-5.0, 20.0))
+    lo, hi = linksim.downlink_trial(cfg, 1, _at(0.3, (-5.0, 20.0)))
     assert lo.bit_errors > hi.bit_errors
 
 
@@ -590,7 +608,7 @@ def test_monte_carlo_wraps_trial_failures_in_an_snr_sweep(monkeypatch):
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="noisy_raw", seed=34,
                     trials=16, min_errors=10**9, max_bits=10**9)
     with pytest.raises(MonteCarloError) as info:
-        linksim.monte_carlo(cfg, snr_db=(0.0, 10.0))
+        linksim.monte_carlo(cfg, _at(0.3, (0.0, 10.0)))
     assert info.value.trial_index == 8
 
 
@@ -601,20 +619,41 @@ def test_monte_carlo_snr_tuple_equals_the_per_snr_calls(csi, threads):
     # that has met its budget must drop out while the others run on
     cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi=csi, eta=0.3, seed=21,
                     trials=64, min_errors=400, threads=threads)
-    sweep = linksim.monte_carlo(cfg, snr_db=_SWEEP)
-    assert sweep == tuple(linksim.monte_carlo(cfg, snr_db=(s,))[0] for s in _SWEEP)
+    sweep = linksim.monte_carlo(cfg, _at(0.3, _SWEEP))
+    assert sweep == tuple(linksim.monte_carlo(cfg, _at(0.3, (s,)))[0] for s in _SWEEP)
     assert len({a.trials_run for a in sweep}) == 3
+
+
+# unsorted points over three etas: eta 0, and eta 0.99, at which the known-eta
+# cleaner shrinks some trials' 2 x 64 observation to zero
+_MIXED = ((0.99, 8.0), (0.0, 2.0), (0.3, -4.0), (0.99, -4.0), (0.3, 8.0), (0.0, -4.0))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mixed_points_equal_their_lone_calls(threads):
+    # min_errors 60 stops the points at different chunks, outside perfect CSI
+    base = SimConfig(users=2, antennas=64, symbols_per_trial=50, precoder="WFQ", bits=3,
+                     seed=34, trials=32, min_errors=60, threads=threads)
+    for csi in _CSI_MODES:
+        cfg = replace(base, csi=csi)
+        for t in (0, 2):
+            mixed = linksim.downlink_trial(cfg, t, _MIXED)
+            assert mixed == tuple(linksim.downlink_trial(cfg, t, (p,))[0] for p in _MIXED), csi
+        mixed = linksim.monte_carlo(cfg, _MIXED)
+        assert mixed == tuple(linksim.monte_carlo(cfg, (p,))[0] for p in _MIXED), csi
+    assert [a.trials_run for a in mixed] == [8, 32, 32, 8, 32, 32]
+    assert [a.degenerate_csi_trials for a in mixed] == [1, 0, 0, 1, 0, 0]
 
 
 def test_default_snr_is_every_configured_snr():
     # None means the config's whole SNR tuple, at its first eta
     cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi="ei_cleaned", eta=(0.3, 0.5),
                     snr_db=_SWEEP, seed=21, trials=16, min_errors=400)
-    assert linksim.downlink_trial(cfg, 3) == linksim.downlink_trial(cfg, 3, eta=0.3, snr_db=_SWEEP)
+    assert linksim.downlink_trial(cfg, 3) == linksim.downlink_trial(cfg, 3, _at(0.3, _SWEEP))
     default = linksim.monte_carlo(cfg)
     assert len(default) == 3
     assert all(isinstance(a, Aggregate) for a in default)
-    assert default == linksim.monte_carlo(cfg, eta=cfg.eta[0], snr_db=cfg.snr_db)
+    assert default == linksim.monte_carlo(cfg, _at(cfg.eta[0], cfg.snr_db))
 
 
 def test_monte_carlo_reports_each_points_eta_hat_statistics():
@@ -623,27 +662,29 @@ def test_monte_carlo_reports_each_points_eta_hat_statistics():
     # eta-hats, and nothing is estimated under perfect or raw CSI
     cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi="ei_cleaned", eta=0.3, seed=21,
                     trials=64, min_errors=400)
-    sweep = linksim.monte_carlo(cfg, snr_db=_SWEEP)
+    sweep = linksim.monte_carlo(cfg, _at(0.3, _SWEEP))
     assert len({a.trials_run for a in sweep}) == 3
     for agg in sweep:
-        etas = [linksim.downlink_trial(cfg, t, snr_db=(0.0,))[0].eta_hat
+        etas = [linksim.downlink_trial(cfg, t, ((0.3, 0.0),))[0].eta_hat
                 for t in range(agg.trials_run)]
         assert agg.eta_hat_mean == statistics.fmean(etas)
         assert agg.eta_hat_std == statistics.pstdev(etas) > 0
     for csi in ("perfect", "noisy_raw"):
-        for agg in linksim.monte_carlo(replace(cfg, csi=csi), snr_db=_SWEEP):
+        for agg in linksim.monte_carlo(replace(cfg, csi=csi), _at(0.3, _SWEEP)):
             assert agg.eta_hat_mean is None and agg.eta_hat_std is None
 
 
 def test_a_scalar_snr_is_a_type_error(count_calls):
-    # the SNRs are always a tuple; a bare number fails by name before the
-    # trial draws anything
+    # the points are always (eta, snr_db) pairs of numbers; a bare number, a
+    # flat tuple of SNRs or a non-numeric eta fails by name before the trial
+    # draws anything
     cfg = SimConfig(**_SMALL, precoder="WF", bits=None, csi="perfect", seed=21, trials=8)
     draws = count_calls(linksim, "draw_observation")
-    with pytest.raises(TypeError, match="snr_db"):
-        linksim.downlink_trial(cfg, 0, snr_db=10.0)
-    with pytest.raises(TypeError, match="snr_db"):
-        linksim.monte_carlo(cfg, snr_db=10.0)
+    for points in (10.0, (0.0, 10.0), _SWEEP, [("0.3", 10.0)], [(None, 10.0)], [(0.3, 1.0, 2.0)]):
+        with pytest.raises(TypeError, match="points"):
+            linksim.downlink_trial(cfg, 0, points)
+        with pytest.raises(TypeError, match="points"):
+            linksim.monte_carlo(cfg, points)
     assert draws == {"draw_observation": 0}
 
 
@@ -663,7 +704,7 @@ def test_monte_carlo_ber_decreases_with_snr_for_reference_csi_modes():
                      bits=4, eta=0.3, seed=36, trials=10**6,
                      min_errors=100, max_bits=200_000)
     for csi in ("perfect", "noisy_raw"):
-        curve = linksim.monte_carlo(replace(base, csi=csi), snr_db=(-2.0, 6.0, 14.0))
+        curve = linksim.monte_carlo(replace(base, csi=csi), _at(0.3, (-2.0, 6.0, 14.0)))
         assert curve[0].ber >= curve[-1].ber, csi
         for lo_pt, hi_pt in zip(curve, curve[1:]):
             # no increase beyond confidence-interval overlap
@@ -674,7 +715,7 @@ def test_monte_carlo_ber_decreases_with_snr_for_cleaned_csi():
     base = SimConfig(users=20, antennas=128, symbols_per_trial=25, precoder="WFQ",
                      bits=4, eta=0.3, seed=36, trials=10**6,
                      min_errors=100, max_bits=200_000, csi="ei_cleaned_known_eta")
-    curve = linksim.monte_carlo(base, snr_db=(-2.0, 6.0, 14.0))
+    curve = linksim.monte_carlo(base, _at(0.3, (-2.0, 6.0, 14.0)))
     for lo_pt, hi_pt in zip(curve, curve[1:]):
         assert lo_pt.ber_hi >= hi_pt.ber_lo
 

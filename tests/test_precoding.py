@@ -771,7 +771,7 @@ def test_transmit_quantizes_its_own_block_in_place():
     "kind, spec",
     [("WFQ", QuantizerSpec(3)), ("WF", None), ("MRT", QuantizerSpec(2)), ("QCE", QuantizerSpec(3))],
 )
-def test_transmit_into_out_returns_it_with_the_fresh_bits(kind, spec):
+def test_transmit_returns_its_own_block(kind, spec):
     # every call returns its own block, sharing no memory with an earlier
     # result or with the symbols
     users, antennas, symbols = 5, 24, 17
@@ -784,7 +784,7 @@ def test_transmit_into_out_returns_it_with_the_fresh_bits(kind, spec):
     assert again.tobytes() == fresh.tobytes()
 
 
-def test_precode_and_transmit_into_out_make_nothing_antenna_sized():
+def test_precode_and_transmit_make_at_most_their_result_antenna_sized():
     # precode forms only the U gains; transmit makes its result and under
     # half an A×N block besides
     users, antennas, symbols = 30, 256, 100
