@@ -22,7 +22,6 @@ import numpy as np
 from .config import ConfigError, parse_config
 from .experiments import ExperimentError, experiment_options, run_experiment
 from .linksim import MonteCarloError
-from .rmt import RootSelectionError
 
 __all__ = ["main", "build_parser"]
 
@@ -46,7 +45,6 @@ _FLAGS = ("seed", "threads", "trials", "precoder", "csi", "bits", "bins")
 
 _NUMERICAL_ERRORS = (
     MonteCarloError,
-    RootSelectionError,
     np.linalg.LinAlgError,
     FloatingPointError,
     ZeroDivisionError,

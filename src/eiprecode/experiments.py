@@ -234,7 +234,7 @@ def _mse_vs_antennas(cfg: SimConfig):
         H, observations = draw_observation(cfg, dims, cfg.eta, t)
         per_eta = []
         for eta, H_obs in zip(cfg.eta, observations):
-            csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
+            csi, eta_hat, identifiable = estimate_csi(cfg, eta, H_obs)
             mses = (
                 mse(H, csi.matrix),
                 mse(H, H_obs),

@@ -24,17 +24,17 @@ of a BER curve, on either axis: :func:`downlink_trial` and
 :func:`monte_carlo` take a sequence of ``(eta, snr_db)`` points (None for
 the first configured eta at every configured SNR) and return one result per
 point.  A trial draws its channel, error, symbols and unit noise once; each
-distinct eta gets its observation, eta-hat, cleaned CSI and MSEs once, for
-all of its SNRs.  Each point's metrics are bit-identical to a call with that
-point alone.
+CSI level (its eta, or 0 under ``perfect``) gets its observation, eta-hat,
+cleaned CSI and MSEs once, for all of its points.  Each point's metrics are
+bit-identical to a call with that point alone.
 
-One eigendecomposition of a U x U Gram per trial and eta serves every
+One eigendecomposition of a U x U Gram per trial and CSI level serves every
 spectral stage: the observation's :class:`~eiprecode.channel.GramEig` feeds
 eta-hat and the cleaner, which returns the cleaned CSI with its own, and in
-the ``perfect`` and ``noisy_raw`` modes the CSI's GramEig serves the
-precoder of every SNR at that eta.
+the ``perfect`` and ``noisy_raw`` modes it serves the precoder of every
+point at that level.
 
-The SNR points of one eta, in every CSI mode and for every precoder, are
+The points of one CSI level, in every CSI mode and for every precoder, are
 sent in one stacked pass: each point's precoder is formed on the CSI's
 GramEig (U-sized, one call per point), one
 :func:`~eiprecode.precoding.transmit` call sends all S of them from the
@@ -374,30 +374,31 @@ def draw_observation(
 
 
 def estimate_csi(
-    cfg: SimConfig, eta: float, H: np.ndarray, H_obs: np.ndarray
+    cfg: SimConfig, level: float, H_obs: np.ndarray
 ) -> tuple[GramEig, float | None, bool | None]:
-    """The CSI the configured ``csi`` mode hands the precoder, as its
+    """The CSI the configured ``csi`` mode hands the precoder from the
+    observation ``H_obs`` at error ``level``, as its
     :class:`~eiprecode.channel.GramEig`, eta_hat, and whether eta_hat is
     identifiable.
 
-    ``perfect`` and ``noisy_raw`` decompose H and H_obs as they are, with
-    eta_hat None; the cleaned modes decompose H_obs once, estimate eta from
-    that blindly (``ei_cleaned``) or take the true ``eta``
-    (``ei_cleaned_known_eta``), and clean it at eta_hat.  The flag is
-    :class:`EtaEstimate`'s ``identifiable`` for ``ei_cleaned`` and None
+    ``perfect`` (level 0 only, else ValueError) and ``noisy_raw`` decompose
+    H_obs as it is, with eta_hat None; the cleaned modes decompose it once,
+    estimate eta from that blindly (``ei_cleaned``) or take the true
+    ``level`` (``ei_cleaned_known_eta``), and clean it at eta_hat.  The flag
+    is :class:`EtaEstimate`'s ``identifiable`` for ``ei_cleaned`` and None
     where nothing is estimated.
     """
-    if cfg.csi == "perfect":
-        return gram_eig(H), None, None
+    if cfg.csi == "perfect" and level != 0.0:
+        raise ValueError(f"csi 'perfect' reads the level-0 observation, got level {level!r}")
     obs = gram_eig(H_obs)
-    if cfg.csi == "noisy_raw":
+    if cfg.csi in ("perfect", "noisy_raw"):
         return obs, None, None
     identifiable = None
     if cfg.csi == "ei_cleaned":
         est = estimate_eta(obs, cfg.estimator)
         eta_hat, identifiable = est.eta_hat, est.identifiable
     else:
-        eta_hat = eta
+        eta_hat = level
     csi = clean_channel(obs, cfg.corruption(eta_hat))
     return csi, eta_hat, identifiable
 
@@ -432,18 +433,18 @@ def downlink_trial(
     with beta 1, and is flagged ``degenerate_csi``.
 
     The channel, error, symbols and unit-variance receiver noise are drawn
-    once.  Each distinct eta, in order of first appearance, gets its
-    observation, eta_hat, cleaned CSI and MSEs once, and the transmission
-    and ``H x`` of all its SNRs in one stacked pass; only the precoder, the
-    noise scale, beta and detection are per point, so each entry equals a
-    call with that point alone.
+    once.  Each CSI level (its eta, or 0 under ``perfect``), in order of
+    first appearance, gets its observation, eta_hat, cleaned CSI and MSEs
+    once, and the transmission and ``H x`` of all its points in one stacked
+    pass; only the precoder, the noise scale, beta and detection are per
+    point, so each entry equals a call with that point alone.
     """
     pairs = _pairs(cfg, points)
-    by_eta: dict[float, list[int]] = {}  # each distinct eta -> its points
+    by_level: dict[float, list[int]] = {}  # each CSI level -> its points
     for i, (eta, _) in enumerate(pairs):
-        by_eta.setdefault(eta, []).append(i)
+        by_level.setdefault(0.0 if cfg.csi == "perfect" else eta, []).append(i)
 
-    H, observations = draw_observation(cfg, cfg.dims, tuple(by_eta), trial_index)
+    H, observations = draw_observation(cfg, cfg.dims, tuple(by_level), trial_index)
     # link-layer scale: unit-variance channel entries
     root_a = np.sqrt(cfg.antennas)
     H_link = root_a * H
@@ -456,8 +457,8 @@ def downlink_trial(
     unit_noise = rng_noise.standard_normal(s.shape) + 1j * rng_noise.standard_normal(s.shape)
 
     metrics: list[TrialMetrics | None] = [None] * len(pairs)
-    for (eta, idx), H_obs in zip(by_eta.items(), observations):
-        csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
+    for (level, idx), H_obs in zip(by_level.items(), observations):
+        csi, eta_hat, identifiable = estimate_csi(cfg, level, H_obs)
         mse_csi = mse_noisy = None
         if eta_hat is not None:
             mse_csi = mse(H, csi.matrix)
@@ -469,7 +470,7 @@ def downlink_trial(
             precoding.precode(cfg.precoder, csi_link, sigma2, spec=cfg.quantizer)
             for sigma2 in sigma2s
         ]
-        # every SNR's H x in one (S, U, N) receive block, zero when nothing is sent
+        # every point's H x in one (S, U, N) receive block, zero when nothing is sent
         if pouts:
             rx = H_link @ precoding.transmit(pouts, s, cfg.quantizer)
         else:

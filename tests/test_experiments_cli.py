@@ -287,7 +287,7 @@ def _clean_csi_reference(cfg):
             per_trial, eta_hats, flags = [], [], []
             for t in range(cfg.trials):
                 H, H_obs = _observation(cfg, dims, eta, t)
-                csi, eta_hat, identifiable = estimate_csi(cfg, eta, H, H_obs)
+                csi, eta_hat, identifiable = estimate_csi(cfg, eta, H_obs)
                 scalar = linear_mmse_baseline(H_obs, cfg.corruption(eta))
                 per_trial.append((mse(H, csi.matrix), mse(H, H_obs), mse(H, scalar)))
                 eta_hats.append(eta_hat)

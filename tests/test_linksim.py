@@ -333,6 +333,8 @@ def test_downlink_trial_zero_eta_csi_modes_coincide():
     perfect = linksim.downlink_trial(replace(base, csi="perfect"), 3)
     raw = linksim.downlink_trial(replace(base, csi="noisy_raw"), 3)
     assert perfect == raw
+    # perfect CSI is the level-0 observation whatever the configured eta
+    assert linksim.downlink_trial(replace(base, csi="perfect", eta=0.3), 3) == raw
 
 
 def test_downlink_trial_known_eta_reports_zero_delta():
@@ -403,6 +405,28 @@ def test_downlink_trial_snr_tuple_equals_the_scalar_calls(csi):
     assert sweep == tuple(linksim.downlink_trial(zero, 2, _at(0.99, (s,)))[0] for s in _SWEEP)
 
 
+@pytest.mark.parametrize("csi", _CSI_MODES)
+def test_an_eta_sweep_decomposes_and_draws_the_error_once_per_csi_level(csi, count_calls):
+    # perfect CSI reads the one level-0 observation for every eta, so it
+    # draws no error and decomposes once per trial index; the other modes
+    # draw the error once and decompose once per eta level
+    cfg = SimConfig(**_SMALL, precoder="WFQ", bits=3, csi=csi, seed=21, trials=4,
+                    min_errors=10**9, max_bits=10**9)
+    decompositions = count_calls(np.linalg, "eigh")
+    draws = count_calls(linksim, "gen_error")
+    linksim.monte_carlo(cfg, ((0.1, 4.0), (0.3, 4.0), (0.5, 4.0)))
+    levels = 1 if csi == "perfect" else 3
+    assert decompositions == {"eigh": 4 * levels}
+    assert draws == {"gen_error": 0 if csi == "perfect" else 4}
+
+
+def test_estimate_csi_perfect_reads_only_the_level_zero_observation():
+    cfg = SimConfig(**_SMALL, csi="perfect", eta=0.3)
+    _, (H_obs,) = linksim.draw_observation(cfg, cfg.dims, (0.3,), 0)
+    with pytest.raises(ValueError, match="level"):
+        linksim.estimate_csi(cfg, 0.3, H_obs)
+
+
 def test_blind_cleaned_snr_sweep_draws_and_cleans_once_per_trial(count_calls):
     # one trial index serves all three SNR points: the draws, eta-hat and the
     # cleaner's one decomposition run once per trial, and only the precoder
@@ -460,7 +484,7 @@ def test_zf_on_rank_deficient_cleaned_csi_sends_nothing_on_null_directions():
     null = 0
     for t in range(cfg.trials):
         H, (H_obs,) = linksim.draw_observation(cfg, cfg.dims, (0.8,), t)
-        null += np.count_nonzero(linksim.estimate_csi(cfg, 0.8, H, H_obs)[0].values == 0.0)
+        null += np.count_nonzero(linksim.estimate_csi(cfg, 0.8, H_obs)[0].values == 0.0)
     assert null > 0
     agg = linksim.monte_carlo(cfg)[0]
     assert agg.degenerate_csi_trials == 0
